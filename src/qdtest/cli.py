@@ -39,7 +39,7 @@ from . import plotting
 from . import reference as ref
 from .distributions import Distribution, DistributionError
 from .selfcheck import run_selfcheck
-from .testers import closeness_plan, kwise_plan
+from .testers import closeness_plan, estimator_budget, kwise_plan
 
 _CLOSENESS_TESTERS = ("l2", "tolerant-l2", "l1")
 
@@ -241,10 +241,10 @@ def cmd_test_kwise(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    t = estimator_budget(args.eps)
     p, q = _closeness_pair(args)
     op, oq = _oracle_pair(p, q, args)
     layout, unitary, projector = orc.closeness_instance(op, oq)
-    t = math.ceil(8.0 * math.pi / args.eps)
     rows = exp.run_estimate_trials(layout, unitary, projector, t, args.trials, args.seed)
     true_value = ref.lp_distance(p, q, 2)
     params = {"eps": args.eps, "n": p.size, "garbage": args.garbage,
@@ -285,9 +285,7 @@ def cmd_sweep(args) -> int:
             else:
                 p, q = ref.gen_l2_pair(n, min(1.0, math.sqrt(2.0) * eps))
                 plan_eps = eps
-            op = orc.make_purified_oracle(p, args.garbage, seed=seed * 2 + 1, label="p")
-            oq = orc.make_purified_oracle(q, args.garbage, seed=seed * 2 + 2, label="q")
-            plan = closeness_plan(op, oq, plan_eps, args.nu)
+            plan = closeness_plan(*_oracle_pair(p, q, args), plan_eps, args.nu)
             expect = "FAR"
         verdicts = exp.run_verdict_trials(plan, args.trials, seed)
         success = sum(v.verdict == expect for v in verdicts) / len(verdicts)

@@ -72,6 +72,8 @@ def run_verdict_trials(plan: AEPlan, trials: int, seed: int) -> list[TestVerdict
 def run_estimate_trials(plan_layout, unitary, projector, t: int, trials: int,
                         seed: int) -> list[dict]:
     """Distance-estimator trials: rows carry the estimate 2 sqrt(statistic)."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     base = QueryLedger()
     dist = phase_distribution(unitary, plan_layout, projector, t, ledger=base)
     cost = base.snapshot()

@@ -10,9 +10,14 @@ into sequences; every operator supports forward, inverse, and controlled
 application.  Dense matrices of operators exist only as a cross-check path for
 small systems (:func:`dense_matrix_of`).
 
-Applications are routed through the kernels in :mod:`qdtest.backend`; each
-operator caches, per layout and control context, the integer offset plan the
-kernels consume.
+Each leaf operator caches, per layout and control context, the integer index
+plan its numpy kernel consumes (:meth:`QuantumOp._plan`).  One kernel rule is
+exact: a matrix on a two-column block (a qubit gate such as a Hadamard) is
+applied with separate elementwise multiplies and adds, never BLAS, whose fused
+multiply-add leaves rounding residue where ``x*h + (-x)*h`` must cancel to
+exactly 0.  The testers' one-sided error rests on this: for p = q the
+closeness encoder's final Hadamard meets exactly opposite blocks, and the
+projected amplitude must come out 0.0.
 """
 from __future__ import annotations
 
@@ -22,8 +27,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from . import backend
 
 ATOL = 1e-10
 
@@ -166,14 +169,7 @@ class Projector:
 
     def mask(self, layout: RegisterLayout) -> np.ndarray:
         """Boolean mask over flat indices selecting the projected subspace."""
-        idx = np.arange(layout.total_dim, dtype=np.int64)
-        keep = np.ones(layout.total_dim, dtype=bool)
-        for name, value in self.fixed:
-            d = layout.dim_of(name)
-            if not 0 <= value < d:
-                raise RegisterError(f"projector value {value} out of range for {name!r}")
-            keep &= (idx // layout.stride_of(name)) % d == value
-        return keep
+        return _register_mask(layout, self.fixed)
 
 
 def projector_norm_sq(state: StateVector, proj: Projector) -> float:
@@ -182,11 +178,15 @@ def projector_norm_sq(state: StateVector, proj: Projector) -> float:
     return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
 
 
-def _control_mask(layout: RegisterLayout, controls: Controls) -> np.ndarray:
+def _register_mask(layout: RegisterLayout, fixed: Iterable[tuple[str, int]]) -> np.ndarray:
+    """Boolean mask over flat indices where every named register holds its value."""
     idx = np.arange(layout.total_dim, dtype=np.int64)
     keep = np.ones(layout.total_dim, dtype=bool)
-    for name, value in controls:
-        keep &= (idx // layout.stride_of(name)) % layout.dim_of(name) == value
+    for name, value in fixed:
+        d = layout.dim_of(name)
+        if not 0 <= value < d:
+            raise RegisterError(f"value {value} out of range for register {name!r} (dim {d})")
+        keep &= (idx // layout.stride_of(name)) % d == value
     return keep
 
 
@@ -215,6 +215,13 @@ def _base_offsets(layout: RegisterLayout, acting: Sequence[str], controls: Contr
     return off
 
 
+def _block_index(layout: RegisterLayout, regs: Sequence[str], controls: Controls) -> np.ndarray:
+    """Flat indices of every register block in the control scope: one row per
+    joint value of the other registers, one column per joint value of ``regs``."""
+    bases = _base_offsets(layout, regs, controls)
+    return bases[:, None] + _mixed_radix_offsets(layout, regs)[None, :]
+
+
 def _check_controls(layout: RegisterLayout, acting: Sequence[str], controls: Controls) -> None:
     for name, value in controls:
         if name in acting:
@@ -228,11 +235,19 @@ class QuantumOp:
 
     Subclasses implement ``_apply``; :meth:`apply_to` adds ledger attribution.
     A labelled op records one query per application under its label, with the
-    kind determined by the inverse/controlled context it runs in.
+    kind determined by the inverse/controlled context it runs in.  Leaf ops
+    also implement ``_build``, the index plan for one layout and control
+    context, which :meth:`_plan` builds once and caches.
     """
 
     label: str | None = None
     regs: tuple[str, ...] = ()
+    size: int | None = None  # joint dimension of ``regs`` the op needs; None: any
+
+    def __init__(self, regs: Sequence[str] | str, label: str | None = None):
+        self.regs = (regs,) if isinstance(regs, str) else tuple(regs)
+        self.label = label
+        self._plans: dict = {}
 
     def apply_to(self, state: StateVector, *, inverse: bool = False,
                  controls: Controls = (), ledger: "QueryLedger | None" = None) -> None:
@@ -244,48 +259,60 @@ class QuantumOp:
                ledger: "QueryLedger | None") -> None:
         raise NotImplementedError
 
+    def _plan(self, layout: RegisterLayout, controls: Controls):
+        """The cached ``_build`` result, checked against the layout on first use."""
+        key = (layout, controls)
+        plan = self._plans.get(key)
+        if plan is None:
+            if self.size is not None:
+                dim = math.prod(layout.dim_of(r) for r in self.regs)
+                if dim != self.size:
+                    raise RegisterError(
+                        f"{type(self).__name__} on {self.regs} has size {self.size} "
+                        f"but registers have joint dimension {dim}")
+            _check_controls(layout, self.regs, controls)
+            plan = self._plans[key] = self._build(layout, controls)
+        return plan
+
+    def _build(self, layout: RegisterLayout, controls: Controls):
+        raise NotImplementedError
+
 
 class MatrixOp(QuantumOp):
     """Dense unitary on a tuple of registers (matrix over their joint space).
 
-    A two-column matrix (a qubit gate) is applied without fused multiply-add,
-    so opposite input blocks cancel to exactly 0 (see :mod:`qdtest.backend`);
-    the testers' certainty when p = q depends on it.
+    A two-column matrix (a qubit gate) is applied as separate elementwise
+    multiplies and adds, so opposite input blocks cancel to exactly 0; the
+    testers' certainty when p = q depends on it.  Larger blocks go through a
+    BLAS matrix product.
     """
 
     def __init__(self, regs: Sequence[str] | str, matrix: np.ndarray, label: str | None = None):
-        if isinstance(regs, str):
-            regs = (regs,)
-        self.regs = tuple(regs)
+        super().__init__(regs, label)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise RegisterError(f"operator matrix must be square, got {self.matrix.shape}")
-        self.label = label
+        self.size = self.matrix.shape[0]
         # out = in @ U.T for forward, in @ conj(U) for inverse
         self._mat_t = np.ascontiguousarray(self.matrix.T)
         self._mat_t_inv = np.ascontiguousarray(self.matrix.conj())
-        self._plans: dict = {}
 
-    def _plan(self, layout: RegisterLayout, controls: Controls):
-        key = (layout, controls)
-        plan = self._plans.get(key)
-        if plan is None:
-            dim = int(np.prod([layout.dim_of(r) for r in self.regs]))
-            if dim != self.matrix.shape[0]:
-                raise RegisterError(
-                    f"operator on {self.regs} has matrix dimension {self.matrix.shape[0]} "
-                    f"but registers have joint dimension {dim}")
-            _check_controls(layout, self.regs, controls)
-            targets = _mixed_radix_offsets(layout, self.regs)
-            bases = _base_offsets(layout, self.regs, controls)
-            plan = (bases, targets)
-            self._plans[key] = plan
-        return plan
+    def _build(self, layout, controls):
+        idx = _block_index(layout, self.regs, controls)
+        # a qubit gate reads its two columns as contiguous 1-D index arrays
+        return np.ascontiguousarray(idx.T) if self.size == 2 else idx
 
     def _apply(self, state, inverse, controls, ledger):
-        bases, targets = self._plan(state.layout, controls)
+        idx = self._plan(state.layout, controls)
         mat = self._mat_t_inv if inverse else self._mat_t
-        backend.apply_matrix(state.amplitudes, mat, bases, targets)
+        amps = state.amplitudes
+        if self.size == 2:
+            i0, i1 = idx
+            x0, x1 = amps[i0], amps[i1]
+            amps[i0] = x0 * mat[0, 0] + x1 * mat[1, 0]
+            amps[i1] = x0 * mat[0, 1] + x1 * mat[1, 1]
+        else:
+            amps[idx] = amps[idx] @ mat
 
 
 class ReflectionOp(QuantumOp):
@@ -298,48 +325,32 @@ class ReflectionOp(QuantumOp):
 
     def __init__(self, regs: Sequence[str] | str, w: np.ndarray, denom: float,
                  label: str | None = None):
-        if isinstance(regs, str):
-            regs = (regs,)
-        self.regs = tuple(regs)
+        super().__init__(regs, label)
         self.w = np.ascontiguousarray(w, dtype=np.float64)
         self.denom = float(denom)
         if self.denom <= 0:
             raise RegisterError("reflection denominator must be positive")
-        self.label = label
-        self._plans: dict = {}
+        self.size = self.w.size
 
     @property
     def matrix(self) -> np.ndarray:
         return (np.eye(self.w.size) - np.outer(self.w, self.w) / self.denom
                 ).astype(np.complex128)
 
-    def _plan(self, layout: RegisterLayout, controls: Controls):
-        key = (layout, controls)
-        plan = self._plans.get(key)
-        if plan is None:
-            dim = int(np.prod([layout.dim_of(r) for r in self.regs]))
-            if dim != self.w.size:
-                raise RegisterError(
-                    f"reflection on {self.regs} has size {self.w.size} "
-                    f"but registers have joint dimension {dim}")
-            _check_controls(layout, self.regs, controls)
-            plan = (_base_offsets(layout, self.regs, controls),
-                    _mixed_radix_offsets(layout, self.regs))
-            self._plans[key] = plan
-        return plan
+    def _build(self, layout, controls):
+        return _block_index(layout, self.regs, controls)
 
     def _apply(self, state, inverse, controls, ledger):
-        bases, targets = self._plan(state.layout, controls)
-        backend.apply_reflection(state.amplitudes, self.w, self.denom, bases, targets)
+        idx = self._plan(state.layout, controls)
+        block = state.amplitudes[idx]
+        state.amplitudes[idx] = block - np.outer(block @ self.w, self.w / self.denom)
 
 
 class PermutationOp(QuantumOp):
     """Unitary basis permutation |j> -> |perm[j]> on a tuple of registers."""
 
     def __init__(self, regs: Sequence[str] | str, perm: np.ndarray, label: str | None = None):
-        if isinstance(regs, str):
-            regs = (regs,)
-        self.regs = tuple(regs)
+        super().__init__(regs, label)
         perm = np.asarray(perm, dtype=np.int64)
         if sorted(perm.tolist()) != list(range(perm.size)):
             raise RegisterError("perm must be a permutation of 0..dim-1")
@@ -347,42 +358,30 @@ class PermutationOp(QuantumOp):
         inv = np.empty_like(perm)
         inv[perm] = np.arange(perm.size, dtype=np.int64)
         self._perm_inv = inv
-        self.label = label
-        self._plans: dict = {}
+        self.size = perm.size
 
-    def _plan(self, layout: RegisterLayout, controls: Controls):
-        key = (layout, controls)
-        plan = self._plans.get(key)
-        if plan is None:
-            dim = int(np.prod([layout.dim_of(r) for r in self.regs]))
-            if dim != self.perm.size:
-                raise RegisterError(
-                    f"permutation on {self.regs} has size {self.perm.size} "
-                    f"but registers have joint dimension {dim}")
-            _check_controls(layout, self.regs, controls)
-            targets = _mixed_radix_offsets(layout, self.regs)
-            idx = np.arange(layout.total_dim, dtype=np.int64)
-            # joint value of the acting registers at every flat index
-            joint = np.zeros(layout.total_dim, dtype=np.int64)
-            radix = 1
-            for name in reversed(self.regs):
-                d, s = layout.dim_of(name), layout.stride_of(name)
-                joint += ((idx // s) % d) * radix
-                radix *= d
-            scope = _control_mask(layout, controls)
-            # out[i] = in[i with target part j replaced by perm^{-1}(j)] for the
-            # forward action |j> -> |perm(j)|; swap perm and its inverse for the
-            # adjoint.  Outside the control block the gather is the identity.
-            base = idx - targets[joint]
-            g_fwd = np.where(scope, base + targets[self._perm_inv[joint]], idx)
-            g_inv = np.where(scope, base + targets[self.perm[joint]], idx)
-            plan = (g_fwd.astype(np.int64), g_inv.astype(np.int64))
-            self._plans[key] = plan
-        return plan
+    def _build(self, layout, controls):
+        targets = _mixed_radix_offsets(layout, self.regs)
+        idx = np.arange(layout.total_dim, dtype=np.int64)
+        # joint value of the acting registers at every flat index
+        joint = np.zeros(layout.total_dim, dtype=np.int64)
+        radix = 1
+        for name in reversed(self.regs):
+            d, s = layout.dim_of(name), layout.stride_of(name)
+            joint += ((idx // s) % d) * radix
+            radix *= d
+        scope = _register_mask(layout, controls)
+        # out[i] = in[i with target part j replaced by perm^{-1}(j)] for the
+        # forward action |j> -> |perm(j)|; swap perm and its inverse for the
+        # adjoint.  Outside the control block the gather is the identity.
+        base = idx - targets[joint]
+        g_fwd = np.where(scope, base + targets[self._perm_inv[joint]], idx)
+        g_inv = np.where(scope, base + targets[self.perm[joint]], idx)
+        return g_fwd, g_inv
 
     def _apply(self, state, inverse, controls, ledger):
         g_fwd, g_inv = self._plan(state.layout, controls)
-        backend.gather(state.amplitudes, g_inv if inverse else g_fwd)
+        state.amplitudes[:] = state.amplitudes[g_inv if inverse else g_fwd]
 
 
 class PhaseFlipOp(QuantumOp):
@@ -395,32 +394,23 @@ class PhaseFlipOp(QuantumOp):
     def __init__(self, fixed: Mapping[str, int], complement: bool = False,
                  label: str | None = None, require_qubits: bool = False):
         self.fixed = tuple(dict(fixed).items())
-        self.regs = tuple(n for n, _ in self.fixed)
+        super().__init__([n for n, _ in self.fixed], label)
         self.complement = complement
-        self.label = label
         self._require_qubits = require_qubits
-        self._plans: dict = {}
 
-    def _plan(self, layout: RegisterLayout, controls: Controls):
-        key = (layout, controls)
-        plan = self._plans.get(key)
-        if plan is None:
-            _check_controls(layout, self.regs, controls)
-            if self._require_qubits:
-                for name in self.regs:
-                    if layout.dim_of(name) != 2:
-                        raise RegisterError(f"register {name!r} is not a qubit")
-            match = Projector(dict(self.fixed)).mask(layout)
-            if self.complement:
-                match = ~match
-            match &= _control_mask(layout, controls)
-            plan = np.nonzero(match)[0].astype(np.int64)
-            self._plans[key] = plan
-        return plan
+    def _build(self, layout, controls):
+        if self._require_qubits:
+            for name in self.regs:
+                if layout.dim_of(name) != 2:
+                    raise RegisterError(f"register {name!r} is not a qubit")
+        match = _register_mask(layout, self.fixed)
+        if self.complement:
+            match = ~match
+        match &= _register_mask(layout, controls)
+        return np.nonzero(match)[0]
 
     def _apply(self, state, inverse, controls, ledger):
-        indices = self._plan(state.layout, controls)
-        backend.sign_flip(state.amplitudes, indices)
+        state.amplitudes[self._plan(state.layout, controls)] *= -1.0
 
 
 class SequenceOp(QuantumOp):
@@ -428,11 +418,10 @@ class SequenceOp(QuantumOp):
 
     def __init__(self, steps: Sequence[QuantumOp], label: str | None = None):
         self.steps = tuple(steps)
-        self.label = label
         seen: list[str] = []
         for op in self.steps:
             seen.extend(r for r in op.regs if r not in seen)
-        self.regs = tuple(seen)
+        super().__init__(seen, label)
 
     def _apply(self, state, inverse, controls, ledger):
         steps = reversed(self.steps) if inverse else self.steps
@@ -444,8 +433,8 @@ class InverseOp(QuantumOp):
     """Adjoint of a wrapped operator."""
 
     def __init__(self, op: QuantumOp):
+        super().__init__(op.regs)
         self.op = op
-        self.regs = op.regs
 
     def _apply(self, state, inverse, controls, ledger):
         self.op.apply_to(state, inverse=not inverse, controls=controls, ledger=ledger)
@@ -461,10 +450,10 @@ class ControlledOp(QuantumOp):
     """Wrapped operator applied only on the block where a register holds a value."""
 
     def __init__(self, op: QuantumOp, control: str, value: int = 1):
+        super().__init__(op.regs + (control,))
         self.op = op
         self.control = control
         self.value = value
-        self.regs = op.regs + (control,)
 
     def _apply(self, state, inverse, controls, ledger):
         self.op.apply_to(state, inverse=inverse,
@@ -527,10 +516,7 @@ def measure(state: StateVector, register: str, rng: np.random.Generator) -> int:
     block = probs[outcome]
     if block <= 0.0:
         raise RuntimeError("measurement collapsed onto a zero-norm block")
-    idx = np.arange(state.layout.total_dim, dtype=np.int64)
-    d, s = state.layout.dim_of(register), state.layout.stride_of(register)
-    keep = (idx // s) % d == outcome
-    state.amplitudes[~keep] = 0.0
+    state.amplitudes[~_register_mask(state.layout, ((register, outcome),))] = 0.0
     state.amplitudes /= math.sqrt(block)
     return outcome
 

@@ -24,7 +24,8 @@ from .statevec import Projector, QuantumOp, QueryLedger, RegisterLayout
 __all__ = [
     "TestVerdict", "AEPlan", "closeness_plan", "kwise_plan", "run_plan",
     "tolerant_l2_closeness", "l2_closeness", "l1_closeness",
-    "estimate_l2_distance", "kwise_uniformity_test", "repeat_majority",
+    "estimate_l2_distance", "estimator_budget", "kwise_uniformity_test",
+    "repeat_majority",
 ]
 
 
@@ -138,15 +139,20 @@ def l1_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
                        verdict.threshold, params, verdict.queries)
 
 
+def estimator_budget(eps: float) -> int:
+    """Budget t = ceil(8 pi / eps) of the l2-distance estimator."""
+    _check_eps(eps)
+    return math.ceil(8.0 * math.pi / eps)
+
+
 def estimate_l2_distance(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
                          rng: np.random.Generator,
                          ledger: QueryLedger | None = None) -> float:
     """Estimate ||p - q||_2 to within additive eps (with probability at least
     8/pi^2) as twice the square root of the estimated projected mass, at
-    budget t = ceil(8 pi / eps)."""
-    _check_eps(eps)
+    budget :func:`estimator_budget`."""
+    t = estimator_budget(eps)
     layout, unitary, projector = closeness_instance(op, oq)
-    t = math.ceil(8.0 * math.pi / eps)
     result = amplitude_estimation(unitary, layout, projector, t, rng, ledger=ledger)
     return 2.0 * math.sqrt(result.estimate)
 

@@ -112,6 +112,20 @@ def test_estimate_disjoint(capsys):
     assert mean_err <= 0.1
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_estimate_without_trials_exits_2(capsys, trials):
+    code, _, err = run(capsys, "estimate", "--gen", "l2-pair", "--n", "4",
+                       "--trials", trials)
+    assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("eps", ["0", "nan", "1.5"])
+def test_estimate_eps_outside_unit_interval_exits_2(capsys, eps):
+    code, _, err = run(capsys, "estimate", "--gen", "l2-pair", "--n", "4",
+                       "--eps", eps, "--trials", "3")
+    assert code == 2 and "error:" in err
+
+
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path, capsys):
     texts = []
     for name in ("a.csv", "b.csv"):

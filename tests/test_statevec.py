@@ -121,6 +121,10 @@ def test_apply_register_mismatch():
         sv.apply(sv.hadamard("B"), sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError):
         sv.apply(sv.MatrixOp(("A",), np.eye(3)), sv.new_basis_state(lay))
+    with pytest.raises(sv.RegisterError):
+        sv.apply(sv.ReflectionOp(("A",), np.ones(3), 1.5), sv.new_basis_state(lay))
+    with pytest.raises(sv.RegisterError):
+        sv.apply(sv.PermutationOp(("A",), np.arange(3)), sv.new_basis_state(lay))
 
 
 # --- operator algebra: norm, inverse, dense, controlled ---------------------------
@@ -178,10 +182,27 @@ def test_dense_cap():
         sv.dense_matrix_of(sv.MatrixOp(("A",), np.eye(5000)), lay)
 
 
-def test_controlled_block_structure():
+def leaf_op(kind, rng):
+    """One of the four leaf operators on the joint space of A (dim 3) and B (dim 2)."""
+    if kind == "matrix":
+        return sv.MatrixOp(("A", "B"), haar_unitary(6, rng))
+    if kind == "reflection":
+        v = np.abs(rng.standard_normal(6))
+        v /= np.linalg.norm(v)
+        w = v.copy()
+        w[0] -= 1.0
+        return sv.ReflectionOp(("A", "B"), w, 1.0 - v[0])
+    if kind == "permutation":
+        return sv.PermutationOp(("A", "B"), rng.permutation(6))
+    return sv.PhaseFlipOp({"A": 1, "B": 0})
+
+
+@pytest.mark.parametrize("kind", ["matrix", "reflection", "permutation", "phase_flip"])
+def test_controlled_block_structure(kind):
+    """The controlled plan acts as the op on the D=1 block, the identity on D=0."""
     rng = np.random.default_rng(45)
     layout = sv.RegisterLayout([("D", 2), ("A", 3), ("B", 2)])
-    op = sv.MatrixOp(("A", "B"), haar_unitary(6, rng))
+    op = leaf_op(kind, rng)
     dense_op = sv.dense_matrix_of(op, sv.RegisterLayout([("A", 3), ("B", 2)]))
     dense_ctrl = sv.dense_matrix_of(sv.ControlledOp(op, "D", 1), layout)
     expected = np.block([[np.eye(6), np.zeros((6, 6))],
