@@ -3,7 +3,7 @@ exactly on a dense state-vector engine with per-oracle query counting."""
 
 from .amplitude import (AEConfig, AEDistribution, AEResult, amplitude_estimation,
                         exact_amplitude, grover_iterate, phase_distribution,
-                        qpe_joint_state, zero_budget, zero_tester)
+                        phase_pmf, qpe_joint_state, zero_budget, zero_tester)
 from .distributions import (BITSTRING, RANGE, Distribution, DistributionError,
                             load, point_mass, random_distribution, uniform)
 from .oracles import (GARBAGE_STYLES, PurifiedOracle, closeness_instance,

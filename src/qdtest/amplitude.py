@@ -13,13 +13,17 @@ t, so the guarantee
 holds with probability at least 8/pi^2, and the estimate is exactly 0 with
 certainty when p = 0.
 
-One estimation run applies the target unitary forward M times (one initial
-preparation plus M-1 iterate steps) and inverse M-1 times, all visible in the
-query ledger.  The full M x dim power table is never kept entangled with a
-materialized phase register; the measurement distribution is reduced
-column-chunk by column-chunk from the Fourier transform of the power table,
-which is the same Born rule with O(M * dim) memory (:func:`qpe_joint_state`
-materializes the joint state for small systems as a cross-check).
+Q only rotates the two-dimensional span of Pi U|0> and (I - Pi) U|0>, by
+2 theta with sin^2(theta) = p, so the phase-register distribution depends on
+p alone: it is the two-peak Fejer kernel of :func:`phase_pmf`
+(Brassard-Hoyer-Mosca-Tapp, arXiv:quant-ph/0005055, section 4).
+:func:`phase_distribution` therefore applies U once to read p and evaluates
+that closed form.  One estimation run applies U forward M times (one
+preparation plus M-1 iterate steps) and inverse M-1 times; the ledger records
+exactly those counts, scaled from one measured forward and one measured
+inverse application.  :func:`qpe_joint_state` still simulates the iterate
+powers and a materialized phase register, as the cross-check for small
+systems.
 """
 from __future__ import annotations
 
@@ -31,8 +35,6 @@ import numpy as np
 from .statevec import (MatrixOp, PhaseFlipOp, Projector, QuantumOp,
                        QueryLedger, RegisterLayout, SequenceOp, StateVector,
                        apply, inverse, new_basis_state, projector_norm_sq)
-
-_FFT_CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def grover_iterate(unitary: QuantumOp, layout: RegisterLayout,
 
 def _power_table(unitary: QuantumOp, layout: RegisterLayout, projector: Projector,
                  points: int, ledger: QueryLedger | None) -> np.ndarray:
-    """Rows y = Q^y U|0> for y in 0..points-1."""
+    """Rows y = Q^y U|0> for y in 0..points-1 (the simulated cross-check)."""
     state = new_basis_state(layout)
     apply(unitary, state, ledger=ledger)
     iterate = grover_iterate(unitary, layout, projector)
@@ -122,21 +124,30 @@ def _power_table(unitary: QuantumOp, layout: RegisterLayout, projector: Projecto
     return table
 
 
-def _phase_probs(table: np.ndarray) -> np.ndarray:
-    """Measurement distribution of the phase register after the inverse DFT.
+def phase_pmf(p: float, points: int) -> np.ndarray:
+    """Closed-form outcome distribution of M-point phase estimation.
 
-    The joint amplitudes are table[y, s] / sqrt(M); the inverse Fourier
-    transform along the phase axis is fft/sqrt(M), so the outcome mass is
-    sum_s |fft(table)[y, s]|^2 / M^2, accumulated in column chunks to avoid a
-    second full-size array.
+    The prepared state splits equally over the iterate's two eigenvectors,
+    with eigenphases +/- 2 asin(sqrt(p)); each contributes a squared
+    Dirichlet (Fejer) kernel around its phase.  p <= 0 and p >= 1 give exact
+    point masses at y = 0 and y = M/2.
     """
-    points, dim = table.shape
-    probs = np.zeros(points, dtype=np.float64)
-    step = max(1, _FFT_CHUNK_ELEMENTS // points)
-    for lo in range(0, dim, step):
-        chunk = np.fft.fft(table[:, lo:lo + step], axis=0)
-        probs += (chunk.real ** 2 + chunk.imag ** 2).sum(axis=1)
-    probs /= float(points) ** 2
+    m = points
+    if p <= 0.0 or p >= 1.0:
+        probs = np.zeros(m)
+        probs[0 if p <= 0.0 else m // 2] = 1.0
+        return probs
+    theta = math.asin(math.sqrt(p))
+    ys = np.arange(m)
+
+    def kernel(delta: np.ndarray) -> np.ndarray:
+        s = np.sin(np.pi * delta)
+        exact = np.abs(s) < 1e-15
+        num = np.sin(np.pi * m * delta) ** 2
+        den = (m * s) ** 2
+        return np.where(exact, 1.0, num / np.where(exact, 1.0, den))
+
+    probs = 0.5 * kernel(theta / math.pi - ys / m) + 0.5 * kernel(theta / math.pi + ys / m)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"phase distribution sums to {total}, not 1")
@@ -148,17 +159,22 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
                        ledger: QueryLedger | None = None) -> AEDistribution:
     """Exact phase-measurement distribution for one estimation setup.
 
+    Applies U once to read p, then U^dagger once to measure its query cost.
     Query counts for the single run it represents are recorded both in the
     passed ledger and in the returned object's ``ledger_cost``.
     """
     cfg = AEConfig(t)
+    state = new_basis_state(layout)
+    forward, backward = QueryLedger(), QueryLedger()
+    apply(unitary, state, ledger=forward)
+    p = projector_norm_sq(state, projector)
+    apply(unitary, state, inverse=True, ledger=backward)
     cost = QueryLedger()
-    table = _power_table(unitary, layout, projector, cfg.points, cost)
-    probs = _phase_probs(table)
-    del table
+    cost.merge(forward, times=cfg.points)
+    cost.merge(backward, times=cfg.points - 1)
     if ledger is not None:
         ledger.merge(cost)
-    return AEDistribution(cfg.t, cfg.points, probs, cost)
+    return AEDistribution(cfg.t, cfg.points, phase_pmf(p, cfg.points), cost)
 
 
 def amplitude_estimation(unitary: QuantumOp, layout: RegisterLayout,
@@ -203,8 +219,9 @@ def qpe_joint_state(unitary: QuantumOp, layout: RegisterLayout,
                     phase_name: str = "phase") -> tuple[StateVector, int]:
     """Materialized post-transform joint state with a real phase register.
 
-    Cross-check path for small systems: measuring ``phase_name`` on the
-    returned state reproduces :func:`phase_distribution` exactly.
+    Cross-check path for small systems: the marginal of ``phase_name`` on the
+    returned state is the simulated counterpart of the closed form in
+    :func:`phase_distribution`, equal to it up to rounding.
     """
     cfg = AEConfig(t)
     m = cfg.points

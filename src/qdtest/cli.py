@@ -162,11 +162,14 @@ def _oracle_pair(p, q, args):
     return op, oq
 
 
+def _check_repeats(repeats: int) -> None:
+    if repeats < 1 or repeats % 2 == 0:
+        raise ValueError("--repeats must be odd and positive")
+
+
 def _majority(verdicts: list, repeats: int) -> list:
     if repeats == 1:
         return verdicts
-    if repeats % 2 == 0:
-        raise ValueError("--repeats must be odd")
     grouped = []
     for i in range(0, len(verdicts) - repeats + 1, repeats):
         block = verdicts[i:i + repeats]
@@ -182,6 +185,7 @@ def _majority(verdicts: list, repeats: int) -> list:
 # --- subcommands -----------------------------------------------------------------
 
 def cmd_test_closeness(args) -> int:
+    _check_repeats(args.repeats)
     p, q = _closeness_pair(args)
     op, oq = _oracle_pair(p, q, args)
     nu = args.nu if args.tester == "tolerant-l2" else 0.5
@@ -214,6 +218,7 @@ def cmd_test_closeness(args) -> int:
 
 
 def cmd_test_kwise(args) -> int:
+    _check_repeats(args.repeats)
     dist = _kwise_dist(args)
     n = dist.n_bits
     if not 1 <= args.k <= n:

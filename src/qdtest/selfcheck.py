@@ -148,6 +148,12 @@ def check_estimation() -> None:
     half = ae.phase_distribution(system(0.5), layout, proj, 8)
     assert abs(half.sample(rng).estimate - 0.5) < 1e-12, "exact-phase case off"
 
+    closed = ae.phase_distribution(system(0.3), layout, proj, 16)
+    joint, _ = ae.qpe_joint_state(system(0.3), layout, proj, 16)
+    simulated = sv.register_marginal(joint, "phase")
+    assert np.abs(closed.probs - simulated).max() < 1e-12, \
+        "closed-form phase distribution disagrees with simulated phase estimation"
+
     dist = ae.phase_distribution(system(0.3), layout, proj, 128)
     top = ae.estimate_from_phase(int(np.argmax(dist.probs)), dist.points)
     bound = 2 * math.pi * math.sqrt(0.21) / dist.points + math.pi ** 2 / dist.points ** 2

@@ -37,6 +37,16 @@ class RegisterError(ValueError):
     """Register-name or dimension mismatch between an operator and a layout."""
 
 
+class MemoryLimitError(ValueError):
+    """A run on a layout would need more memory than the machine has free."""
+
+
+# Peak bytes per amplitude of a run on one layout: the state vector plus the
+# index plans its leaf ops cache and their build temporaries.  Measured up to
+# 162 (closeness and k-wise encoders, basis and Haar garbage, dim 2^15-2^22).
+_PEAK_BYTES_PER_AMPLITUDE = 192
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; total dimension is the product of all sizes."""
@@ -150,8 +160,34 @@ class StateVector:
         return complex(self.amplitudes[self.layout.basis_index(values)])
 
 
+def available_memory_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        return None
+    return None
+
+
+def require_memory(layout: RegisterLayout) -> None:
+    """Raise MemoryLimitError if a run on the layout would not fit in memory."""
+    need = layout.total_dim * _PEAK_BYTES_PER_AMPLITUDE
+    free = available_memory_bytes()
+    if free is not None and need > free:
+        raise MemoryLimitError(
+            f"a state of dimension {layout.total_dim} needs about {need / 2**30:.2f} GiB "
+            f"but only {free / 2**30:.2f} GiB is available")
+
+
 def new_basis_state(layout: RegisterLayout, values: Mapping[str, int] | None = None) -> StateVector:
-    """All-zeros basis state, or the basis state with the given register values."""
+    """All-zeros basis state, or the basis state with the given register values.
+
+    Checks first that a run on the layout fits in the available memory.
+    """
+    require_memory(layout)
     state = StateVector(layout)
     state.amplitudes[layout.basis_index(values or {})] = 1.0
     return state
@@ -578,11 +614,12 @@ class QueryLedger:
         dup.counts = self.snapshot()
         return dup
 
-    def merge(self, other: "QueryLedger") -> None:
+    def merge(self, other: "QueryLedger", times: int = 1) -> None:
+        """Add ``times`` copies of another ledger's counts."""
         for label, per in other.counts.items():
             mine = self.counts.setdefault(label, dict.fromkeys(KINDS, 0))
             for kind, count in per.items():
-                mine[kind] += count
+                mine[kind] += count * times
 
     def __repr__(self):
         return f"QueryLedger({self.counts})"

@@ -1,9 +1,4 @@
-"""Shared test fixtures: independent oracles and small instance builders.
-
-The analytic phase distribution here is derived from the eigen-decomposition
-of the reflection product, independently of the simulator's power-table path,
-so it can serve as ground truth for the estimation tests.
-"""
+"""Shared test fixtures: independent oracles and small instance builders."""
 from __future__ import annotations
 
 import math
@@ -21,35 +16,6 @@ def rotation_system(p: float):
                     [math.sin(theta), math.cos(theta)]])
     layout = sv.RegisterLayout([("Q", 2)])
     return sv.MatrixOp(("Q",), mat, label="U"), layout, sv.Projector({"Q": 1})
-
-
-def analytic_phase_pmf(p: float, points: int) -> np.ndarray:
-    """Closed-form measurement distribution of M-point phase estimation.
-
-    The initial state splits equally over the two eigenvectors with
-    eigenphases +/- 2 asin(sqrt(p)); each contributes a squared Dirichlet
-    kernel around its phase.  Degenerate p in {0, 1} give point masses.
-    """
-    m = points
-    if p <= 0.0:
-        out = np.zeros(m)
-        out[0] = 1.0
-        return out
-    if p >= 1.0:
-        out = np.zeros(m)
-        out[m // 2] = 1.0
-        return out
-    theta = math.asin(math.sqrt(p))
-    ys = np.arange(m)
-
-    def kernel(delta: np.ndarray) -> np.ndarray:
-        s = np.sin(np.pi * delta)
-        exact = np.abs(s) < 1e-15
-        num = np.sin(np.pi * m * delta) ** 2
-        den = (m * s) ** 2
-        return np.where(exact, 1.0, num / np.where(exact, 1.0, den))
-
-    return 0.5 * kernel(theta / math.pi - ys / m) + 0.5 * kernel(theta / math.pi + ys / m)
 
 
 def parity_set_distribution(n: int) -> Distribution:

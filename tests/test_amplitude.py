@@ -1,6 +1,8 @@
-"""Estimation tests: the reflection iterate's eigenstructure, the exact phase
-distribution against an independent closed form, certainty at zero, the error
-bound's coverage, the zero tester, and query accounting."""
+"""Estimation tests: the reflection iterate's eigenstructure, the closed-form
+phase distribution against simulated phase estimation (the iterate powers and
+a materialized phase register) on rotations and on real tester instances,
+certainty at zero, the error bound's coverage, the zero tester, and query
+accounting."""
 import math
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 
 from qdtest import amplitude as ae
 from qdtest import oracles as orc
+from qdtest import reference as ref
 from qdtest import statevec as sv
-from qdtest.distributions import uniform
+from qdtest.distributions import BITSTRING, uniform
 
-from helpers import analytic_phase_pmf, rotation_system
+from helpers import rotation_system
 
 
 def bound(p, m):
@@ -72,14 +75,21 @@ def test_iterate_is_unitary():
     assert np.abs(dense.conj().T @ dense - np.eye(2)).max() < 1e-12
 
 
-# --- the phase distribution vs the independent closed form ----------------------------
+# --- the closed form vs simulated phase estimation ------------------------------------
+
+def simulated_phase_marginal(unitary, layout, proj, t):
+    joint, _ = ae.qpe_joint_state(unitary, layout, proj, t)
+    return sv.register_marginal(joint, "phase")
+
 
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
 @pytest.mark.parametrize("m", [8, 64])
 def test_phase_distribution_matches_analytic(p, m):
     unitary, layout, proj = rotation_system(p)
+    pmf = ae.phase_pmf(p, m)
+    assert np.abs(simulated_phase_marginal(unitary, layout, proj, m) - pmf).max() < 1e-12
     dist = ae.phase_distribution(unitary, layout, proj, m)
-    assert np.abs(dist.probs - analytic_phase_pmf(p, m)).max() < 1e-12
+    assert np.abs(dist.probs - pmf).max() < 1e-12
 
 
 def test_sampled_phase_distribution_total_variation():
@@ -88,12 +98,12 @@ def test_sampled_phase_distribution_total_variation():
     rng = np.random.default_rng(2024)
     draws = np.array([dist.sample(rng).phase_outcome for _ in range(30000)])
     emp = np.bincount(draws, minlength=dist.points) / draws.size
-    tv = 0.5 * np.abs(emp - analytic_phase_pmf(0.3, 64)).sum()
+    tv = 0.5 * np.abs(emp - simulated_phase_marginal(unitary, layout, proj, 64)).sum()
     assert tv <= 0.02
 
 
 def test_joint_state_cross_check():
-    """The memory-lean reduction equals measuring a materialized phase register."""
+    """The closed form equals measuring a materialized phase register."""
     for p in (0.0, 0.3, 0.5):
         unitary, layout, proj = rotation_system(p)
         dist = ae.phase_distribution(unitary, layout, proj, 32)
@@ -101,6 +111,39 @@ def test_joint_state_cross_check():
         marginal = sv.register_marginal(joint, "phase")
         assert m == dist.points
         assert np.abs(marginal - dist.probs).max() < 1e-12
+
+
+def _closeness(garbage, pair):
+    p, q = (uniform(4), uniform(4)) if pair == "identical" else ref.gen_l2_pair(4, 0.5)
+    op = orc.make_purified_oracle(p, garbage, seed=1, label="p")
+    oq = orc.make_purified_oracle(q, garbage, seed=2, label="q")
+    return orc.closeness_instance(op, oq)
+
+
+def _kwise(name):
+    if name == "uniform":
+        dist = uniform(8, BITSTRING)
+    else:
+        dist = ref.gen_fourier_spike(3, ref.mask_from_coords(3, [1, 2]), 0.6)
+    return orc.kwise_instance(orc.make_purified_oracle(dist, label="p"), 2)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _closeness("basis", "identical"), id="closeness-basis-identical"),
+    pytest.param(lambda: _closeness("basis", "l2-pair"), id="closeness-basis-l2-pair"),
+    pytest.param(lambda: _closeness("haar", "identical"), id="closeness-haar-identical"),
+    pytest.param(lambda: _closeness("haar", "l2-pair"), id="closeness-haar-l2-pair"),
+    pytest.param(lambda: _kwise("spike"), id="kwise-spike-n3"),
+    pytest.param(lambda: _kwise("uniform"), id="kwise-uniform-n3"),
+])
+def test_closed_form_matches_simulation_on_instances(build):
+    """Closed-form probabilities and ledger equal the simulated iterate's."""
+    layout, unitary, proj = build()
+    dist = ae.phase_distribution(unitary, layout, proj, 20)
+    assert np.abs(dist.probs - simulated_phase_marginal(unitary, layout, proj, 20)).max() < 1e-12
+    simulated = sv.QueryLedger()
+    ae._power_table(unitary, layout, proj, dist.points, simulated)
+    assert dist.ledger_cost.snapshot() == simulated.snapshot()
 
 
 def test_joint_state_measurement_certainty_at_zero():

@@ -8,6 +8,7 @@ import pytest
 
 from qdtest import amplitude as ae
 from qdtest import cli
+from qdtest import experiments as exp
 from qdtest import statevec as sv
 from qdtest.distributions import to_json, uniform
 
@@ -124,6 +125,33 @@ def test_estimate_eps_outside_unit_interval_exits_2(capsys, eps):
     code, _, err = run(capsys, "estimate", "--gen", "l2-pair", "--n", "4",
                        "--eps", eps, "--trials", "3")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("command,gen", [("test-closeness", "l2-pair"),
+                                         ("test-kwise", "uniform")])
+@pytest.mark.parametrize("repeats", ["2", "0", "-1"])
+def test_bad_repeats_exit_2_before_any_trial(capsys, monkeypatch, command, gen, repeats):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before --repeats was validated")
+
+    monkeypatch.setattr(exp, "run_verdict_trials", no_trials)
+    code, _, err = run(capsys, command, "--gen", gen, "--n", "4", "--trials", "3",
+                       "--repeats", repeats)
+    assert code == 2
+    assert "error: --repeats must be odd and positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "l2-pair", "--n", "4"),
+    ("test-kwise", "--gen", "uniform", "--n", "3"),
+    ("estimate", "--gen", "l2-pair", "--n", "4"),
+])
+def test_state_too_large_for_memory_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sv, "available_memory_bytes", lambda: 4096)
+    code, out, err = run(capsys, *argv, "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a state of dimension") and "available" in err
 
 
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path, capsys):

@@ -370,3 +370,17 @@ def test_ledger_merge_and_copy():
     dup = a.copy()
     dup.record("p", inverse=False, controlled=False)
     assert a.get("p")["forward"] == 1
+    a.merge(b, times=3)
+    assert a.get("p")["ctrl_inverse"] == 4 and a.get("q")["forward"] == 4
+    a.merge(b, times=0)
+    assert a.get("q")["forward"] == 4
+
+
+def test_memory_preflight():
+    free = sv.available_memory_bytes()
+    assert free is None or free > 0
+    layout = sv.RegisterLayout([("A", 4)])
+    sv.require_memory(layout)
+    if free is not None:
+        with pytest.raises(sv.MemoryLimitError):
+            sv.require_memory(sv.RegisterLayout([("A", 2 ** 40)]))
