@@ -64,7 +64,6 @@ class AEResult:
     phase_outcome: int
     t: int
     points: int
-    queries: dict | None = None
 
 
 class AEDistribution:
@@ -85,9 +84,13 @@ class AEDistribution:
         self._cdf = np.cumsum(probs)
         self.ledger_cost = ledger_cost
 
-    def sample(self, rng: np.random.Generator) -> AEResult:
+    def draw(self, rng: np.random.Generator) -> int:
+        """One phase-register measurement y."""
         y = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        y = min(y, self.points - 1)
+        return min(y, self.points - 1)
+
+    def sample(self, rng: np.random.Generator) -> AEResult:
+        y = self.draw(rng)
         return AEResult(estimate=estimate_from_phase(y, self.points),
                         phase_outcome=y, t=self.t, points=self.points)
 
@@ -181,12 +184,7 @@ def amplitude_estimation(unitary: QuantumOp, layout: RegisterLayout,
                          projector: Projector, t: int, rng: np.random.Generator,
                          *, ledger: QueryLedger | None = None) -> AEResult:
     """Run one estimation: build the phase distribution, measure once."""
-    dist = phase_distribution(unitary, layout, projector, t, ledger=ledger)
-    result = dist.sample(rng)
-    if ledger is not None:
-        result = AEResult(result.estimate, result.phase_outcome, result.t,
-                          result.points, queries=ledger.snapshot())
-    return result
+    return phase_distribution(unitary, layout, projector, t, ledger=ledger).sample(rng)
 
 
 def zero_budget(eps: float) -> int:

@@ -39,7 +39,7 @@ from . import plotting
 from . import reference as ref
 from .distributions import Distribution, DistributionError
 from .selfcheck import run_selfcheck
-from .testers import closeness_plan, estimator_budget, kwise_plan
+from .testers import closeness_plan, estimator_plan, kwise_plan, l1_plan, majority
 
 _CLOSENESS_TESTERS = ("l2", "tolerant-l2", "l1")
 
@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dist", help="distribution file (JSON or CSV)")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--repeats", type=int, default=1,
-                       help="odd repeat-and-majority votes per trial")
         if kwise:
             p.add_argument("--k", type=int, default=2)
             p.add_argument("--n", type=int, default=4, help="bits of the sample space")
@@ -76,6 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("test-kwise", help="k-wise uniformity tester")
     common(pk, kwise=True)
     pk.set_defaults(func=cmd_test_kwise)
+    for p in (pc, pk):
+        p.add_argument("--repeats", type=int, default=1,
+                       help="odd repeat-and-majority votes per trial")
 
     pe = sub.add_parser("estimate", help="l2-distance estimator")
     common(pe)
@@ -162,24 +163,27 @@ def _oracle_pair(p, q, args):
     return op, oq
 
 
+def _kwise_oracle(dist, args):
+    return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
+
+
 def _check_repeats(repeats: int) -> None:
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError("--repeats must be odd and positive")
 
 
-def _majority(verdicts: list, repeats: int) -> list:
-    if repeats == 1:
-        return verdicts
-    grouped = []
-    for i in range(0, len(verdicts) - repeats + 1, repeats):
-        block = verdicts[i:i + repeats]
-        tally: dict[str, int] = {}
-        for v in block:
-            tally[v.verdict] = tally.get(v.verdict, 0) + 1
-        winner = max(tally, key=tally.get)
-        pick = next(v for v in block if v.verdict == winner)
-        grouped.append(pick)
-    return grouped
+def _voted_trials(plan, args) -> list:
+    """``args.trials`` trials, each the majority of ``args.repeats`` runs."""
+    runs = exp.run_trials(plan, args.trials * args.repeats, args.seed)
+    return [majority(runs[i:i + args.repeats])
+            for i in range(0, len(runs), args.repeats)]
+
+
+def _emit(report: dict, args) -> int:
+    text = exp.write_report(report, args.out, args.format)
+    if not args.out:
+        print(text, end="")
+    return 0
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -189,8 +193,10 @@ def cmd_test_closeness(args) -> int:
     p, q = _closeness_pair(args)
     op, oq = _oracle_pair(p, q, args)
     nu = args.nu if args.tester == "tolerant-l2" else 0.5
-    eps = args.eps / math.sqrt(p.size) if args.tester == "l1" else args.eps
-    plan = closeness_plan(op, oq, eps, nu)
+    if args.tester == "l1":
+        plan = l1_plan(op, oq, args.eps)
+    else:
+        plan = closeness_plan(op, oq, args.eps, nu)
 
     l2 = ref.lp_distance(p, q, 2)
     if args.tester == "l1":
@@ -204,17 +210,13 @@ def cmd_test_closeness(args) -> int:
         print(f"warning: instance violates the promise (l2 distance {l2!r})",
               file=sys.stderr)
 
-    verdicts = _majority(exp.run_verdict_trials(plan, args.trials * args.repeats,
-                                                args.seed), args.repeats)
+    verdicts = _voted_trials(plan, args)
     params = {"tester": args.tester, "eps": args.eps, "nu": nu, "n": p.size,
               "garbage": args.garbage, "seed": args.seed, "trials": args.trials,
               "repeats": args.repeats}
     report = exp.verdict_report("test-closeness", params, verdicts,
                                 {"l2_distance": l2, "promise_ok": promise_ok})
-    text = exp.write_report(report, args.out, args.format)
-    if not args.out:
-        print(text, end="")
-    return 0
+    return _emit(report, args)
 
 
 def cmd_test_kwise(args) -> int:
@@ -223,8 +225,7 @@ def cmd_test_kwise(args) -> int:
     n = dist.n_bits
     if not 1 <= args.k <= n:
         raise DistributionError(f"k={args.k} out of range for n={n}")
-    oracle = orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
-    plan = kwise_plan(oracle, args.k, args.eps)
+    plan = kwise_plan(_kwise_oracle(dist, args), args.k, args.eps)
 
     weight = ref.fourier_weight(dist, args.k)
     uniform_side = ref.is_kwise_uniform(dist, args.k)
@@ -232,33 +233,23 @@ def cmd_test_kwise(args) -> int:
         print("warning: instance may violate the promise "
               f"(Fourier weight {weight!r} below the far bound)", file=sys.stderr)
 
-    verdicts = _majority(exp.run_verdict_trials(plan, args.trials * args.repeats,
-                                                args.seed), args.repeats)
+    verdicts = _voted_trials(plan, args)
     params = {"eps": args.eps, "k": args.k, "n": n, "garbage": args.garbage,
               "seed": args.seed, "trials": args.trials, "repeats": args.repeats}
     report = exp.verdict_report("test-kwise", params, verdicts,
                                 {"fourier_weight": weight,
                                  "kwise_uniform": uniform_side})
-    text = exp.write_report(report, args.out, args.format)
-    if not args.out:
-        print(text, end="")
-    return 0
+    return _emit(report, args)
 
 
 def cmd_estimate(args) -> int:
-    t = estimator_budget(args.eps)
     p, q = _closeness_pair(args)
-    op, oq = _oracle_pair(p, q, args)
-    layout, unitary, projector = orc.closeness_instance(op, oq)
-    rows = exp.run_estimate_trials(layout, unitary, projector, t, args.trials, args.seed)
-    true_value = ref.lp_distance(p, q, 2)
+    plan = estimator_plan(*_oracle_pair(p, q, args), args.eps)
+    verdicts = exp.run_trials(plan, args.trials, args.seed)
     params = {"eps": args.eps, "n": p.size, "garbage": args.garbage,
               "seed": args.seed, "trials": args.trials}
-    report = exp.estimate_report("estimate", params, rows, true_value)
-    text = exp.write_report(report, args.out, args.format)
-    if not args.out:
-        print(text, end="")
-    return 0
+    return _emit(exp.estimate_report("estimate", params, verdicts,
+                                     ref.lp_distance(p, q, 2)), args)
 
 
 def _sweep_grid(args) -> list[dict]:
@@ -276,23 +267,19 @@ def cmd_sweep(args) -> int:
     points = []
     for g in grid:
         eps, n = g["eps"], g["n"]
-        seed = args.seed
+        point_args = argparse.Namespace(**{**vars(args), "eps": eps, "n": n})
         if args.tester == "kwise":
-            coords = tuple(range(1, min(args.k, n) + 1))
-            dist = ref.gen_fourier_spike(n, ref.mask_from_coords(n, coords), args.delta)
-            oracle = orc.make_purified_oracle(dist, args.garbage, seed=seed, label="p")
+            coords = ",".join(str(c) for c in range(1, min(args.k, n) + 1))
+            point_args.gen = f"spike:{coords}:{args.delta!r}"
+            oracle = _kwise_oracle(_kwise_dist(point_args), point_args)
             plan = kwise_plan(oracle, args.k, eps)
             expect = "NO"
         else:
-            if args.tester == "l1":
-                p, q = ref.gen_l1_pair(n, eps)
-                plan_eps = eps / math.sqrt(n)
-            else:
-                p, q = ref.gen_l2_pair(n, min(1.0, math.sqrt(2.0) * eps))
-                plan_eps = eps
-            plan = closeness_plan(*_oracle_pair(p, q, args), plan_eps, args.nu)
+            point_args.gen = f"{args.tester}-pair"
+            op, oq = _oracle_pair(*_closeness_pair(point_args), point_args)
+            plan = (l1_plan if args.tester == "l1" else closeness_plan)(op, oq, eps, args.nu)
             expect = "FAR"
-        verdicts = exp.run_verdict_trials(plan, args.trials, seed)
+        verdicts = exp.run_trials(plan, args.trials, args.seed)
         success = sum(v.verdict == expect for v in verdicts) / len(verdicts)
         totals = exp.oracle_query_totals(verdicts[0].queries)
         point = {"eps": eps, "n": n, "k": args.k if args.tester == "kwise" else "",
@@ -304,11 +291,7 @@ def cmd_sweep(args) -> int:
     params = {"tester": args.tester, "trials": args.trials, "seed": args.seed,
               "nu": args.nu, "k": args.k, "delta": args.delta,
               "garbage": args.garbage}
-    report = exp.sweep_report("sweep", params, points)
-    text = exp.write_report(report, args.out, args.format)
-    if not args.out:
-        print(text, end="")
-
+    _emit(exp.sweep_report("sweep", params, points), args)
     if args.plot:
         if args.eps_grid and len(set(p["eps"] for p in points)) > 1:
             xs = [1.0 / p["eps"] for p in points]

@@ -1,13 +1,13 @@
-"""Seeded multi-trial experiment harness and report serialization.
+"""Seeded multi-trial harness and report serialization.
 
-A tester's outcome distribution is fully determined by its instance and
-parameters: the encoding unitary and phase-register evolution are
-deterministic, and only the final phase measurement is random.  The harness
-therefore builds the exact phase distribution once per instance and draws one
-Born sample per trial, giving each trial its own rng stream
-(``default_rng([seed, trial_index])``) and its own ledger initialized with
-the deterministic per-run query counts.  This reproduces the per-call tester
-exactly, outcome distribution and ledger alike.
+A tester's outcome distribution is fully determined by its plan: the
+encoding unitary and the phase-register evolution are deterministic, and
+only the final phase measurement is random.  :func:`run_trials` therefore
+hands a plan to :func:`qdtest.testers.sample_plan`, the one sampling core
+the single-call testers use too, with one rng stream per trial
+(``default_rng([seed, trial_index])``).  Trial i reproduces a single-call
+run with that rng exactly, verdict, statistic and per-run query cost alike.
+Verdict and estimator reports are both built from the resulting verdicts.
 
 Reports are plain dicts with a pinned ``schema_version``; CSV and JSON
 serializations are byte-stable for a fixed seed (floats via ``repr``, keys
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .amplitude import estimate_from_phase, phase_distribution
-from .statevec import QueryLedger
-from .testers import AEPlan, TestVerdict
+from .testers import AEPlan, TestVerdict, sample_plan
 
 SCHEMA_VERSION = 1
 
@@ -51,51 +50,31 @@ def oracle_query_totals(queries: dict, skip: tuple[str, ...] = ("U",)) -> dict[s
     return {"queries_forward": fwd, "queries_inverse": inv, "queries_ctrl": ctrl}
 
 
-def run_verdict_trials(plan: AEPlan, trials: int, seed: int) -> list[TestVerdict]:
-    """Independent tester runs on one instance (shared exact phase distribution)."""
+def run_trials(plan: AEPlan, trials: int, seed: int) -> list[TestVerdict]:
+    """Independent runs of one plan, run i with the rng ``trial_rng(seed, i)``."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    base = QueryLedger()
-    dist = phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t,
-                              ledger=base)
-    cost = base.snapshot()
-    out = []
-    for i in range(trials):
-        result = dist.sample(trial_rng(seed, i))
-        verdict = plan.labels[0] if result.estimate < plan.threshold else plan.labels[1]
-        out.append(TestVerdict(verdict=verdict, statistic=result.estimate,
-                               t=plan.t, threshold=plan.threshold,
-                               params=dict(plan.params), queries=cost))
-    return out
+    return sample_plan(plan, (trial_rng(seed, i) for i in range(trials)))
 
 
-def run_estimate_trials(plan_layout, unitary, projector, t: int, trials: int,
-                        seed: int) -> list[dict]:
-    """Distance-estimator trials: rows carry the estimate 2 sqrt(statistic)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    base = QueryLedger()
-    dist = phase_distribution(unitary, plan_layout, projector, t, ledger=base)
-    cost = base.snapshot()
-    rows = []
-    for i in range(trials):
-        result = dist.sample(trial_rng(seed, i))
-        rows.append({"statistic": result.estimate,
-                     "estimate": 2.0 * math.sqrt(result.estimate),
-                     "t": t, "queries": cost})
-    return rows
+def _trial_report(command: str, params: dict, verdicts: list[TestVerdict],
+                  rows: list[dict], summary: dict, extra: dict | None = None) -> dict:
+    """Append each run's oracle-query totals to its row, and their means and
+    then ``extra`` to the summary."""
+    for row, v in zip(rows, verdicts):
+        row.update(oracle_query_totals(v.queries))
+    for column in ORACLE_QUERY_COLUMNS:
+        summary[f"mean_{column}"] = sum(r[column] for r in rows) / len(rows)
+    summary.update(extra or {})
+    return {"schema_version": SCHEMA_VERSION, "command": command,
+            "params": params, "rows": rows, "summary": summary}
 
 
 def verdict_report(command: str, params: dict, verdicts: list[TestVerdict],
                    extra_summary: dict | None = None) -> dict:
-    rows = []
-    for i, v in enumerate(verdicts):
-        row = {"trial": i, "verdict": v.verdict, "statistic": v.statistic}
-        row.update(oracle_query_totals(v.queries))
-        rows.append(row)
-    frequencies = {}
-    for v in verdicts:
-        frequencies[v.verdict] = frequencies.get(v.verdict, 0) + 1
+    rows = [{"trial": i, "verdict": v.verdict, "statistic": v.statistic}
+            for i, v in enumerate(verdicts)]
+    frequencies = Counter(v.verdict for v in verdicts)
     n = len(verdicts)
     summary = {
         "trials": n,
@@ -104,34 +83,27 @@ def verdict_report(command: str, params: dict, verdicts: list[TestVerdict],
         "threshold": verdicts[0].threshold,
         "mean_statistic": sum(v.statistic for v in verdicts) / n,
     }
-    for column in ORACLE_QUERY_COLUMNS:
-        summary[f"mean_{column}"] = sum(r[column] for r in rows) / n
-    if extra_summary:
-        summary.update(extra_summary)
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "params": params, "rows": rows, "summary": summary}
+    return _trial_report(command, params, verdicts, rows, summary, extra_summary)
 
 
-def estimate_report(command: str, params: dict, rows_in: list[dict],
+def estimate_report(command: str, params: dict, verdicts: list[TestVerdict],
                     true_value: float | None) -> dict:
+    """Estimator report: each row's estimate is 2 sqrt(statistic)."""
     rows = []
-    for i, r in enumerate(rows_in):
-        row = {"trial": i, "estimate": r["estimate"], "statistic": r["statistic"]}
+    for i, v in enumerate(verdicts):
+        row = {"trial": i, "estimate": 2.0 * math.sqrt(v.statistic),
+               "statistic": v.statistic}
         if true_value is not None:
             row["true_value"] = true_value
-            row["error"] = abs(r["estimate"] - true_value)
-        row.update(oracle_query_totals(r["queries"]))
+            row["error"] = abs(row["estimate"] - true_value)
         rows.append(row)
     n = len(rows)
-    summary = {"trials": n, "t": rows_in[0]["t"],
+    summary = {"trials": n, "t": verdicts[0].t,
                "mean_estimate": sum(r["estimate"] for r in rows) / n}
     if true_value is not None:
         summary["true_value"] = true_value
         summary["mean_error"] = sum(r["error"] for r in rows) / n
-    for column in ORACLE_QUERY_COLUMNS:
-        summary[f"mean_{column}"] = sum(r[column] for r in rows) / n
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "params": params, "rows": rows, "summary": summary}
+    return _trial_report(command, params, verdicts, rows, summary)
 
 
 def sweep_report(command: str, params: dict, points: list[dict]) -> dict:

@@ -1,42 +1,51 @@
 """The distribution testers: tolerant/plain l2 closeness, l1 closeness,
 l2-distance estimation, and k-wise uniformity.
 
-Each tester builds its encoding unitary and projector, runs one amplitude
-estimation at the budget fixed by its parameters, and thresholds the
-estimate.  Verdicts carry the estimate, the budget, the threshold, and a
-ledger snapshot of the oracle queries consumed.  Success guarantees hold
-under the respective promises with probability at least 8/pi^2 per call; the
-promise itself is not (and cannot be) checked here, so a verdict on a
-promise-violating input is simply whatever the threshold rule gives.
+Every tester is one recipe.  An :class:`AEPlan` fixes the encoding unitary,
+the projector, the amplitude-estimation budget t and a threshold;
+:func:`sample_plan` builds the plan's exact phase distribution once, draws
+one Born sample per rng, and thresholds each estimate into a
+:class:`TestVerdict`.  The estimator is the same plan with no threshold
+(:func:`estimator_plan`).  The single-call testers, :func:`run_plan` and the
+seeded trial harness all go through :func:`sample_plan`, so a verdict's
+``queries`` is always the deterministic cost of one run, and a caller's
+ledger gets that cost once per run.
+
+Success guarantees hold under the respective promises with probability at
+least 8/pi^2 per call; the promise itself is not (and cannot be) checked
+here, so a verdict on a promise-violating input is simply whatever the
+threshold rule gives.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .amplitude import amplitude_estimation, phase_distribution, zero_budget
+from .amplitude import estimate_from_phase, phase_distribution, zero_budget
 from .oracles import PurifiedOracle, closeness_instance, kwise_instance
 from .reference import binom_sum
 from .statevec import Projector, QuantumOp, QueryLedger, RegisterLayout
 
 __all__ = [
-    "TestVerdict", "AEPlan", "closeness_plan", "kwise_plan", "run_plan",
-    "tolerant_l2_closeness", "l2_closeness", "l1_closeness",
-    "estimate_l2_distance", "estimator_budget", "kwise_uniformity_test",
-    "repeat_majority",
+    "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
+    "estimator_plan", "sample_plan", "run_plan", "tolerant_l2_closeness",
+    "l2_closeness", "l1_closeness", "estimate_l2_distance", "estimator_budget",
+    "kwise_uniformity_test", "majority", "repeat_majority",
 ]
 
 
 @dataclass(frozen=True)
 class TestVerdict:
-    """Outcome of one tester run."""
+    """Outcome of one tester run; ``queries`` is that run's oracle cost."""
 
     verdict: str
     statistic: float
     t: int
-    threshold: float
+    threshold: float | None
     params: dict = field(default_factory=dict)
     queries: dict = field(default_factory=dict)
 
@@ -47,13 +56,15 @@ class AEPlan:
 
     ``labels`` maps the threshold comparison to verdict names:
     labels[0] when the estimate is below the threshold, labels[1] otherwise.
+    A plan whose ``threshold`` is None only estimates; its verdicts all
+    carry labels[0].
     """
 
     layout: RegisterLayout
     unitary: QuantumOp
     projector: Projector
     t: int
-    threshold: float
+    threshold: float | None
     labels: tuple[str, str]
     params: dict
 
@@ -80,6 +91,15 @@ def closeness_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
                   {"eps": eps, "nu": nu})
 
 
+def l1_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
+            nu: float = 0.5) -> AEPlan:
+    """Plan for the l1 closeness tester: the l2 plan at eps / sqrt(n), by the
+    norm inequality ||.||_2 >= ||.||_1 / sqrt(n), so O(sqrt(n)/eps) queries."""
+    n = op.distribution.size
+    plan = closeness_plan(op, oq, eps / math.sqrt(n), nu)
+    return replace(plan, params={**plan.params, "eps_l1": eps, "n": n})
+
+
 def kwise_plan(oracle: PurifiedOracle, k: int, eps: float) -> AEPlan:
     """Plan for the k-wise uniformity tester.
 
@@ -97,16 +117,49 @@ def kwise_plan(oracle: PurifiedOracle, k: int, eps: float) -> AEPlan:
                   {"eps": eps, "k": k, "n": n, "amp_threshold": amp_threshold})
 
 
+def estimator_budget(eps: float) -> int:
+    """Budget t = ceil(8 pi / eps) of the l2-distance estimator."""
+    _check_eps(eps)
+    return math.ceil(8.0 * math.pi / eps)
+
+
+def estimator_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float) -> AEPlan:
+    """Plan for the l2-distance estimator: the closeness encoding at budget
+    :func:`estimator_budget`, with no threshold.  A verdict's statistic s
+    gives the estimate 2 sqrt(s)."""
+    t = estimator_budget(eps)
+    layout, unitary, projector = closeness_instance(op, oq)
+    return AEPlan(layout, unitary, projector, t, None, ("ESTIMATE", "ESTIMATE"),
+                  {"eps": eps})
+
+
+def sample_plan(plan: AEPlan, rngs: Iterable[np.random.Generator],
+                ledger: QueryLedger | None = None) -> list[TestVerdict]:
+    """One estimation run per rng, all on the plan's one exact phase
+    distribution, each thresholded into a verdict.
+
+    ``rngs`` is consumed lazily, one pass.  Every verdict's ``queries`` is the
+    per-run cost; ``ledger``, if given, gets that cost once per run.
+    """
+    dist = phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t)
+    cost = dist.ledger_cost.snapshot()
+    params = dict(plan.params)
+    threshold = math.inf if plan.threshold is None else plan.threshold
+    below, above = plan.labels
+    verdicts = []
+    for rng in rngs:
+        statistic = estimate_from_phase(dist.draw(rng), dist.points)
+        verdicts.append(TestVerdict(below if statistic < threshold else above,
+                                    statistic, plan.t, plan.threshold, params, cost))
+    if ledger is not None:
+        ledger.merge(dist.ledger_cost, times=len(verdicts))
+    return verdicts
+
+
 def run_plan(plan: AEPlan, rng: np.random.Generator,
              ledger: QueryLedger | None = None) -> TestVerdict:
-    """Execute a plan: one estimation run, one threshold comparison."""
-    ledger = ledger if ledger is not None else QueryLedger()
-    result = amplitude_estimation(plan.unitary, plan.layout, plan.projector,
-                                  plan.t, rng, ledger=ledger)
-    verdict = plan.labels[0] if result.estimate < plan.threshold else plan.labels[1]
-    return TestVerdict(verdict=verdict, statistic=result.estimate, t=plan.t,
-                       threshold=plan.threshold, params=dict(plan.params),
-                       queries=ledger.snapshot())
+    """Execute a plan once: one estimation run, one threshold comparison."""
+    return sample_plan(plan, [rng], ledger)[0]
 
 
 def tolerant_l2_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
@@ -128,33 +181,17 @@ def l2_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
 def l1_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
                  rng: np.random.Generator,
                  ledger: QueryLedger | None = None) -> TestVerdict:
-    """CLOSE if p = q, FAR if ||p - q||_1 >= eps, via the norm inequality
-    ||.||_2 >= ||.||_1 / sqrt(n), using O(sqrt(n)/eps) queries."""
-    _check_eps(eps)
-    n = op.distribution.size
-    verdict = l2_closeness(op, oq, eps / math.sqrt(n), rng, ledger)
-    params = dict(verdict.params)
-    params.update({"eps_l1": eps, "n": n})
-    return TestVerdict(verdict.verdict, verdict.statistic, verdict.t,
-                       verdict.threshold, params, verdict.queries)
-
-
-def estimator_budget(eps: float) -> int:
-    """Budget t = ceil(8 pi / eps) of the l2-distance estimator."""
-    _check_eps(eps)
-    return math.ceil(8.0 * math.pi / eps)
+    """CLOSE if p = q, FAR if ||p - q||_1 >= eps, using O(sqrt(n)/eps)
+    queries (:func:`l1_plan`)."""
+    return run_plan(l1_plan(op, oq, eps), rng, ledger)
 
 
 def estimate_l2_distance(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
                          rng: np.random.Generator,
                          ledger: QueryLedger | None = None) -> float:
     """Estimate ||p - q||_2 to within additive eps (with probability at least
-    8/pi^2) as twice the square root of the estimated projected mass, at
-    budget :func:`estimator_budget`."""
-    t = estimator_budget(eps)
-    layout, unitary, projector = closeness_instance(op, oq)
-    result = amplitude_estimation(unitary, layout, projector, t, rng, ledger=ledger)
-    return 2.0 * math.sqrt(result.estimate)
+    8/pi^2) as twice the square root of the estimated projected mass."""
+    return 2.0 * math.sqrt(run_plan(estimator_plan(op, oq, eps), rng, ledger).statistic)
 
 
 def kwise_uniformity_test(oracle: PurifiedOracle, k: int, eps: float,
@@ -166,21 +203,23 @@ def kwise_uniformity_test(oracle: PurifiedOracle, k: int, eps: float,
     return run_plan(kwise_plan(oracle, k, eps), rng, ledger)
 
 
+def majority(runs: Sequence[TestVerdict]) -> TestVerdict:
+    """The first run that carries the most frequent verdict.
+
+    A tie goes to the verdict seen first; an odd number of runs of a
+    two-label tester has none.
+    """
+    winner = Counter(v.verdict for v in runs).most_common(1)[0][0]
+    return next(v for v in runs if v.verdict == winner)
+
+
 def repeat_majority(run, repeats: int, rng: np.random.Generator) -> TestVerdict:
     """Majority vote of an odd number of independent runs of ``run(rng)``.
 
-    Amplifies the per-call success probability; the returned verdict carries
-    the majority label and the median statistic of the winning runs.
+    Amplifies the per-call success probability; the returned verdict is the
+    first winning run (:func:`majority`), with ``params["repeats"]`` added.
     """
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError(f"repeats must be odd and positive, got {repeats}")
-    verdicts = [run(rng) for _ in range(repeats)]
-    tally: dict[str, int] = {}
-    for v in verdicts:
-        tally[v.verdict] = tally.get(v.verdict, 0) + 1
-    winner = max(tally, key=tally.get)
-    winning = [v for v in verdicts if v.verdict == winner]
-    mid = winning[len(winning) // 2]
-    params = dict(mid.params)
-    params["repeats"] = repeats
-    return TestVerdict(winner, mid.statistic, mid.t, mid.threshold, params, mid.queries)
+    pick = majority([run(rng) for _ in range(repeats)])
+    return replace(pick, params={**pick.params, "repeats": repeats})

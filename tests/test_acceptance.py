@@ -51,7 +51,7 @@ def pair_oracles(p, q, style="basis", seeds=(None, None)):
 
 
 def verdict_freq(plan, trials, seed):
-    verdicts = exp.run_verdict_trials(plan, trials, seed)
+    verdicts = exp.run_trials(plan, trials, seed)
     counts = {}
     for v in verdicts:
         counts[v.verdict] = counts.get(v.verdict, 0) + 1
@@ -227,10 +227,11 @@ def test_criterion_8_distance_estimator():
         t = math.ceil(8 * math.pi / eps)
         for i, (p, q, true) in enumerate(cases):
             op, oq = pair_oracles(p, q)
-            layout, unitary, proj = orc.closeness_instance(op, oq)
-            rows = exp.run_estimate_trials(layout, unitary, proj, t, 300, seed=80 + i)
+            plan = testers.estimator_plan(op, oq, eps)
+            assert plan.t == t
+            verdicts = exp.run_trials(plan, 300, seed=80 + i)
             assert abs(2 * math.sqrt(ref.lp_distance(p, q, 2) ** 2 / 4) - true) < 1e-12
-            hits = sum(abs(r["estimate"] - true) <= eps for r in rows)
+            hits = sum(abs(2 * math.sqrt(v.statistic) - true) <= eps for v in verdicts)
             assert hits / 300 >= 0.66, true
 
 

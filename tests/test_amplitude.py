@@ -213,7 +213,6 @@ def test_query_accounting():
         counts = ledger.get("U")
         assert counts["forward"] == m  # one preparation plus m-1 iterate steps
         assert counts["inverse"] == m - 1
-        assert result.queries["U"] == counts
 
 
 def test_exact_amplitude():

@@ -134,11 +134,18 @@ def test_bad_repeats_exit_2_before_any_trial(capsys, monkeypatch, command, gen, 
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran before --repeats was validated")
 
-    monkeypatch.setattr(exp, "run_verdict_trials", no_trials)
+    monkeypatch.setattr(exp, "run_trials", no_trials)
     code, _, err = run(capsys, command, "--gen", gen, "--n", "4", "--trials", "3",
                        "--repeats", repeats)
     assert code == 2
     assert "error: --repeats must be odd and positive" in err
+
+
+def test_estimate_rejects_repeats(capsys):
+    code, out, err = run(capsys, "estimate", "--gen", "l2-pair", "--n", "4",
+                         "--trials", "2", "--repeats", "4")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --repeats 4" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,7 +21,7 @@ def make_pair(p, q, garbage="basis", seeds=(None, None)):
 
 
 def frequencies(plan, trials, seed):
-    verdicts = exp.run_verdict_trials(plan, trials, seed)
+    verdicts = exp.run_trials(plan, trials, seed)
     out = {}
     for v in verdicts:
         out[v.verdict] = out.get(v.verdict, 0) + 1
@@ -151,7 +151,7 @@ def test_l1_alternating_pair_far():
     eps, n = 0.4, 8
     p, q = ref.gen_l1_pair(n, eps)  # l1 distance exactly eps
     op, oq = make_pair(p, q)
-    plan = testers.closeness_plan(op, oq, eps / math.sqrt(n), 0.5)
+    plan = testers.l1_plan(op, oq, eps)
     freq = frequencies(plan, 300, seed=23)
     assert freq.get("FAR", 0) >= 0.75
 
@@ -171,11 +171,35 @@ def test_estimator_accuracy_frequencies():
              (point_mass(8, 0), point_mass(8, 1), math.sqrt(2))]
     for p, q, true in cases:
         op, oq = make_pair(p, q)
-        layout, unitary, proj = orc.closeness_instance(op, oq)
-        t = math.ceil(8 * math.pi / eps)
-        rows = exp.run_estimate_trials(layout, unitary, proj, t, 300, seed=25)
-        hits = sum(abs(r["estimate"] - true) <= eps for r in rows)
+        plan = testers.estimator_plan(op, oq, eps)
+        assert plan.t == math.ceil(8 * math.pi / eps)
+        verdicts = exp.run_trials(plan, 300, seed=25)
+        hits = sum(abs(2 * math.sqrt(v.statistic) - true) <= eps for v in verdicts)
         assert hits / 300 >= 0.75, true
+
+
+def test_trials_reproduce_single_calls():
+    """Trial i of run_trials is the single-call run with trial_rng(seed, i)."""
+    op, oq = make_pair(*ref.gen_l2_pair(8, 0.3))
+    for plan in (testers.closeness_plan(op, oq, 0.2, 0.5),
+                 testers.estimator_plan(op, oq, 0.2)):
+        trials = exp.run_trials(plan, 5, seed=3)
+        assert trials == [testers.run_plan(plan, exp.trial_rng(3, i)) for i in range(5)]
+    estimate = testers.estimate_l2_distance(op, oq, 0.2, exp.trial_rng(3, 4))
+    assert estimate == 2 * math.sqrt(trials[4].statistic)
+
+
+def test_single_call_queries_are_per_run_cost():
+    """Each verdict carries one run's cost; the caller's ledger accumulates."""
+    op, oq = make_pair(*ref.gen_l2_pair(8, 0.4))
+    rng = np.random.default_rng(12)
+    ledger = QueryLedger()
+    first = testers.l2_closeness(op, oq, 0.4, rng, ledger=ledger)
+    second = testers.l2_closeness(op, oq, 0.4, rng, ledger=ledger)
+    per_run = exp.run_trials(testers.closeness_plan(op, oq, 0.4, 0.5), 1, 0)[0].queries
+    assert first.queries == second.queries == per_run
+    assert per_run["p"]["ctrl_forward"] == 1023
+    assert ledger.get("p")["ctrl_forward"] == 2 * 1023
 
 
 def test_single_call_testers_agree_with_plans():
@@ -252,3 +276,15 @@ def test_repeat_majority():
     assert verdict.params["repeats"] == 3
     with pytest.raises(ValueError):
         testers.repeat_majority(lambda r: None, 2, rng)
+
+
+def test_majority_returns_first_winning_run():
+    runs = iter([("FAR", 0.9), ("CLOSE", 0.1), ("FAR", 0.2), ("CLOSE", 0.05), ("FAR", 0.5)])
+
+    def run(rng):
+        verdict, statistic = next(runs)
+        return testers.TestVerdict(verdict, statistic, 1, 0.3)
+
+    picked = testers.repeat_majority(run, 5, np.random.default_rng(0))
+    assert (picked.verdict, picked.statistic) == ("FAR", 0.9)
+    assert picked.params == {"repeats": 5}
