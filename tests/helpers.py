@@ -35,3 +35,28 @@ def random_bitstring_distribution(n: int, rng: np.random.Generator) -> Distribut
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+def reference_apply(layout, amps: np.ndarray, regs, local: np.ndarray,
+                    controls=()) -> np.ndarray:
+    """Amplitudes after ``local`` acts on the joint value of ``regs`` (first
+    register most significant) wherever every (register, value) pair in
+    ``controls`` holds, and as the identity elsewhere.
+
+    An independent oracle for the engine's kernels: it walks the flat indices
+    with ``layout.register_values`` and ``layout.basis_index`` only.
+    """
+    dims = [layout.dim_of(r) for r in regs]
+    joint = [dict(zip(regs, map(int, np.unravel_index(k, dims))))
+             for k in range(math.prod(dims))]
+    offsets = np.array([layout.basis_index(values) for values in joint], dtype=np.int64)
+    out = np.zeros_like(amps)
+    for i in range(layout.total_dim):
+        values = layout.register_values(i)
+        if any(values[name] != value for name, value in controls):
+            out[i] += amps[i]
+            continue
+        j = int(np.ravel_multi_index([values[r] for r in regs], dims))
+        base = layout.basis_index({n: v for n, v in values.items() if n not in regs})
+        out[base + offsets] += local[:, j] * amps[i]
+    return out
