@@ -14,9 +14,9 @@ from .oracles import (GARBAGE_STYLES, PurifiedOracle, closeness_instance,
 from .statevec import (ControlledOp, MatrixOp, PermutationOp, PhaseFlipOp,
                        Projector, QuantumOp, QueryLedger, ReflectionOp,
                        RegisterError, RegisterLayout, SequenceOp, StateVector,
-                       apply, controlled_z, dense_matrix_of, hadamard, inverse,
-                       measure, new_basis_state, pauli_x, projector_norm_sq,
-                       register_marginal, sample_register)
+                       XorCopyOp, apply, controlled_z, dense_matrix_of, hadamard,
+                       inverse, measure, new_basis_state, pauli_x,
+                       projector_norm_sq, register_marginal)
 from .testers import (TestVerdict, estimate_l2_distance, kwise_uniformity_test,
                       l1_closeness, l2_closeness, repeat_majority,
                       tolerant_l2_closeness)

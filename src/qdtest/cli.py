@@ -39,6 +39,7 @@ from . import plotting
 from . import reference as ref
 from .distributions import Distribution, DistributionError
 from .selfcheck import run_selfcheck
+from .statevec import require_memory
 from .testers import closeness_plan, estimator_plan, kwise_plan, l1_plan, majority
 
 _CLOSENESS_TESTERS = ("l2", "tolerant-l2", "l1")
@@ -158,12 +159,15 @@ def _kwise_dist(args) -> Distribution:
 
 
 def _oracle_pair(p, q, args):
+    for dist in (p, q):
+        require_memory(orc.closeness_layout(orc.purified_registers(dist)))
     op = orc.make_purified_oracle(p, args.garbage, seed=args.seed * 2 + 1, label="p")
     oq = orc.make_purified_oracle(q, args.garbage, seed=args.seed * 2 + 2, label="q")
     return op, oq
 
 
 def _kwise_oracle(dist, args):
+    require_memory(orc.kwise_layout(orc.purified_registers(dist)))
     return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
 
 

@@ -23,7 +23,10 @@ Derived unitaries:
 
 Sample spaces are zero-padded to the next power of two so the XOR-cascade copy
 unitary is well defined; padding elements carry zero probability and do not
-affect any encoded quantity.
+affect any encoded quantity.  Every copy (B into the workspace A inside the
+oracle, B into C in the probability encoder) is a
+:class:`~qdtest.statevec.XorCopyOp`: one CNOT per bit, each a swap of two
+slices, so no copy keeps a table over the joint space.
 """
 from __future__ import annotations
 
@@ -35,13 +38,14 @@ import numpy as np
 from .distributions import BITSTRING, RANGE, Distribution, next_pow2, padded_weights
 from .statevec import (ControlledOp, MatrixOp, PermutationOp, Projector,
                        QuantumOp, QueryLedger, RegisterLayout, ReflectionOp,
-                       SequenceOp, controlled_z, hadamard, inverse, pauli_x)
+                       SequenceOp, XorCopyOp, controlled_z, hadamard, inverse,
+                       pauli_x)
 
 __all__ = [
     "GARBAGE_STYLES", "PurifiedOracle", "QueryLedger", "make_purified_oracle",
-    "from_pure_state_oracle", "from_discrete_oracle", "u_copy",
-    "probability_encoder", "encoder_layout", "closeness_unitary",
-    "closeness_instance", "subset_superposition", "kwise_encoder",
+    "from_pure_state_oracle", "from_discrete_oracle", "u_copy", "probability_encoder",
+    "encoder_layout", "purified_registers", "closeness_unitary", "closeness_layout",
+    "closeness_instance", "subset_superposition", "kwise_encoder", "kwise_layout",
     "kwise_instance", "haar_unitary", "reflection_completion", "reflection_parts",
 ]
 
@@ -93,17 +97,11 @@ def _prep_op(regs, column: np.ndarray, label: str | None = None) -> QuantumOp | 
     return ReflectionOp(regs, parts[0], parts[1], label=label)
 
 
-def _xor_copy_perm(dim: int) -> np.ndarray:
-    """Permutation of the (src, dst) joint index sending (b, c) to (b, c xor b)."""
-    if dim & (dim - 1):
-        raise ValueError(f"copy unitary needs a power-of-two dimension, got {dim}")
-    b, c = np.divmod(np.arange(dim * dim, dtype=np.int64), dim)
-    return b * dim + (c ^ b)
-
-
-def u_copy(dim: int, src: str = "B", dst: str = "C") -> PermutationOp:
+def u_copy(dim: int, src: str = "B", dst: str = "C") -> XorCopyOp:
     """XOR-cascade copy |b>|c> -> |b>|c xor b| on two equal pow2 registers."""
-    return PermutationOp((src, dst), _xor_copy_perm(dim))
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"copy unitary needs a power-of-two dimension, got {dim}")
+    return XorCopyOp((src,), (dst,))
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,21 @@ def _sample_regs(dist: Distribution, b_name: str) -> tuple[tuple[str, int], ...]
     return ((b_name, next_pow2(dist.size)),)
 
 
+def purified_registers(dist: Distribution, a_name: str = "A",
+                       b_name: str = "B") -> tuple[tuple[str, int], ...]:
+    """Workspace register, then sample register(s), of the purified oracle
+    that :func:`make_purified_oracle` builds for a distribution."""
+    b_regs = _sample_regs(dist, b_name)
+    return ((a_name, math.prod(d for _, d in b_regs)),) + b_regs
+
+
 def _assemble(dist: Distribution, prep: QuantumOp | None, garbage: str,
               rng: np.random.Generator | None, label: str,
               a_name: str, b_name: str) -> PurifiedOracle:
-    b_regs = _sample_regs(dist, b_name)
-    dim = int(np.prod([d for _, d in b_regs]))
+    (_, dim), *b_regs = purified_registers(dist, a_name, b_name)
     b_names = tuple(n for n, _ in b_regs)
     steps: list[QuantumOp] = [] if prep is None else [prep]
-    steps.append(PermutationOp(b_names + (a_name,), _xor_copy_perm(dim)))
+    steps.append(XorCopyOp(b_names, (a_name,)))
     if garbage == "haar":
         if rng is None:
             raise ValueError("haar garbage needs a seeded rng")
@@ -155,7 +160,7 @@ def _assemble(dist: Distribution, prep: QuantumOp | None, garbage: str,
     elif garbage != "basis":
         raise ValueError(f"unknown garbage style {garbage!r}")
     return PurifiedOracle(distribution=dist, garbage=garbage, label=label,
-                          a_reg=(a_name, dim), b_regs=b_regs,
+                          a_reg=(a_name, dim), b_regs=tuple(b_regs),
                           op=SequenceOp(steps, label=label))
 
 
@@ -250,11 +255,9 @@ def probability_encoder(oracle: PurifiedOracle, c_prefix: str = "C") -> QuantumO
     On |0>_A |0>_B |0>_C the (A=0, B=0, C=k) amplitude equals p_k for every k;
     each application costs one forward and one inverse oracle query.
     """
-    c_regs = _mirror_regs(oracle.b_regs, c_prefix)
     b_names = tuple(n for n, _ in oracle.b_regs)
-    c_names = tuple(n for n, _ in c_regs)
-    copy = PermutationOp(b_names + c_names, _xor_copy_perm(oracle.sample_dim))
-    return SequenceOp([oracle.op, copy, inverse(oracle.op)])
+    c_names = tuple(n for n, _ in _mirror_regs(oracle.b_regs, c_prefix))
+    return SequenceOp([oracle.op, XorCopyOp(b_names, c_names), inverse(oracle.op)])
 
 
 def encoder_layout(oracle: PurifiedOracle, c_prefix: str = "C") -> RegisterLayout:
@@ -294,12 +297,17 @@ def closeness_unitary(op: PurifiedOracle, oq: PurifiedOracle,
     ], label=label)
 
 
+def closeness_layout(registers: tuple[tuple[str, int], ...],
+                     d_name: str = "D") -> RegisterLayout:
+    """Layout of a closeness test on oracles with the given (A, B...) registers."""
+    return RegisterLayout(registers + _mirror_regs(registers[1:], "C") + ((d_name, 2),))
+
+
 def closeness_instance(op: PurifiedOracle, oq: PurifiedOracle,
                        d_name: str = "D") -> tuple[RegisterLayout, QuantumOp, Projector]:
     """Layout, unitary, and projector for a closeness test of two oracles."""
     unitary = closeness_unitary(op, oq, d_name)
-    c_regs = _mirror_regs(op.b_regs, "C")
-    layout = RegisterLayout(op.registers + c_regs + ((d_name, 2),))
+    layout = closeness_layout(op.registers, d_name)
     fixed = {op.a_reg[0]: 0, d_name: 0}
     fixed.update({n: 0 for n, _ in op.b_regs})
     return layout, unitary, Projector(fixed)
@@ -341,13 +349,18 @@ def kwise_encoder(oracle: PurifiedOracle, k: int, s_prefix: str = "S",
     return SequenceOp([prep, oracle.op, *phases, inverse(oracle.op)], label=label)
 
 
+def kwise_layout(registers: tuple[tuple[str, int], ...],
+                 s_prefix: str = "S") -> RegisterLayout:
+    """Layout of a k-wise test on an oracle with (A, B1..Bn) registers."""
+    s_regs = tuple((f"{s_prefix}{i}", 2) for i in range(1, len(registers)))
+    return RegisterLayout(s_regs + registers)
+
+
 def kwise_instance(oracle: PurifiedOracle, k: int, s_prefix: str = "S",
                    ) -> tuple[RegisterLayout, QuantumOp, Projector]:
     """Layout, unitary, and projector for a k-wise uniformity test."""
     unitary = kwise_encoder(oracle, k, s_prefix)
-    n = oracle.distribution.n_bits
-    s_regs = tuple((f"{s_prefix}{i}", 2) for i in range(1, n + 1))
-    layout = RegisterLayout(s_regs + oracle.registers)
+    layout = kwise_layout(oracle.registers, s_prefix)
     fixed = {oracle.a_reg[0]: 0}
     fixed.update({name: 0 for name, _ in oracle.b_regs})
     return layout, unitary, Projector(fixed)

@@ -10,10 +10,15 @@ into sequences; every operator supports forward, inverse, and controlled
 application.  Dense matrices of operators exist only as a cross-check path for
 small systems (:func:`dense_matrix_of`).
 
-Each leaf operator caches, per layout and control context, the integer index
-plan its numpy kernel consumes (:meth:`QuantumOp._plan`).  One kernel rule is
-exact: a matrix on a two-column block (a qubit gate such as a Hadamard) is
-applied with separate elementwise multiplies and adds, never BLAS, whose fused
+Leaf operators keep no index plans or other per-layout state.  Each
+application views the amplitudes as ``amps.reshape(layout.dims)``, one axis
+per register: a control fixes its axis to a one-element slice, which is a
+view; a projector or phase pattern is such a slice too; and an operator on a
+register tuple moves the target axes last and acts on the blocks along
+them.  The XOR copy splits power-of-two registers into bit axes and swaps
+slices, one CNOT per bit.  One kernel rule is exact: a matrix on a
+two-column block (a qubit gate such as a Hadamard) combines its two slices
+with separate elementwise multiplies and adds, never BLAS, whose fused
 multiply-add leaves rounding residue where ``x*h + (-x)*h`` must cancel to
 exactly 0.  The testers' one-sided error rests on this: for p = q the
 closeness encoder's final Hadamard meets exactly opposite blocks, and the
@@ -41,10 +46,12 @@ class MemoryLimitError(ValueError):
     """A run on a layout would need more memory than the machine has free."""
 
 
-# Peak bytes per amplitude of a run on one layout: the state vector plus the
-# index plans its leaf ops cache and their build temporaries.  Measured up to
-# 162 (closeness and k-wise encoders, basis and Haar garbage, dim 2^15-2^22).
-_PEAK_BYTES_PER_AMPLITUDE = 192
+# Peak bytes per amplitude of a run on one layout: the 16-byte state plus the
+# temporaries of one operator application (a copy of the target blocks and
+# their product).  Peak RSS above the interpreter measured 33-53 with
+# --trials 1 (closeness n = 128 and k-wise n = 7, basis and Haar garbage,
+# dims 2^21-2^22).
+_PEAK_BYTES_PER_AMPLITUDE = 64
 
 
 @dataclass(frozen=True)
@@ -89,18 +96,6 @@ class RegisterLayout:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.names)}
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, RegisterLayout) and self.registers == other.registers
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.registers)
-            self.__dict__["_hash"] = h
-        return h
 
     def axis(self, name: str) -> int:
         try:
@@ -205,65 +200,49 @@ class Projector:
 
     def mask(self, layout: RegisterLayout) -> np.ndarray:
         """Boolean mask over flat indices selecting the projected subspace."""
-        return _register_mask(layout, self.fixed)
+        mask = np.zeros(layout.dims, dtype=bool)
+        mask[_fix(layout, self.fixed)] = True
+        return mask.ravel()
 
 
 def projector_norm_sq(state: StateVector, proj: Projector) -> float:
-    """Squared norm of the projected state: sum of |amplitude|^2 over the mask."""
-    mask = proj.mask(state.layout)
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    """Squared norm of the projected state: sum of |amplitude|^2 over the block."""
+    block = _grid(state)[_fix(state.layout, proj.fixed)]
+    return float(np.sum(np.abs(block.ravel()) ** 2))
 
 
-def _register_mask(layout: RegisterLayout, fixed: Iterable[tuple[str, int]]) -> np.ndarray:
-    """Boolean mask over flat indices where every named register holds its value."""
-    idx = np.arange(layout.total_dim, dtype=np.int64)
-    keep = np.ones(layout.total_dim, dtype=bool)
+def _grid(state: StateVector) -> np.ndarray:
+    """The amplitudes as a view with one axis per register."""
+    return state.amplitudes.reshape(state.layout.dims)
+
+
+def _fix(layout: RegisterLayout, fixed: Iterable[tuple[str, int]]) -> tuple:
+    """Index into the register grid fixing each named register to its value.
+
+    Each fixed axis keeps length one, so the result is a view whose axes still
+    line up with the layout's registers.
+    """
+    index = [slice(None)] * len(layout.dims)
     for name, value in fixed:
         d = layout.dim_of(name)
         if not 0 <= value < d:
             raise RegisterError(f"value {value} out of range for register {name!r} (dim {d})")
-        keep &= (idx // layout.stride_of(name)) % d == value
-    return keep
+        index[layout.axis(name)] = slice(value, value + 1)
+    return tuple(index)
 
 
-def _mixed_radix_offsets(layout: RegisterLayout, names: Sequence[str]) -> np.ndarray:
-    """Offsets of every joint value of ``names`` (first name most significant)."""
-    off = np.zeros(1, dtype=np.int64)
-    for name in names:
-        d, s = layout.dim_of(name), layout.stride_of(name)
-        off = (off[:, None] + (np.arange(d, dtype=np.int64) * s)[None, :]).ravel()
-    return off
+def _rows(view: np.ndarray, size: int) -> np.ndarray:
+    """A moved view's target blocks as a C-contiguous (rows x size) array: BLAS
+    sums in a stride-dependent order, so products always see this layout."""
+    return np.ascontiguousarray(view.reshape(-1, size))
 
 
-def _base_offsets(layout: RegisterLayout, acting: Sequence[str], controls: Controls) -> np.ndarray:
-    """Offsets of the complement registers, restricted to the control block."""
-    ctrl = dict(controls)
-    off = np.zeros(1, dtype=np.int64)
-    for name, d in layout.registers:
-        if name in acting:
-            continue
-        s = layout.stride_of(name)
-        if name in ctrl:
-            values = np.array([ctrl[name]], dtype=np.int64)
-        else:
-            values = np.arange(d, dtype=np.int64)
-        off = (off[:, None] + (values * s)[None, :]).ravel()
-    return off
-
-
-def _block_index(layout: RegisterLayout, regs: Sequence[str], controls: Controls) -> np.ndarray:
-    """Flat indices of every register block in the control scope: one row per
-    joint value of the other registers, one column per joint value of ``regs``."""
-    bases = _base_offsets(layout, regs, controls)
-    return bases[:, None] + _mixed_radix_offsets(layout, regs)[None, :]
-
-
-def _check_controls(layout: RegisterLayout, acting: Sequence[str], controls: Controls) -> None:
-    for name, value in controls:
+def _scope(state: StateVector, acting: Sequence[str], controls: Controls) -> np.ndarray:
+    """The block of the register grid where every control holds its value."""
+    for name, _ in controls:
         if name in acting:
             raise RegisterError(f"control register {name!r} overlaps the operator's targets")
-        if not 0 <= value < layout.dim_of(name):
-            raise RegisterError(f"control value {value} out of range for {name!r}")
+    return _grid(state)[_fix(state.layout, controls)]
 
 
 class QuantumOp:
@@ -271,9 +250,7 @@ class QuantumOp:
 
     Subclasses implement ``_apply``; :meth:`apply_to` adds ledger attribution.
     A labelled op records one query per application under its label, with the
-    kind determined by the inverse/controlled context it runs in.  Leaf ops
-    also implement ``_build``, the index plan for one layout and control
-    context, which :meth:`_plan` builds once and caches.
+    kind determined by the inverse/controlled context it runs in.
     """
 
     label: str | None = None
@@ -283,7 +260,6 @@ class QuantumOp:
     def __init__(self, regs: Sequence[str] | str, label: str | None = None):
         self.regs = (regs,) if isinstance(regs, str) else tuple(regs)
         self.label = label
-        self._plans: dict = {}
 
     def apply_to(self, state: StateVector, *, inverse: bool = False,
                  controls: Controls = (), ledger: "QueryLedger | None" = None) -> None:
@@ -295,32 +271,28 @@ class QuantumOp:
                ledger: "QueryLedger | None") -> None:
         raise NotImplementedError
 
-    def _plan(self, layout: RegisterLayout, controls: Controls):
-        """The cached ``_build`` result, checked against the layout on first use."""
-        key = (layout, controls)
-        plan = self._plans.get(key)
-        if plan is None:
-            if self.size is not None:
-                dim = math.prod(layout.dim_of(r) for r in self.regs)
-                if dim != self.size:
-                    raise RegisterError(
-                        f"{type(self).__name__} on {self.regs} has size {self.size} "
-                        f"but registers have joint dimension {dim}")
-            _check_controls(layout, self.regs, controls)
-            plan = self._plans[key] = self._build(layout, controls)
-        return plan
-
-    def _build(self, layout: RegisterLayout, controls: Controls):
-        raise NotImplementedError
+    def _target_view(self, state: StateVector, controls: Controls) -> np.ndarray:
+        """The control block of the register grid with the target axes moved
+        last, in ``regs`` order; a view, checked against the op's size."""
+        layout = state.layout
+        if self.size is not None:
+            dim = math.prod(layout.dim_of(r) for r in self.regs)
+            if dim != self.size:
+                raise RegisterError(
+                    f"{type(self).__name__} on {self.regs} has size {self.size} "
+                    f"but registers have joint dimension {dim}")
+        view = _scope(state, self.regs, controls)
+        axes = [layout.axis(r) for r in self.regs]
+        return np.moveaxis(view, axes, range(view.ndim - len(axes), view.ndim))
 
 
 class MatrixOp(QuantumOp):
     """Dense unitary on a tuple of registers (matrix over their joint space).
 
-    A two-column matrix (a qubit gate) is applied as separate elementwise
-    multiplies and adds, so opposite input blocks cancel to exactly 0; the
-    testers' certainty when p = q depends on it.  Larger blocks go through a
-    BLAS matrix product.
+    A two-column matrix (a qubit gate) combines its two slices with separate
+    elementwise multiplies and adds, so opposite input blocks cancel to
+    exactly 0; the testers' certainty when p = q depends on it.  Larger
+    blocks go through one BLAS product of (rows x size) by (size x size).
     """
 
     def __init__(self, regs: Sequence[str] | str, matrix: np.ndarray, label: str | None = None):
@@ -333,22 +305,18 @@ class MatrixOp(QuantumOp):
         self._mat_t = np.ascontiguousarray(self.matrix.T)
         self._mat_t_inv = np.ascontiguousarray(self.matrix.conj())
 
-    def _build(self, layout, controls):
-        idx = _block_index(layout, self.regs, controls)
-        # a qubit gate reads its two columns as contiguous 1-D index arrays
-        return np.ascontiguousarray(idx.T) if self.size == 2 else idx
-
     def _apply(self, state, inverse, controls, ledger):
-        idx = self._plan(state.layout, controls)
+        view = self._target_view(state, controls)
         mat = self._mat_t_inv if inverse else self._mat_t
-        amps = state.amplitudes
         if self.size == 2:
-            i0, i1 = idx
-            x0, x1 = amps[i0], amps[i1]
-            amps[i0] = x0 * mat[0, 0] + x1 * mat[1, 0]
-            amps[i1] = x0 * mat[0, 1] + x1 * mat[1, 1]
+            # any other target axis has length one, so this reshape is a view
+            pair = view.reshape(view.shape[:view.ndim - len(self.regs)] + (2,))
+            x0, x1 = pair[..., 0], pair[..., 1]
+            y0 = x0 * mat[0, 0] + x1 * mat[1, 0]
+            x1[...] = x0 * mat[0, 1] + x1 * mat[1, 1]
+            x0[...] = y0
         else:
-            amps[idx] = amps[idx] @ mat
+            view[...] = (_rows(view, self.size) @ mat).reshape(view.shape)
 
 
 class ReflectionOp(QuantumOp):
@@ -373,13 +341,10 @@ class ReflectionOp(QuantumOp):
         return (np.eye(self.w.size) - np.outer(self.w, self.w) / self.denom
                 ).astype(np.complex128)
 
-    def _build(self, layout, controls):
-        return _block_index(layout, self.regs, controls)
-
     def _apply(self, state, inverse, controls, ledger):
-        idx = self._plan(state.layout, controls)
-        block = state.amplitudes[idx]
-        state.amplitudes[idx] = block - np.outer(block @ self.w, self.w / self.denom)
+        view = self._target_view(state, controls)
+        coef = _rows(view, self.size) @ self.w
+        view -= np.outer(coef, self.w / self.denom).reshape(view.shape)
 
 
 class PermutationOp(QuantumOp):
@@ -396,28 +361,55 @@ class PermutationOp(QuantumOp):
         self._perm_inv = inv
         self.size = perm.size
 
-    def _build(self, layout, controls):
-        targets = _mixed_radix_offsets(layout, self.regs)
-        idx = np.arange(layout.total_dim, dtype=np.int64)
-        # joint value of the acting registers at every flat index
-        joint = np.zeros(layout.total_dim, dtype=np.int64)
-        radix = 1
-        for name in reversed(self.regs):
-            d, s = layout.dim_of(name), layout.stride_of(name)
-            joint += ((idx // s) % d) * radix
-            radix *= d
-        scope = _register_mask(layout, controls)
-        # out[i] = in[i with target part j replaced by perm^{-1}(j)] for the
-        # forward action |j> -> |perm(j)|; swap perm and its inverse for the
-        # adjoint.  Outside the control block the gather is the identity.
-        base = idx - targets[joint]
-        g_fwd = np.where(scope, base + targets[self._perm_inv[joint]], idx)
-        g_inv = np.where(scope, base + targets[self.perm[joint]], idx)
-        return g_fwd, g_inv
+    def _apply(self, state, inverse, controls, ledger):
+        view = self._target_view(state, controls)
+        # out[perm[j]] = in[j] forward, so out[i] = in[perm^-1[i]]
+        source = self.perm if inverse else self._perm_inv
+        view[...] = np.take(view.reshape(-1, self.size), source, axis=1).reshape(view.shape)
+
+
+class XorCopyOp(QuantumOp):
+    """XOR copy |b>|c> -> |b>|c xor b> from one register tuple to another.
+
+    ``b`` and ``c`` are the joint values of ``src`` and ``dst`` (first
+    register most significant); every register must have a power-of-two
+    dimension and both tuples the same joint dimension.  Each register is
+    viewed as its bit axes, and the copy is one CNOT per bit: on the slice
+    where the source bit is 1 it swaps the two halves of the destination
+    bit.  Self-inverse.
+    """
+
+    def __init__(self, src: Sequence[str], dst: Sequence[str], label: str | None = None):
+        self.src, self.dst = tuple(src), tuple(dst)
+        if set(self.src) & set(self.dst):
+            raise RegisterError(f"copy source {self.src} overlaps destination {self.dst}")
+        super().__init__(self.src + self.dst, label)
 
     def _apply(self, state, inverse, controls, ledger):
-        g_fwd, g_inv = self._plan(state.layout, controls)
-        state.amplitudes[:] = state.amplitudes[g_inv if inverse else g_fwd]
+        view = _scope(state, self.regs, controls)
+        shape, bit_axes = [], {}
+        for name, d in zip(state.layout.names, view.shape):
+            if name not in self.regs:
+                shape.append(d)
+                continue
+            bits = d.bit_length() - 1
+            if d != 1 << bits:
+                raise RegisterError(f"copy register {name!r} has dimension {d}, "
+                                    "not a power of two")
+            bit_axes[name] = range(len(shape), len(shape) + bits)
+            shape.extend([2] * bits)
+        src = [axis for name in self.src for axis in bit_axes[name]]
+        dst = [axis for name in self.dst for axis in bit_axes[name]]
+        if len(src) != len(dst):
+            raise RegisterError(f"copy needs equal joint dimensions, got 2^{len(src)} "
+                                f"from {self.src} and 2^{len(dst)} for {self.dst}")
+        bits = view.reshape(shape)  # only splits axes, so a view
+        for s, t in zip(src, dst):
+            # axis 0: the destination bit, on the slice where the source bit is 1
+            flip = np.moveaxis(bits, (s, t), (0, 1))[1]
+            kept = flip[0].copy()
+            flip[0] = flip[1]
+            flip[1] = kept
 
 
 class PhaseFlipOp(QuantumOp):
@@ -434,19 +426,16 @@ class PhaseFlipOp(QuantumOp):
         self.complement = complement
         self._require_qubits = require_qubits
 
-    def _build(self, layout, controls):
+    def _apply(self, state, inverse, controls, ledger):
+        layout = state.layout
         if self._require_qubits:
             for name in self.regs:
                 if layout.dim_of(name) != 2:
                     raise RegisterError(f"register {name!r} is not a qubit")
-        match = _register_mask(layout, self.fixed)
+        scope = _scope(state, self.regs, controls)
         if self.complement:
-            match = ~match
-        match &= _register_mask(layout, controls)
-        return np.nonzero(match)[0]
-
-    def _apply(self, state, inverse, controls, ledger):
-        state.amplitudes[self._plan(state.layout, controls)] *= -1.0
+            scope *= -1.0
+        scope[_fix(layout, self.fixed)] *= -1.0
 
 
 class SequenceOp(QuantumOp):
@@ -552,17 +541,10 @@ def measure(state: StateVector, register: str, rng: np.random.Generator) -> int:
     block = probs[outcome]
     if block <= 0.0:
         raise RuntimeError("measurement collapsed onto a zero-norm block")
-    state.amplitudes[~_register_mask(state.layout, ((register, outcome),))] = 0.0
+    others = np.arange(probs.size) != outcome
+    np.moveaxis(_grid(state), state.layout.axis(register), 0)[others] = 0.0
     state.amplitudes /= math.sqrt(block)
     return outcome
-
-
-def sample_register(state: StateVector, register: str, shots: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Outcomes of repeated single-register measurements on fresh copies."""
-    probs = register_marginal(state, register)
-    cdf = np.cumsum(probs / probs.sum())
-    return np.searchsorted(cdf, rng.random(shots), side="right").clip(0, probs.size - 1)
 
 
 def dense_matrix_of(op: QuantumOp, layout: RegisterLayout, *, cap: int = 4096,

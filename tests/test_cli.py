@@ -2,10 +2,17 @@
 errors and exit codes, the sweep's scaling columns, and selfcheck."""
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdtest
 from qdtest import amplitude as ae
 from qdtest import cli
 from qdtest import experiments as exp
@@ -159,6 +166,32 @@ def test_state_too_large_for_memory_exits_2(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: a state of dimension") and "available" in err
+
+
+def _cap_address_space():
+    limit = 2 * 2 ** 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("garbage", ["basis", "haar"])
+def test_infeasible_instance_exits_2_before_building_oracles(garbage):
+    """At d = 8192 each oracle would hold d x d tables (1 GiB per Haar matrix);
+    the pre-flight must refuse the 2 d^3-amplitude state first.  The child's
+    address space is capped, so a late check fails with a MemoryError
+    traceback rather than an out-of-memory kill."""
+    src = str(Path(qdtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdtest.cli", "test-closeness", "--gen", "l2-pair",
+         "--n", "5000", "--garbage", garbage],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+        timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: a state of dimension"), proc.stderr
 
 
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path, capsys):

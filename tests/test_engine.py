@@ -3,8 +3,10 @@ copy against an independent flat-index reference, on drawn layouts, target
 orders, controls and directions; U^dagger U = I; and the linearity of the
 phase-distribution ledger in M."""
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,7 +96,7 @@ def xor_copy_cases(draw):
     b, c = np.divmod(np.arange(d * d), d)
     local = np.zeros((d * d, d * d))
     local[b * d + (c ^ b), b * d + c] = 1.0
-    op = sv.PermutationOp(src_names + dst_names, orc._xor_copy_perm(d))
+    op = sv.XorCopyOp(src_names, dst_names)
     return (layout, op, src_names + dst_names, local, controls, draw(st.booleans()),
             draw(st.integers(0, 2 ** 32 - 1)), "xor_copy")
 
@@ -162,3 +164,27 @@ def test_phase_distribution_ledger_is_linear(name, t):
         assert cost.get(label) == {kind: m * fwd[kind] + (m - 1) * back[kind]
                                    for kind in sv.KINDS}
 
+
+def _memory_instances():
+    p, q = ref.gen_l2_pair(32, 0.3)
+    op = orc.make_purified_oracle(p, "haar", seed=1, label="p")
+    oq = orc.make_purified_oracle(q, "haar", seed=2, label="q")
+    oracle = orc.make_purified_oracle(
+        random_bitstring_distribution(5, np.random.default_rng(4)), label="p")
+    return {"closeness-haar-n32": orc.closeness_instance(op, oq),
+            "kwise-n5": orc.kwise_instance(oracle, 2)}
+
+
+@pytest.mark.parametrize("name", ["closeness-haar-n32", "kwise-n5"])
+def test_phase_distribution_memory(name):
+    """One run peaks at the 16-byte state plus a few state-sized temporaries
+    (no more than 64 bytes per amplitude) and keeps no per-layout state."""
+    layout, unitary, proj = _memory_instances()[name]
+    tracemalloc.start()
+    try:
+        ae.phase_distribution(unitary, layout, proj, 64)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * layout.total_dim
+    assert retained <= layout.total_dim

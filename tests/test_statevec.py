@@ -331,15 +331,6 @@ def test_measure_collapse_renormalizes():
     assert sv.register_marginal(state, "Q")[outcome] > 0.999
 
 
-def test_sample_register_matches_marginal():
-    lay = sv.RegisterLayout([("A", 4)])
-    state = sv.StateVector(lay, np.sqrt([0.1, 0.2, 0.3, 0.4]).astype(complex))
-    rng = np.random.default_rng(11)
-    outcomes = sv.sample_register(state, "A", 20000, rng)
-    freq = np.bincount(outcomes, minlength=4) / 20000
-    assert np.abs(freq - [0.1, 0.2, 0.3, 0.4]).max() < 0.02
-
-
 # --- ledger -------------------------------------------------------------------------
 
 def test_ledger_records_kinds():
