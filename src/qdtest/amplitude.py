@@ -84,13 +84,14 @@ class AEDistribution:
         self._cdf = np.cumsum(probs)
         self.ledger_cost = ledger_cost
 
-    def draw(self, rng: np.random.Generator) -> int:
-        """One phase-register measurement y."""
-        y = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        return min(y, self.points - 1)
+    def phases(self, uniforms) -> np.ndarray:
+        """Phase-register measurements y, one per uniform draw in [0, 1): the
+        inverse CDF, clipped to M-1 in case the cumulative sum ends below 1."""
+        y = np.searchsorted(self._cdf, uniforms, side="right")
+        return np.minimum(y, self.points - 1)
 
     def sample(self, rng: np.random.Generator) -> AEResult:
-        y = self.draw(rng)
+        y = int(self.phases(rng.random()))
         return AEResult(estimate=estimate_from_phase(y, self.points),
                         phase_outcome=y, t=self.t, points=self.points)
 

@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("test-closeness", help="closeness tester on two distributions")
     common(pc)
     pc.add_argument("--tester", choices=_CLOSENESS_TESTERS, default="l2")
-    pc.add_argument("--nu", type=float, default=0.5, help="tolerance split (tolerant-l2)")
+    pc.add_argument("--nu", type=float, default=0.5,
+                    help="tolerance split (tolerant-l2 and l1)")
     pc.add_argument("--dist2", help="second distribution file")
     pc.set_defaults(func=cmd_test_closeness)
 
@@ -196,22 +197,23 @@ def cmd_test_closeness(args) -> int:
     _check_repeats(args.repeats)
     p, q = _closeness_pair(args)
     op, oq = _oracle_pair(p, q, args)
-    nu = args.nu if args.tester == "tolerant-l2" else 0.5
+    nu = args.nu if args.tester in ("tolerant-l2", "l1") else 0.5
     if args.tester == "l1":
-        plan = l1_plan(op, oq, args.eps)
+        plan = l1_plan(op, oq, args.eps, nu)
     else:
         plan = closeness_plan(op, oq, args.eps, nu)
 
     l2 = ref.lp_distance(p, q, 2)
+    norm, distance = "l2", l2
     if args.tester == "l1":
-        l1 = ref.lp_distance(p, q, 1)
-        promise_ok = l1 == 0.0 or l1 >= args.eps
+        norm, distance = "l1", ref.lp_distance(p, q, 1)
+        promise_ok = distance == 0.0 or distance >= args.eps
     elif args.tester == "tolerant-l2":
         promise_ok = l2 <= (1 - nu) * args.eps or l2 >= args.eps
     else:
         promise_ok = l2 == 0.0 or l2 >= args.eps
     if not promise_ok:
-        print(f"warning: instance violates the promise (l2 distance {l2!r})",
+        print(f"warning: instance violates the promise ({norm} distance {distance!r})",
               file=sys.stderr)
 
     verdicts = _voted_trials(plan, args)
@@ -316,6 +318,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be non-negative")
         return args.func(args)
     except (DistributionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,13 +3,17 @@ l2-distance estimation, and k-wise uniformity.
 
 Every tester is one recipe.  An :class:`AEPlan` fixes the encoding unitary,
 the projector, the amplitude-estimation budget t and a threshold;
-:func:`sample_plan` builds the plan's exact phase distribution once, draws
-one Born sample per rng, and thresholds each estimate into a
-:class:`TestVerdict`.  The estimator is the same plan with no threshold
-(:func:`estimator_plan`).  The single-call testers, :func:`run_plan` and the
-seeded trial harness all go through :func:`sample_plan`, so a verdict's
-``queries`` is always the deterministic cost of one run, and a caller's
-ledger gets that cost once per run.
+:func:`sample_plan` builds the plan's exact phase distribution once, turns
+each uniform draw into one phase measurement by inverting its CDF, and
+thresholds each estimate into a :class:`TestVerdict`.  The estimator is the
+same plan with no threshold (:func:`estimator_plan`).  The single-call
+testers go through :func:`run_plan`, which passes one ``rng.random()``; the
+seeded trial harness passes trial i the uniform
+``default_rng([seed, i]).random()``, computed for all trials at once
+(:func:`qdtest.experiments.trial_uniforms`).  So trial i reproduces a single
+call with that rng exactly, a verdict's ``queries`` is always the
+deterministic cost of one run, and a caller's ledger gets that cost once per
+run.
 
 Success guarantees hold under the respective promises with probability at
 least 8/pi^2 per call; the promise itself is not (and cannot be) checked
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -133,33 +137,42 @@ def estimator_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float) -> AEPlan
                   {"eps": eps})
 
 
-def sample_plan(plan: AEPlan, rngs: Iterable[np.random.Generator],
+def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray,
                 ledger: QueryLedger | None = None) -> list[TestVerdict]:
-    """One estimation run per rng, all on the plan's one exact phase
-    distribution, each thresholded into a verdict.
+    """One estimation run per uniform draw in [0, 1), all on the plan's one
+    exact phase distribution, each thresholded into a verdict.
 
-    ``rngs`` is consumed lazily, one pass.  Every verdict's ``queries`` is the
-    per-run cost; ``ledger``, if given, gets that cost once per run.
+    Run k measures the phase y at which the distribution's CDF first exceeds
+    ``uniforms[k]``, all runs in one vectorised pass.  Trial i of
+    :func:`qdtest.experiments.run_trials` draws ``default_rng([seed,
+    i]).random()``, computed in bulk by
+    :func:`qdtest.experiments.trial_uniforms`.  Each distinct phase is mapped
+    to its statistic sin^2(pi y / M) once (with ``math.sin``; numpy's sine
+    may differ in the last bit), and runs that measure the same phase share one
+    verdict object.  Every verdict's ``queries`` is the per-run cost;
+    ``ledger``, if given, gets that cost once per run.
     """
     dist = phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t)
     cost = dist.ledger_cost.snapshot()
     params = dict(plan.params)
     threshold = math.inf if plan.threshold is None else plan.threshold
     below, above = plan.labels
-    verdicts = []
-    for rng in rngs:
-        statistic = estimate_from_phase(dist.draw(rng), dist.points)
-        verdicts.append(TestVerdict(below if statistic < threshold else above,
-                                    statistic, plan.t, plan.threshold, params, cost))
+    phases = dist.phases(uniforms).tolist()
+    verdict_of = {}
+    for y in set(phases):
+        statistic = estimate_from_phase(y, dist.points)
+        verdict_of[y] = TestVerdict(below if statistic < threshold else above,
+                                    statistic, plan.t, plan.threshold, params, cost)
     if ledger is not None:
-        ledger.merge(dist.ledger_cost, times=len(verdicts))
-    return verdicts
+        ledger.merge(dist.ledger_cost, times=len(phases))
+    return [verdict_of[y] for y in phases]
 
 
 def run_plan(plan: AEPlan, rng: np.random.Generator,
              ledger: QueryLedger | None = None) -> TestVerdict:
-    """Execute a plan once: one estimation run, one threshold comparison."""
-    return sample_plan(plan, [rng], ledger)[0]
+    """Execute a plan once: one estimation run on ``rng.random()``, one
+    threshold comparison."""
+    return sample_plan(plan, [rng.random()], ledger)[0]
 
 
 def tolerant_l2_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,

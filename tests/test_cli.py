@@ -148,6 +148,45 @@ def test_bad_repeats_exit_2_before_any_trial(capsys, monkeypatch, command, gen, 
     assert "error: --repeats must be odd and positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "l2-pair", "--n", "4"),
+    ("test-closeness", "--tester", "l1", "--gen", "l1-pair", "--n", "4"),
+    ("test-kwise", "--gen", "multiset:3", "--n", "3"),
+    ("estimate", "--gen", "l2-pair", "--n", "4"),
+    ("sweep", "--tester", "kwise", "--n", "3"),
+])
+def test_negative_seed_exits_2_before_any_oracle(capsys, monkeypatch, argv):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle was built before --seed was validated")
+
+    monkeypatch.setattr(cli.orc, "make_purified_oracle", no_oracle)
+    code, out, err = run(capsys, *argv, "--trials", "3", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be non-negative\n"
+
+
+def test_l1_closeness_honours_nu(capsys):
+    """test-closeness --tester l1 runs at the budget the l1 sweep gives for
+    the same --nu, and records that nu."""
+    base = ("--n", "8", "--eps", "0.4", "--nu", "0.25", "--trials", "3",
+            "--format", "json")
+    code, out, _ = run(capsys, "test-closeness", "--tester", "l1", "--gen", "l1-pair",
+                       *base)
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = run(capsys, "sweep", "--tester", "l1", *base)
+    assert code == 0
+    assert report["summary"]["t"] == json.loads(out)["rows"][0]["budget_t"] == 1778
+    assert report["params"]["nu"] == 0.25
+
+
+def test_l1_promise_warning_names_l1_distance(capsys):
+    code, _, err = run(capsys, "test-closeness", "--tester", "l1", "--gen", "l1-pair:0.1",
+                       "--n", "8", "--eps", "0.4", "--trials", "3")
+    assert code == 0
+    assert "(l1 distance 0.1" in err and "l2 distance" not in err
+
+
 def test_estimate_rejects_repeats(capsys):
     code, out, err = run(capsys, "estimate", "--gen", "l2-pair", "--n", "4",
                          "--trials", "2", "--repeats", "4")

@@ -3,7 +3,8 @@
 Every report the CLI writes is byte-stable for fixed arguments and seed, so
 a refactor of the trial pipeline must leave these digests unchanged.  The
 cases cover both sides of the benchmark's closeness-haar and kwise-n4
-shapes, the estimator, ``--repeats``, the l1 reduction, the multiset
+shapes, the estimator (the benchmark's estimate-trials invocation in JSON
+and a Haar estimate in CSV), ``--repeats``, the l1 reduction, the multiset
 generator and the three sweep branches.
 """
 import hashlib
@@ -25,6 +26,10 @@ GOLDEN = {
         "7bf74306ddc22631ead628b75f87b2cc54d0c83e1b995535cef9f730eff5993f",
     "estimate --gen l2-pair --n 4 --eps 0.5 --trials 500 --format json --seed 3":
         "de37e20a62c9b2e50bb73e3383302ca8604806d79c0effbfa138399888d99ff4",
+    "estimate --gen l2-pair --n 4 --eps 0.5 --trials 20000 --format json --seed 10000":
+        "28ac488a30430167a9946ee13528737af15b825c9dff913b309c3440f3780e0d",
+    "estimate --gen l1-pair --n 8 --eps 0.3 --trials 200 --garbage haar --seed 11":
+        "8c78a115b52582b60ba9d0d1d7cc0c5b1cf6ef5961c5f514672fbd436655392e",
     "test-closeness --tester tolerant-l2 --gen l2-pair --n 8 --nu 0.4 --repeats 3 "
     "--trials 30 --seed 4":
         "eff17d719385598b895428e8b863522973db27e119c0dd2d716f2393562ea9c0",
