@@ -320,6 +320,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be non-negative")
+        exp.require_trial_memory(getattr(args, "trials", 0) * getattr(args, "repeats", 1))
         return args.func(args)
     except (DistributionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -167,14 +167,18 @@ def available_memory_bytes() -> int | None:
     return None
 
 
-def require_memory(layout: RegisterLayout) -> None:
-    """Raise MemoryLimitError if a run on the layout would not fit in memory."""
-    need = layout.total_dim * _PEAK_BYTES_PER_AMPLITUDE
+def require_bytes(need: int, what: str) -> None:
+    """Raise MemoryLimitError if ``what`` needs more than the available memory."""
     free = available_memory_bytes()
     if free is not None and need > free:
-        raise MemoryLimitError(
-            f"a state of dimension {layout.total_dim} needs about {need / 2**30:.2f} GiB "
-            f"but only {free / 2**30:.2f} GiB is available")
+        raise MemoryLimitError(f"{what} needs about {need / 2**30:.2f} GiB "
+                               f"but only {free / 2**30:.2f} GiB is available")
+
+
+def require_memory(layout: RegisterLayout) -> None:
+    """Raise MemoryLimitError if a run on the layout would not fit in memory."""
+    require_bytes(layout.total_dim * _PEAK_BYTES_PER_AMPLITUDE,
+                  f"a state of dimension {layout.total_dim}")
 
 
 def new_basis_state(layout: RegisterLayout, values: Mapping[str, int] | None = None) -> StateVector:

@@ -7,6 +7,7 @@ import numpy as np
 
 from qdtest import statevec as sv
 from qdtest.distributions import BITSTRING, Distribution
+from qdtest.experiments import oracle_query_totals
 
 
 def rotation_system(p: float):
@@ -60,3 +61,45 @@ def reference_apply(layout, amps: np.ndarray, regs, local: np.ndarray,
         base = layout.basis_index({n: v for n, v in values.items() if n not in regs})
         out[base + offsets] += local[:, j] * amps[i]
     return out
+
+
+def reference_verdict_rows(verdicts) -> list[dict]:
+    """A verdict report's rows, built one dict per trial."""
+    return [{"trial": i, "verdict": v.verdict, "statistic": v.statistic,
+             **oracle_query_totals(v.queries)} for i, v in enumerate(verdicts)]
+
+
+def reference_estimate_rows(verdicts, true_value) -> list[dict]:
+    """An estimate report's rows, built one dict per trial."""
+    rows = []
+    for i, v in enumerate(verdicts):
+        row = {"trial": i, "estimate": 2.0 * math.sqrt(v.statistic),
+               "statistic": v.statistic}
+        if true_value is not None:
+            row["true_value"] = true_value
+            row["error"] = abs(row["estimate"] - true_value)
+        row.update(oracle_query_totals(v.queries))
+        rows.append(row)
+    return rows
+
+
+def reference_csv(report: dict) -> str:
+    """The report's CSV, written one row at a time: header, one line per
+    row, then a summary row."""
+    def fmt(value) -> str:
+        return repr(value) if isinstance(value, float) else str(value)
+
+    rows = list(report["rows"])
+    columns = list(rows[0]) if rows else []
+    lines = [f"# schema_version={report['schema_version']} command={report['command']}",
+             ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt(row.get(c, "")) for c in columns))
+    pairs = []
+    for key, val in report["summary"].items():
+        if isinstance(val, dict):
+            pairs.extend(f"{key}.{k}={fmt(v)}" for k, v in val.items())
+        else:
+            pairs.append(f"{key}={fmt(val)}")
+    lines.append("summary," + ";".join(pairs))
+    return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,35 @@ def test_state_too_large_for_memory_exits_2(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: a state of dimension") and "available" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--gen", "l2-pair", "--n", "4", "--trials", "1000000000000000"),
+    # 10^7 trials would fit in 8 GiB; three runs each would not
+    ("test-closeness", "--gen", "l2-pair", "--n", "4", "--trials", "10000000",
+     "--repeats", "3"),
+    ("sweep", "--tester", "kwise", "--n", "3", "--trials", "1000000000000000"),
+])
+def test_too_many_trials_exit_2_before_any_oracle(capsys, monkeypatch, argv):
+    """The trial count is checked against free memory (fixed here at 8 GiB)
+    before any oracle is built or any trial drawn."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle was built before --trials was checked")
+
+    monkeypatch.setattr(sv, "available_memory_bytes", lambda: 8 * 2 ** 30)
+    monkeypatch.setattr(cli.orc, "make_purified_oracle", no_oracle)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2 ** 20
+    assert code == 2 and out == ""
+    assert err.startswith("error: a run of ") and "trials needs about" in err
+    assert "available" in err
 
 
 def _cap_address_space():

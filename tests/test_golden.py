@@ -4,7 +4,8 @@ Every report the CLI writes is byte-stable for fixed arguments and seed, so
 a refactor of the trial pipeline must leave these digests unchanged.  The
 cases cover both sides of the benchmark's closeness-haar and kwise-n4
 shapes, the estimator (the benchmark's estimate-trials invocation in JSON
-and a Haar estimate in CSV), ``--repeats``, the l1 reduction, the multiset
+and two Haar estimates in CSV, one of 5000 trials), ``--repeats`` (a
+majority-vote report in JSON among them), the l1 reduction, the multiset
 generator and the three sweep branches.
 """
 import hashlib
@@ -30,9 +31,14 @@ GOLDEN = {
         "28ac488a30430167a9946ee13528737af15b825c9dff913b309c3440f3780e0d",
     "estimate --gen l1-pair --n 8 --eps 0.3 --trials 200 --garbage haar --seed 11":
         "8c78a115b52582b60ba9d0d1d7cc0c5b1cf6ef5961c5f514672fbd436655392e",
+    "estimate --gen l2-pair --n 8 --eps 0.3 --trials 5000 --garbage haar --seed 12":
+        "dbf00c19b64d0bde3f51d8409ab2b596cbcd73a2151e4ed9edd38453303ca36a",
     "test-closeness --tester tolerant-l2 --gen l2-pair --n 8 --nu 0.4 --repeats 3 "
     "--trials 30 --seed 4":
         "eff17d719385598b895428e8b863522973db27e119c0dd2d716f2393562ea9c0",
+    "test-kwise --n 4 --k 2 --eps 0.3 --trials 1000 --repeats 3 --gen spike:1,2:0.6 "
+    "--format json --seed 13":
+        "7954399ea7ee0a566cd0eda864b27fd5d51b5026689bdac5469cd776db55272b",
     "test-closeness --tester l1 --gen l1-pair --n 8 --eps 0.4 --trials 30 --seed 5":
         "7b4d8aa06a4d47a38f141d7cb665ec6ec0fb6116e3582b0af19ad7588be04fe4",
     "test-kwise --gen multiset:6 --n 4 --k 2 --eps 0.3 --trials 30 --seed 6":
