@@ -5,10 +5,11 @@ encoding unitary and the phase-register evolution are deterministic, and
 only the final phase measurement is random.  Trial i of :func:`run_trials`
 measures that phase from one uniform draw, the first ``random()`` of
 ``default_rng([seed, i])`` (:func:`trial_rng`).  :func:`trial_uniforms`
-computes those draws for every trial at once, bit for bit, by running
-numpy's seeding (the ``SeedSequence`` hash and the PCG64 set-up) on arrays,
-and :func:`qdtest.testers.sample_plan`, the sampling core the single-call
-testers use too, turns them into verdicts in one pass.  Trial i therefore
+computes those draws in bulk, bit for bit, by running numpy's seeding (the
+``SeedSequence`` hash and the PCG64 set-up) on arrays over blocks of
+``_UNIFORM_BLOCK`` trials, and :func:`qdtest.testers.sample_plan`, the
+sampling core the single-call testers use too, turns them into verdicts in
+one pass.  Trial i therefore
 reproduces a single-call run with ``trial_rng(seed, i)`` exactly, verdict,
 statistic and per-run query cost alike.  Verdict and estimator reports are
 both built from the resulting verdicts.
@@ -19,17 +20,24 @@ same phase share one verdict, so a plan has at most M of them) plus each
 trial's outcome index, and row i is outcome ``index[i]`` with ``trial`` i.
 The CSV and JSON writers render each distinct outcome once and splice each
 trial's number into its text; a plain list of rows, as in a sweep report,
-is the case where every row is its own outcome.  Both serializations are
-byte-stable for a fixed seed (floats via ``repr``, keys sorted, row order
-fixed by trial index).
+is the case where every row is its own outcome.  Each format's text comes
+from one generator of chunks: its header, its rows in blocks of
+``_ROW_BLOCK``, and its summary.  :func:`dump_report` streams the chunks to
+a file or to standard output, so a report's text is never held whole or
+encoded at once; :func:`format_csv` and :func:`format_json` join them.  Both
+serializations are byte-stable for a fixed seed (floats via ``repr``, keys
+sorted, row order fixed by trial index).  A run's peak memory therefore
+grows by a few tens of bytes per trial, not by the size of its report
+(``_PEAK_BYTES_PER_TRIAL``).
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
-from collections.abc import Sequence
-from itertools import repeat
+from collections.abc import Iterator, Sequence
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +47,14 @@ from .testers import AEPlan, TestVerdict, sample_plan
 
 SCHEMA_VERSION = 1
 
-# Peak bytes per trial of a run and its report: the trial's uniform and
-# phase, its row text and its share of the report text.  Peak RSS of
-# `estimate --gen l2-pair --n 4 --eps 0.5` at 200,000 trials less that at
-# 20,000, per trial, measured 613 as JSON and 287 as CSV.
-_PEAK_BYTES_PER_TRIAL = 640
+# Peak bytes per run of a report's trials: each run's uniform, phase, verdict
+# reference and outcome index; the report text is streamed in blocks of
+# _ROW_BLOCK rows and does not grow with the runs.  Peak RSS at 200,000 runs
+# less that at 20,000, per run, measured 18 for `estimate --gen l2-pair
+# --n 4 --eps 0.5` as JSON, 22 as CSV, and 40 for `test-kwise --n 4 --k 2
+# --eps 0.3 --gen spike:1,2:0.6 --repeats 3` (M = 4096: phases above 256
+# are separate int objects); 64 is the largest plus 60%.
+_PEAK_BYTES_PER_TRIAL = 64
 
 ORACLE_QUERY_COLUMNS = ("queries_forward", "queries_inverse", "queries_ctrl")
 
@@ -61,6 +72,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+# Trials per block of trial_uniforms, whose array code holds about 35 arrays
+# of a block's length at once.
+_UNIFORM_BLOCK = 4096
 
 
 def _hasher(init: int, mult: int):
@@ -108,19 +123,30 @@ def _pcg_step(state: list, inc: list) -> list:
 
 def trial_uniforms(seed: int, trials: int) -> np.ndarray:
     """``[trial_rng(seed, i).random() for i in range(trials)]``, bit for bit,
-    computed for all trials at once.
+    computed on arrays over blocks of ``_UNIFORM_BLOCK`` trials.
 
     ``default_rng([seed, i])`` hashes the 32-bit words of seed and i
     (little-endian, 0 as one word) into a pool of four words, expands it
     into PCG64's 128-bit initial state and increment, seeds the generator
     and steps it once; ``random()`` is the top 53 bits of its XSL-RR output.
-    Every step runs here on arrays over i.
+    Every step runs here on arrays over i (:func:`_block_uniforms`).
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    entropy = [np.full(trials, (seed >> shift) & _M32, dtype=np.uint32)
-               for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.arange(trials, dtype=np.uint32))
+    words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    out = np.empty(trials, dtype=np.float64)
+    for start in range(0, trials, _UNIFORM_BLOCK):
+        index = np.arange(start, min(start + _UNIFORM_BLOCK, trials), dtype=np.uint32)
+        out[start:start + index.size] = _block_uniforms(words, index)
+    return out
+
+
+def _block_uniforms(words: list[int], index: np.ndarray) -> np.ndarray:
+    """``trial_rng(seed, i).random()`` for each i in ``index``, where ``words``
+    are the 32-bit words of the seed."""
+    trials = index.size
+    entropy = [np.full(trials, word, dtype=np.uint32) for word in words]
+    entropy.append(index)
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(trials, np.uint32))
             for k in range(4)]
@@ -269,14 +295,21 @@ def sweep_report(command: str, params: dict, points: list[dict]) -> dict:
 
 # --- serialization ---------------------------------------------------------------
 
+# Rows per text block of the report writers; a block of the 20,000-trial
+# estimate report is about 256 KB of text.
+_ROW_BLOCK = 1024
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _row_texts(rows: Sequence[dict], render, key: str) -> list[str]:
-    """``[render(row) for row in rows]``, rendering each distinct outcome once.
+def _row_blocks(rows: Sequence[dict], render, key: str, sep: str) -> Iterator[str]:
+    """``sep.join(render(row) for row in rows)`` in blocks of ``_ROW_BLOCK``
+    rows, each block after the first led by ``sep``; each distinct outcome is
+    rendered once.
 
     Each outcome of :class:`TrialRows` is rendered with trial number -1, and
     its text is split at the first ``key + "-1"``, where ``key`` is the text
@@ -287,25 +320,27 @@ def _row_texts(rows: Sequence[dict], render, key: str) -> list[str]:
     if isinstance(rows, TrialRows):
         split = (render({"trial": -1, **o}).partition(key + "-1") for o in rows.outcomes)
         parts = [(head + key, tail) for head, _, tail in split]
-        index, numbers = rows.index, map(str, range(len(rows)))
+        texts = (parts[k][0] + str(i) + parts[k][1] for i, k in enumerate(rows.index))
     else:
-        parts = [(render(row), "") for row in rows]
-        index, numbers = range(len(rows)), repeat("", len(rows))
-    return [parts[k][0] + number + parts[k][1] for k, number in zip(index, numbers)]
+        texts = map(render, rows)
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = sep.join(islice(texts, _ROW_BLOCK))
+        yield sep + block if start else block
 
 
-def format_csv(report: dict) -> str:
-    """Byte-stable CSV: header, one line per row, then a summary row.
+def _csv_chunks(report: dict) -> Iterator[str]:
+    """The report's CSV text in chunks: header, one line per row, then a
+    summary row.
 
     ``trial`` is the first column of a trial report, so its number is the
     leading ``-1`` of each outcome's line.
     """
     rows = report["rows"]
     columns = list(rows[0]) if rows else []
-    lines = [f"# schema_version={report['schema_version']} command={report['command']}",
-             ",".join(columns)]
-    lines += _row_texts(rows, lambda row: ",".join(_fmt(row.get(c, "")) for c in columns),
-                        "")
+    yield (f"# schema_version={report['schema_version']} command={report['command']}\n"
+           + ",".join(columns) + "\n")
+    yield from _row_blocks(rows, lambda row: ",".join(_fmt(row.get(c, "")) for c in columns),
+                           "", "\n")
     summary = report["summary"]
     pairs = []
     for key in summary:
@@ -314,38 +349,56 @@ def format_csv(report: dict) -> str:
             pairs.extend(f"{key}.{k}={_fmt(v)}" for k, v in val.items())
         else:
             pairs.append(f"{key}={_fmt(val)}")
-    lines.append("summary," + ";".join(pairs) + "\n")
-    return "\n".join(lines)
+    yield ("\n" if rows else "") + "summary," + ";".join(pairs) + "\n"
 
 
-def format_json(report: dict) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+def _json_chunks(report: dict) -> Iterator[str]:
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"`` in chunks,
     with the rows read as a sequence (:class:`TrialRows` or a plain list).
 
     CPython encodes in C only without ``indent``.  So each distinct outcome,
     a non-empty flat dict, goes through the C encoder once, with an item
     separator that puts each key on its own line at the rows' depth; each
     trial's number is spliced into the text of its outcome
-    (:func:`_row_texts`), and the rows into the indented encoding of the
-    rest.  A JSON string holds no raw quote or newline, so
-    ``"trial": -1`` occurs once in an outcome's text, and the line
-    ``"rows": []`` once at the top level.
+    (:func:`_row_blocks`), and the blocks of rows go between the two halves
+    of the indented encoding of the rest.  A JSON string holds no raw quote
+    or newline, so ``"trial": -1`` occurs once in an outcome's text, and the
+    line ``"rows": []`` once at the top level.
     """
     text = json.dumps({**report, "rows": []}, sort_keys=True, indent=2) + "\n"
     if not report["rows"]:
-        return text
+        yield text
+        return
     encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
-    texts = _row_texts(report["rows"],
-                       lambda row: "    {\n      " + encode(row)[1:-1] + "\n    }",
-                       '"trial": ')
     head, _, tail = text.partition('\n  "rows": []')
-    texts[0] = head + '\n  "rows": [\n' + texts[0]
-    texts[-1] += "\n  ]" + tail
-    return ",\n".join(texts)
+    yield head + '\n  "rows": [\n'
+    yield from _row_blocks(report["rows"],
+                           lambda row: "    {\n      " + encode(row)[1:-1] + "\n    }",
+                           '"trial": ', ",\n")
+    yield "\n  ]" + tail
 
 
-def write_report(report: dict, path: str | Path | None, fmt: str) -> str:
-    text = format_csv(report) if fmt == "csv" else format_json(report)
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+def format_csv(report: dict) -> str:
+    """The report's byte-stable CSV text, whole (:func:`_csv_chunks`)."""
+    return "".join(_csv_chunks(report))
+
+
+def format_json(report: dict) -> str:
+    """The report's byte-stable JSON text, whole (:func:`_json_chunks`)."""
+    return "".join(_json_chunks(report))
+
+
+def dump_report(report: dict, path: str | Path | None, fmt: str) -> None:
+    """Write the report as ``fmt`` (``"csv"`` or ``"json"``) to ``path``, or
+    to standard output when ``path`` is None.
+
+    The text goes out one chunk at a time, a block of ``_ROW_BLOCK`` rows at
+    most, so the whole text is never held or encoded at once; the bytes are
+    those of :func:`format_csv` or :func:`format_json`.
+    """
+    chunks = _csv_chunks(report) if fmt == "csv" else _json_chunks(report)
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(chunks)

@@ -305,13 +305,12 @@ class MatrixOp(QuantumOp):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise RegisterError(f"operator matrix must be square, got {self.matrix.shape}")
         self.size = self.matrix.shape[0]
-        # out = in @ U.T for forward, in @ conj(U) for inverse
-        self._mat_t = np.ascontiguousarray(self.matrix.T)
-        self._mat_t_inv = np.ascontiguousarray(self.matrix.conj())
 
     def _apply(self, state, inverse, controls, ledger):
         view = self._target_view(state, controls)
-        mat = self._mat_t_inv if inverse else self._mat_t
+        # out = in @ U.T for forward, in @ conj(U) for inverse; the operand is
+        # a C-contiguous copy made per application, so an op holds one matrix
+        mat = np.ascontiguousarray(self.matrix.conj() if inverse else self.matrix.T)
         if self.size == 2:
             # any other target axis has length one, so this reshape is a view
             pair = view.reshape(view.shape[:view.ndim - len(self.regs)] + (2,))

@@ -9,7 +9,7 @@ thresholds each estimate into a :class:`TestVerdict`.  The estimator is the
 same plan with no threshold (:func:`estimator_plan`).  The single-call
 testers go through :func:`run_plan`, which passes one ``rng.random()``; the
 seeded trial harness passes trial i the uniform
-``default_rng([seed, i]).random()``, computed for all trials at once
+``default_rng([seed, i]).random()``, computed in bulk
 (:func:`qdtest.experiments.trial_uniforms`).  So trial i reproduces a single
 call with that rng exactly, a verdict's ``queries`` is always the
 deterministic cost of one run, and a caller's ledger gets that cost once per

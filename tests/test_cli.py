@@ -188,6 +188,25 @@ def test_l1_promise_warning_names_l1_distance(capsys):
     assert "(l1 distance 0.1" in err and "l2 distance" not in err
 
 
+@pytest.mark.parametrize("tester, gen, eps, off_promise", [
+    # default instances, whose distance comes out an ulp short of eps
+    ("l1", "l1-pair", "0.4", False),
+    ("l1", "l1-pair", "0.2", False),
+    ("l2", "l2-pair", "0.1", False),
+    ("tolerant-l2", "l2-pair", "0.1", False),
+    # l1 0.399 < 0.4; l2 0.099 < 0.1; l2 0.0707 between (1 - nu) eps and eps
+    ("l1", "l1-pair:0.399", "0.4", True),
+    ("l2", "l2-pair:0.14", "0.1", True),
+    ("tolerant-l2", "l2-pair:0.1", "0.1", True),
+])
+def test_promise_warning_only_off_promise(capsys, tester, gen, eps, off_promise):
+    code, out, err = run(capsys, "test-closeness", "--tester", tester, "--gen", gen,
+                         "--n", "8", "--eps", eps, "--trials", "1")
+    assert code == 0
+    assert ("violates the promise" in err) == off_promise
+    assert out.rstrip().endswith(f"promise_ok={not off_promise}")
+
+
 def test_estimate_rejects_repeats(capsys):
     code, out, err = run(capsys, "estimate", "--gen", "l2-pair", "--n", "4",
                          "--trials", "2", "--repeats", "4")
@@ -210,8 +229,8 @@ def test_state_too_large_for_memory_exits_2(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ("estimate", "--gen", "l2-pair", "--n", "4", "--trials", "1000000000000000"),
-    # 10^7 trials would fit in 8 GiB; three runs each would not
-    ("test-closeness", "--gen", "l2-pair", "--n", "4", "--trials", "10000000",
+    # 10^8 trials would fit in 8 GiB; three runs each would not
+    ("test-closeness", "--gen", "l2-pair", "--n", "4", "--trials", "100000000",
      "--repeats", "3"),
     ("sweep", "--tester", "kwise", "--n", "3", "--trials", "1000000000000000"),
 ])

@@ -1,10 +1,16 @@
 """The trial harness's bulk paths against their definitions: trial_uniforms
 against one ``default_rng([seed, i])`` per trial, report rows against rows
-built one dict per trial, format_json against the indented ``json.dumps``,
-and format_csv against a CSV writer that renders one row at a time."""
+built one dict per trial, format_json and the streamed dump_report against
+the indented ``json.dumps``, and format_csv and dump_report against a CSV
+writer that renders one row at a time."""
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +39,21 @@ def test_trial_uniforms_match_per_trial_generators(seed, trials):
     assert exp.trial_uniforms(seed, trials).tolist() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(1, 40), st.integers(1, 9))
+def test_trial_uniforms_across_blocks(seed, trials, block):
+    """Blocks of a few trials, so that trial counts on and around several
+    block boundaries are cheap to check."""
+    expected = [exp.trial_rng(seed, i).random() for i in range(trials)]
+    with patch.object(exp, "_UNIFORM_BLOCK", block):
+        assert exp.trial_uniforms(seed, trials).tolist() == expected
+
+
 @pytest.mark.parametrize("seed", [10_000, 2 ** 100 + 7])  # 2^100 + 7: five entropy words
 def test_trial_uniforms_over_many_trials(seed):
-    expected = [exp.trial_rng(seed, i).random() for i in range(2000)]
-    assert exp.trial_uniforms(seed, 2000).tolist() == expected
+    trials = 2 * exp._UNIFORM_BLOCK + 1
+    expected = [exp.trial_rng(seed, i).random() for i in range(trials)]
+    assert exp.trial_uniforms(seed, trials).tolist() == expected
 
 
 def test_trial_uniforms_reject_negative_seed():
@@ -153,19 +170,82 @@ def test_format_csv_of_plain_rows(name):
     assert exp.format_csv(REPORTS[name]) == reference_csv(REPORTS[name])
 
 
-def test_trial_report_memory():
-    """Building and serialising the benchmark's 20,000-trial estimate report
-    peaks at no more than 20 MiB; its JSON text alone is 4.9 MiB."""
+def _dumped(report, fmt, tmp_path) -> str:
+    path = tmp_path / f"report.{fmt}"
+    exp.dump_report(report, path, fmt)
+    return path.read_bytes().decode("utf-8")
+
+
+ROW_BLOCK = exp._ROW_BLOCK
+
+
+@pytest.mark.parametrize("trials", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+def test_dump_report_of_trial_reports_across_row_blocks(trials, tmp_path):
+    for report, _ in _trial_reports(_closeness_verdicts(trials)):
+        assert _dumped(report, "json", tmp_path) == json.dumps(
+            _materialised(report), sort_keys=True, indent=2) + "\n"
+        assert _dumped(report, "csv", tmp_path) == reference_csv(report)
+
+
+@pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK + 1])
+def test_dump_report_of_plain_rows(rows, tmp_path, capsys):
+    """Sweep-style rows, each rendered whole, to a file and to stdout."""
+    points = [{"eps": 1.0 / (i + 2), "n": 8, "k": "", "budget_t": i,
+               "success_freq": i / 3} for i in range(rows)]
+    report = exp.sweep_report("sweep", {"tester": "l2"}, points)
+    expected = {"json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+                "csv": reference_csv(report)}
+    for fmt, text in expected.items():
+        assert _dumped(report, fmt, tmp_path) == text
+        exp.dump_report(report, None, fmt)
+        assert capsys.readouterr().out == text
+
+
+def test_trial_report_memory(tmp_path):
+    """Building the benchmark's 20,000-trial estimate report and writing it
+    to a file as JSON peaks at no more than 2 MiB; the file is 4.9 MiB."""
     p, q = ref.gen_l2_pair(4, math.sqrt(2.0) * 0.5)
     op, oq = (orc.make_purified_oracle(d, seed=s, label=label)
               for d, s, label in zip((p, q), (1, 2), "pq"))
     verdicts = exp.run_trials(testers.estimator_plan(op, oq, 0.5), 20_000, seed=10_000)
+    path = tmp_path / "report.json"
     tracemalloc.start()
     try:
         report = exp.estimate_report("estimate", {}, verdicts, ref.lp_distance(p, q, 2))
-        text = exp.format_json(report)
+        exp.dump_report(report, path, "json")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(text) > 5_000_000
-    assert peak <= 20 * 2 ** 20
+    assert path.stat().st_size > 5_000_000
+    assert peak <= 2 * 2 ** 20
+
+
+_PEAK_RSS_CHILD = (
+    "import resource, sys\n"
+    "from qdtest.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    "sys.exit(code)\n")
+
+
+def _peak_rss_bytes(argv) -> int:
+    """Peak RSS of one CLI run in a fresh interpreter (Linux reports KiB)."""
+    src = str(Path(exp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_peak_rss_per_trial(fmt, tmp_path):
+    """A run's peak memory grows by at most 64 bytes per trial: the peak RSS
+    at 200,000 trials less that at 20,000, over the 180,000 extra trials."""
+    def peak(trials):
+        return _peak_rss_bytes(["estimate", "--gen", "l2-pair", "--n", "4", "--eps", "0.5",
+                                "--format", fmt, "--seed", "10000", "--trials", str(trials),
+                                "--out", str(tmp_path / f"report-{trials}")])
+    assert (peak(200_000) - peak(20_000)) / 180_000 <= 64

@@ -6,7 +6,8 @@ cases cover both sides of the benchmark's closeness-haar and kwise-n4
 shapes, the estimator (the benchmark's estimate-trials invocation in JSON
 and two Haar estimates in CSV, one of 5000 trials), ``--repeats`` (a
 majority-vote report in JSON among them), the l1 reduction, the multiset
-generator and the three sweep branches.
+generator and the three sweep branches.  Each report is written once to
+stdout and once to an ``--out`` file, and both must have the pinned bytes.
 """
 import hashlib
 
@@ -40,7 +41,7 @@ GOLDEN = {
     "--format json --seed 13":
         "7954399ea7ee0a566cd0eda864b27fd5d51b5026689bdac5469cd776db55272b",
     "test-closeness --tester l1 --gen l1-pair --n 8 --eps 0.4 --trials 30 --seed 5":
-        "7b4d8aa06a4d47a38f141d7cb665ec6ec0fb6116e3582b0af19ad7588be04fe4",
+        "778373e91ffd9ec3438a1efc0a57c6442998f50359f4bd3bb43111288ccbaae1",
     "test-kwise --gen multiset:6 --n 4 --k 2 --eps 0.3 --trials 30 --seed 6":
         "77e2946a78b10fa60b92cc3db03631c0aed1a849afc5c529195bdc6e44a96c96",
     "sweep --tester l2 --eps-grid 0.4,0.2 --garbage haar --n 8 --trials 20 --seed 7":
@@ -58,3 +59,12 @@ def test_report_digest(capsys, command):
     assert cli.main(command.split()) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN), ids=lambda c: c.split(" --seed")[0])
+def test_out_file_digest(capsys, tmp_path, command):
+    """``--out`` writes the same bytes as stdout: the digest pinned above."""
+    path = tmp_path / "report"
+    assert cli.main([*command.split(), "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[command]
