@@ -6,10 +6,11 @@ A purified oracle for a distribution p is a unitary U_p with
 
 where the garbage states {|phi_i>} are orthonormal but otherwise arbitrary;
 algorithms built on the oracle must not depend on their choice, so two styles
-are provided ("basis": |phi_i> = |i>; "haar": columns of a seeded random
-unitary).  Every oracle application — forward, inverse, controlled — is
-counted in a :class:`~qdtest.statevec.QueryLedger` under the oracle's label;
-those counts are the measured query complexity of every experiment.
+are provided ("basis": |phi_i> = |i>; "haar": columns of a random unitary
+drawn from the seeded uniforms of :mod:`qdtest.seeding`, :func:`haar_unitary`).
+Every oracle application — forward, inverse, controlled — is counted in a
+:class:`~qdtest.statevec.QueryLedger` under the oracle's label; those counts
+are the measured query complexity of every experiment.
 
 Derived unitaries:
 
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import BITSTRING, RANGE, Distribution, next_pow2, padded_weights
+from .seeding import trial_uniforms
 from .statevec import (ControlledOp, MatrixOp, PermutationOp, Projector,
                        QuantumOp, QueryLedger, RegisterLayout, ReflectionOp,
                        SequenceOp, XorCopyOp, controlled_z, hadamard, inverse,
@@ -52,9 +54,12 @@ __all__ = [
 GARBAGE_STYLES = ("basis", "haar")
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian with phase fix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+def haar_unitary(dim: int, seed: int) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Gaussian with phase fix.  With
+    u = ``trial_uniforms(seed, 2 dim^2)``, Gaussian entry k is
+    sqrt(-log(1 - u[2k])) exp(2 pi i u[2k+1]): exponential |z|^2, uniform phase."""
+    u = trial_uniforms(seed, 2 * dim * dim)
+    z = (np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])).reshape(dim, dim)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -147,16 +152,16 @@ def purified_registers(dist: Distribution, a_name: str = "A",
 
 
 def _assemble(dist: Distribution, prep: QuantumOp | None, garbage: str,
-              rng: np.random.Generator | None, label: str,
+              seed: int | None, label: str,
               a_name: str, b_name: str) -> PurifiedOracle:
     (_, dim), *b_regs = purified_registers(dist, a_name, b_name)
     b_names = tuple(n for n, _ in b_regs)
     steps: list[QuantumOp] = [] if prep is None else [prep]
     steps.append(XorCopyOp(b_names, (a_name,)))
     if garbage == "haar":
-        if rng is None:
-            raise ValueError("haar garbage needs a seeded rng")
-        steps.append(MatrixOp((a_name,), haar_unitary(dim, rng)))
+        if seed is None:
+            raise ValueError("haar garbage needs a seed")
+        steps.append(MatrixOp((a_name,), haar_unitary(dim, seed)))
     elif garbage != "basis":
         raise ValueError(f"unknown garbage style {garbage!r}")
     return PurifiedOracle(distribution=dist, garbage=garbage, label=label,
@@ -170,13 +175,12 @@ def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
     """Purified oracle for a distribution with the chosen garbage style.
 
     The construction prepares sqrt(p) on the sample register, copies it into
-    the workspace, and (for haar garbage) scrambles the workspace with a
-    seeded random unitary.
+    the workspace, and (for haar garbage) scrambles the workspace with
+    ``haar_unitary(dim, seed)``, so haar garbage needs a seed.
     """
     b_regs = _sample_regs(dist, b_name)
     prep = _prep_op(tuple(n for n, _ in b_regs), np.sqrt(padded_weights(dist)))
-    rng = np.random.default_rng(seed) if garbage == "haar" else None
-    return _assemble(dist, prep, garbage, rng, label, a_name, b_name)
+    return _assemble(dist, prep, garbage, seed, label, a_name, b_name)
 
 
 def from_pure_state_oracle(v: np.ndarray | MatrixOp, *, kind: str = RANGE,

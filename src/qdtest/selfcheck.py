@@ -36,7 +36,7 @@ def _random_op(layout, rng) -> sv.QuantumOp:
     take = int(rng.integers(1, len(names) + 1))
     regs = tuple(rng.choice(names, size=take, replace=False))
     dim = int(np.prod([layout.dim_of(r) for r in regs]))
-    return sv.MatrixOp(regs, orc.haar_unitary(dim, rng))
+    return sv.MatrixOp(regs, orc.haar_unitary(dim, int(rng.integers(2 ** 63))))
 
 
 def check_engine_norms() -> None:

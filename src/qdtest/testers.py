@@ -10,7 +10,7 @@ same plan with no threshold (:func:`estimator_plan`).  The single-call
 testers go through :func:`run_plan`, which passes one ``rng.random()``; the
 seeded trial harness passes trial i the uniform
 ``default_rng([seed, i]).random()``, computed in bulk
-(:func:`qdtest.experiments.trial_uniforms`).  So trial i reproduces a single
+(:func:`qdtest.seeding.trial_uniforms`).  So trial i reproduces a single
 call with that rng exactly, a verdict's ``queries`` is always the
 deterministic cost of one run, and a caller's ledger gets that cost once per
 run.
@@ -146,7 +146,7 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray,
     ``uniforms[k]``, all runs in one vectorised pass.  Trial i of
     :func:`qdtest.experiments.run_trials` draws ``default_rng([seed,
     i]).random()``, computed in bulk by
-    :func:`qdtest.experiments.trial_uniforms`.  Each distinct phase is mapped
+    :func:`qdtest.seeding.trial_uniforms`.  Each distinct phase is mapped
     to its statistic sin^2(pi y / M) once (with ``math.sin``; numpy's sine
     may differ in the last bit), and runs that measure the same phase share one
     verdict object.  Every verdict's ``queries`` is the per-run cost;

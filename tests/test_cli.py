@@ -282,6 +282,37 @@ def test_infeasible_instance_exits_2_before_building_oracles(garbage):
     assert proc.stderr.startswith("error: a state of dimension"), proc.stderr
 
 
+_NUMPY_RANDOM_CHILD = """
+import sys
+from qdtest import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "test-closeness --tester l2 --n 16 --eps 0.2 --trials 100 --garbage haar --gen l2-pair",
+    "test-closeness --tester l2 --n 16 --eps 0.2 --trials 100 --garbage haar --gen identical",
+    "test-kwise --n 4 --k 2 --eps 0.3 --trials 100 --gen spike:1,2:0.6",
+    "estimate --gen l2-pair --n 4 --eps 0.5 --trials 20000 --format json",
+], ids=["closeness-haar-far", "closeness-haar-near", "kwise-n4-far", "estimate-trials"])
+def test_benchmarked_runs_never_import_numpy_random(tmp_path, argv):
+    """The benchmark's invocations, each run in a fresh interpreter, draw
+    every uniform (trials and Haar garbage alike) from qdtest.seeding, so
+    none of them imports numpy.random and its bit generators."""
+    src = str(Path(qdtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out_file = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_CHILD, *argv.split(), "--seed", "1",
+         "--out", str(out_file)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert out_file.stat().st_size > 0
+
+
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path, capsys):
     texts = []
     for name in ("a.csv", "b.csv"):

@@ -48,7 +48,7 @@ def leaf_cases(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     if kind == "matrix":
-        local = orc.haar_unitary(size, rng)
+        local = orc.haar_unitary(size, int(rng.integers(2 ** 63)))
         op = sv.MatrixOp(regs, local)
     elif kind == "reflection":
         w = rng.standard_normal(size)

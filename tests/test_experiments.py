@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from qdtest import experiments as exp
 from qdtest import oracles as orc
 from qdtest import reference as ref
+from qdtest import seeding
 from qdtest import testers
 
 from helpers import reference_csv, reference_estimate_rows, reference_verdict_rows
@@ -35,8 +36,8 @@ SEEDS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(SEEDS, st.integers(1, 40))
 def test_trial_uniforms_match_per_trial_generators(seed, trials):
-    expected = [exp.trial_rng(seed, i).random() for i in range(trials)]
-    assert exp.trial_uniforms(seed, trials).tolist() == expected
+    expected = [seeding.trial_rng(seed, i).random() for i in range(trials)]
+    assert seeding.trial_uniforms(seed, trials).tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -44,21 +45,21 @@ def test_trial_uniforms_match_per_trial_generators(seed, trials):
 def test_trial_uniforms_across_blocks(seed, trials, block):
     """Blocks of a few trials, so that trial counts on and around several
     block boundaries are cheap to check."""
-    expected = [exp.trial_rng(seed, i).random() for i in range(trials)]
-    with patch.object(exp, "_UNIFORM_BLOCK", block):
-        assert exp.trial_uniforms(seed, trials).tolist() == expected
+    expected = [seeding.trial_rng(seed, i).random() for i in range(trials)]
+    with patch.object(seeding, "_UNIFORM_BLOCK", block):
+        assert seeding.trial_uniforms(seed, trials).tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [10_000, 2 ** 100 + 7])  # 2^100 + 7: five entropy words
 def test_trial_uniforms_over_many_trials(seed):
-    trials = 2 * exp._UNIFORM_BLOCK + 1
-    expected = [exp.trial_rng(seed, i).random() for i in range(trials)]
-    assert exp.trial_uniforms(seed, trials).tolist() == expected
+    trials = 2 * seeding._UNIFORM_BLOCK + 1
+    expected = [seeding.trial_rng(seed, i).random() for i in range(trials)]
+    assert seeding.trial_uniforms(seed, trials).tolist() == expected
 
 
 def test_trial_uniforms_reject_negative_seed():
     with pytest.raises(ValueError):
-        exp.trial_uniforms(-1, 3)
+        seeding.trial_uniforms(-1, 3)
 
 
 def _report(rows, summary=None):

@@ -75,6 +75,13 @@ def test_invalid_distribution_rejected():
         orc.make_purified_oracle(uniform(4), "squeezed")
 
 
+def test_haar_garbage_needs_a_seed():
+    """Without a seed a Haar oracle could not be rebuilt, so it is refused."""
+    with pytest.raises(ValueError, match="haar garbage needs a seed"):
+        orc.make_purified_oracle(uniform(4), "haar")
+    assert orc.make_purified_oracle(uniform(4), "haar", seed=0).garbage == "haar"
+
+
 # --- reductions from the other access models ----------------------------------------
 
 def test_from_pure_state_hadamard():
@@ -405,5 +412,27 @@ def test_reflection_completion_first_column():
 
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(12)
-    u = orc.haar_unitary(16, rng)
+    u = orc.haar_unitary(16, int(rng.integers(2 ** 63)))
     assert np.abs(u.conj().T @ u - np.eye(16)).max() < 1e-12
+
+
+def test_haar_unitary_is_seeded():
+    u = orc.haar_unitary(8, 5)
+    assert np.array_equal(u, orc.haar_unitary(8, 5))
+    assert not np.array_equal(u, orc.haar_unitary(8, 6))
+
+
+def test_haar_unitary_entry_moments():
+    """Over 2000 seeds at d = 4, |U00|^2 has the Haar law Beta(1, d - 1):
+    the means of |U00|^2 and |U00|^4 lie within 4 sigma of 1/d and
+    2/(d(d+1)), and the phase of U00 averages to 0."""
+    d, seeds = 4, 2000
+    u00 = np.array([orc.haar_unitary(d, seed)[0, 0] for seed in range(seeds)])
+    power = np.abs(u00) ** 2
+    # E|U00|^(2k) = k! (d-1)! / (d-1+k)!, the k-th moment of Beta(1, d - 1)
+    moment = [math.factorial(k) * math.factorial(d - 1) / math.factorial(d - 1 + k)
+              for k in range(5)]
+    for k in (1, 2):
+        sigma = math.sqrt((moment[2 * k] - moment[k] ** 2) / seeds)
+        assert abs(np.mean(power ** k) - moment[k]) < 4 * sigma, k
+    assert abs(np.mean(u00 / np.abs(u00))) < 4 / math.sqrt(seeds)

@@ -23,7 +23,7 @@ def random_op(layout, rng, label=None):
     take = int(rng.integers(1, len(names) + 1))
     regs = tuple(rng.choice(names, size=take, replace=False))
     dim = int(np.prod([layout.dim_of(r) for r in regs]))
-    return sv.MatrixOp(regs, haar_unitary(dim, rng), label=label)
+    return sv.MatrixOp(regs, haar_unitary(dim, int(rng.integers(2 ** 63))), label=label)
 
 
 # --- layout ---------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_dense_cap():
 def leaf_op(kind, rng):
     """One of the four leaf operators on the joint space of A (dim 3) and B (dim 2)."""
     if kind == "matrix":
-        return sv.MatrixOp(("A", "B"), haar_unitary(6, rng))
+        return sv.MatrixOp(("A", "B"), haar_unitary(6, int(rng.integers(2 ** 63))))
     if kind == "reflection":
         v = np.abs(rng.standard_normal(6))
         v /= np.linalg.norm(v)
@@ -213,7 +213,7 @@ def test_controlled_block_structure(kind):
 def test_controlled_on_zero_control_leaves_state():
     rng = np.random.default_rng(46)
     layout = sv.RegisterLayout([("D", 2), ("A", 4)])
-    op = sv.MatrixOp(("A",), haar_unitary(4, rng))
+    op = sv.MatrixOp(("A",), haar_unitary(4, int(rng.integers(2 ** 63))))
     state = sv.new_basis_state(layout, {"A": 2})  # control |0>
     before = state.amplitudes.copy()
     sv.apply(op, state, control="D")
@@ -229,7 +229,7 @@ def test_control_register_must_be_qubit():
 def test_controlled_inverse_composition():
     rng = np.random.default_rng(47)
     layout = sv.RegisterLayout([("D", 2), ("A", 4)])
-    op = sv.MatrixOp(("A",), haar_unitary(4, rng))
+    op = sv.MatrixOp(("A",), haar_unitary(4, int(rng.integers(2 ** 63))))
     state = sv.StateVector(layout, haar_state(8, rng))
     before = state.amplitudes.copy()
     sv.apply(op, state, control="D")

@@ -10,6 +10,7 @@ from qdtest import oracles as orc
 from qdtest import reference as ref
 from qdtest import testers
 from qdtest.distributions import BITSTRING, point_mass, uniform
+from qdtest.seeding import trial_rng
 from qdtest.statevec import QueryLedger
 
 from helpers import parity_set_distribution
@@ -184,8 +185,8 @@ def test_trials_reproduce_single_calls():
     for plan in (testers.closeness_plan(op, oq, 0.2, 0.5),
                  testers.estimator_plan(op, oq, 0.2)):
         trials = exp.run_trials(plan, 5, seed=3)
-        assert trials == [testers.run_plan(plan, exp.trial_rng(3, i)) for i in range(5)]
-    estimate = testers.estimate_l2_distance(op, oq, 0.2, exp.trial_rng(3, 4))
+        assert trials == [testers.run_plan(plan, trial_rng(3, i)) for i in range(5)]
+    estimate = testers.estimate_l2_distance(op, oq, 0.2, trial_rng(3, 4))
     assert estimate == 2 * math.sqrt(trials[4].statistic)
 
 
