@@ -20,10 +20,10 @@ p alone: it is the two-peak Fejer kernel of :func:`phase_pmf`
 :func:`phase_distribution` therefore applies U once to read p and evaluates
 that closed form.  One estimation run applies U forward M times (one
 preparation plus M-1 iterate steps) and inverse M-1 times; the ledger records
-exactly those counts, scaled from one measured forward and one measured
-inverse application.  :func:`qpe_joint_state` still simulates the iterate
-powers and a materialized phase register, as the cross-check for small
-systems.
+exactly those counts, scaled from the one measured application of U and its
+mirror (forward and inverse swapped).  :func:`qpe_joint_state` still
+simulates the iterate powers and a materialized phase register, as the
+cross-check for small systems.
 """
 from __future__ import annotations
 
@@ -163,19 +163,20 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
                        ledger: QueryLedger | None = None) -> AEDistribution:
     """Exact phase-measurement distribution for one estimation setup.
 
-    Applies U once to read p, then U^dagger once to measure its query cost.
-    Query counts for the single run it represents are recorded both in the
-    passed ledger and in the returned object's ``ledger_cost``.
+    Applies U once, to read p and to count its queries; U^dagger makes the
+    same applications with forward and inverse swapped, so its count is the
+    mirror of U's.  Query counts for the single run it represents are
+    recorded both in the passed ledger and in the returned object's
+    ``ledger_cost``.
     """
     cfg = AEConfig(t)
     state = new_basis_state(layout)
-    forward, backward = QueryLedger(), QueryLedger()
+    forward = QueryLedger()
     apply(unitary, state, ledger=forward)
     p = projector_norm_sq(state, projector)
-    apply(unitary, state, inverse=True, ledger=backward)
     cost = QueryLedger()
     cost.merge(forward, times=cfg.points)
-    cost.merge(backward, times=cfg.points - 1)
+    cost.merge(forward, times=cfg.points - 1, inverse=True)
     if ledger is not None:
         ledger.merge(cost)
     return AEDistribution(cfg.t, cfg.points, phase_pmf(p, cfg.points), cost)

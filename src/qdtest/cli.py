@@ -23,10 +23,21 @@ formats in :mod:`qdtest.distributions`) or named generators (``--gen``):
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or input error.
 Reports are byte-identical for identical arguments and seed.
+
+Trials stay arrays from sampling to report: each subcommand gets its runs as
+one :class:`~qdtest.testers.Trials` (the distinct verdicts plus an index
+array), votes ``--repeats`` on that index, and hands it to the report
+writers.  ``python -m qdtest.cli`` and the ``qdtest`` console script start
+in :func:`entry`, which moves every object that imports made into the
+garbage collector's permanent generation (``gc.freeze``) before it runs
+:func:`main`, so neither the collections during a run nor the ones at
+interpreter exit walk those objects again.  :func:`main` itself freezes
+nothing, so in-process callers keep their collector as it was.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -40,7 +51,7 @@ from . import reference as ref
 from .distributions import Distribution, DistributionError
 from .selfcheck import run_selfcheck
 from .statevec import require_memory
-from .testers import closeness_plan, estimator_plan, kwise_plan, l1_plan, majority
+from .testers import Trials, closeness_plan, estimator_plan, kwise_plan, l1_plan
 
 _CLOSENESS_TESTERS = ("l2", "tolerant-l2", "l1")
 
@@ -177,11 +188,9 @@ def _check_repeats(repeats: int) -> None:
         raise ValueError("--repeats must be odd and positive")
 
 
-def _voted_trials(plan, args) -> list:
+def _voted_trials(plan, args) -> Trials:
     """``args.trials`` trials, each the majority of ``args.repeats`` runs."""
-    runs = exp.run_trials(plan, args.trials * args.repeats, args.seed)
-    return [majority(runs[i:i + args.repeats])
-            for i in range(0, len(runs), args.repeats)]
+    return exp.run_trials(plan, args.trials * args.repeats, args.seed).vote(args.repeats)
 
 
 def _emit(report: dict, args) -> int:
@@ -220,11 +229,11 @@ def cmd_test_closeness(args) -> int:
         print(f"warning: instance violates the promise ({norm} distance {distance!r})",
               file=sys.stderr)
 
-    verdicts = _voted_trials(plan, args)
+    trials = _voted_trials(plan, args)
     params = {"tester": args.tester, "eps": args.eps, "nu": nu, "n": p.size,
               "garbage": args.garbage, "seed": args.seed, "trials": args.trials,
               "repeats": args.repeats}
-    report = exp.verdict_report("test-closeness", params, verdicts,
+    report = exp.verdict_report("test-closeness", params, trials,
                                 {"l2_distance": l2, "promise_ok": promise_ok})
     return _emit(report, args)
 
@@ -243,10 +252,10 @@ def cmd_test_kwise(args) -> int:
         print("warning: instance may violate the promise "
               f"(Fourier weight {weight!r} below the far bound)", file=sys.stderr)
 
-    verdicts = _voted_trials(plan, args)
+    trials = _voted_trials(plan, args)
     params = {"eps": args.eps, "k": args.k, "n": n, "garbage": args.garbage,
               "seed": args.seed, "trials": args.trials, "repeats": args.repeats}
-    report = exp.verdict_report("test-kwise", params, verdicts,
+    report = exp.verdict_report("test-kwise", params, trials,
                                 {"fourier_weight": weight,
                                  "kwise_uniform": uniform_side})
     return _emit(report, args)
@@ -255,10 +264,10 @@ def cmd_test_kwise(args) -> int:
 def cmd_estimate(args) -> int:
     p, q = _closeness_pair(args)
     plan = estimator_plan(*_oracle_pair(p, q, args), args.eps)
-    verdicts = exp.run_trials(plan, args.trials, args.seed)
+    trials = exp.run_trials(plan, args.trials, args.seed)
     params = {"eps": args.eps, "n": p.size, "garbage": args.garbage,
               "seed": args.seed, "trials": args.trials}
-    return _emit(exp.estimate_report("estimate", params, verdicts,
+    return _emit(exp.estimate_report("estimate", params, trials,
                                      ref.lp_distance(p, q, 2)), args)
 
 
@@ -289,9 +298,9 @@ def cmd_sweep(args) -> int:
             op, oq = _oracle_pair(*_closeness_pair(point_args), point_args)
             plan = (l1_plan if args.tester == "l1" else closeness_plan)(op, oq, eps, args.nu)
             expect = "FAR"
-        verdicts = exp.run_trials(plan, args.trials, args.seed)
-        success = sum(v.verdict == expect for v in verdicts) / len(verdicts)
-        totals = exp.oracle_query_totals(verdicts[0].queries)
+        trials = exp.run_trials(plan, args.trials, args.seed)
+        success = trials.label_counts().get(expect, 0) / len(trials)
+        totals = exp.oracle_query_totals(trials[0].queries)
         point = {"eps": eps, "n": n, "k": args.k if args.tester == "kwise" else "",
                  "budget_t": plan.t, "success_freq": success,
                  "mean_queries_total": float(sum(totals.values()))}
@@ -331,5 +340,12 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """Entry point of ``python -m qdtest.cli`` and the ``qdtest`` script:
+    :func:`main` on ``sys.argv``, after freezing the import-time heap."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

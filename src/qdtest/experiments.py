@@ -8,50 +8,53 @@ measures that phase from one uniform draw, the first ``random()`` of
 :func:`qdtest.seeding.trial_uniforms` computes those draws in bulk, bit for
 bit, with numpy arrays and no ``numpy.random``, and
 :func:`qdtest.testers.sample_plan`, the sampling core the single-call testers
-use too, turns them into verdicts in one pass.  Trial i therefore reproduces
-a single-call run with ``trial_rng(seed, i)`` exactly, verdict, statistic and
-per-run query cost alike.  Verdict and estimator reports are both built
-from the resulting verdicts.
+use too, turns them into a :class:`~qdtest.testers.Trials` in one pass: one
+verdict per measured phase plus an index array that gives each trial's
+verdict.  Trial i therefore reproduces a single-call run with
+``trial_rng(seed, i)`` exactly, verdict, statistic and per-run query cost
+alike.  Verdict and estimator reports are both built from the Trials, and
+never from one Python object per trial.
 
 Reports are dicts with a pinned ``schema_version``.  A trial report's rows
-are a read-only :class:`TrialRows`: the distinct outcomes (runs with the
-same phase share one verdict, so a plan has at most M of them) plus each
-trial's outcome index, and row i is outcome ``index[i]`` with ``trial`` i.
-The CSV and JSON writers render each distinct outcome once and splice each
-trial's number into its text; a plain list of rows, as in a sweep report,
-is the case where every row is its own outcome.  Each format's text comes
-from one generator of chunks: its header, its rows in blocks of
-``_ROW_BLOCK``, and its summary.  :func:`dump_report` streams the chunks to
-a file or to standard output, so a report's text is never held whole or
-encoded at once; :func:`format_csv` and :func:`format_json` join them.  Both
-serializations are byte-stable for a fixed seed (floats via ``repr``, keys
-sorted, row order fixed by trial index).  A run's peak memory therefore
-grows by a few tens of bytes per trial, not by the size of its report
-(``_PEAK_BYTES_PER_TRIAL``).
+are a read-only :class:`TrialRows`: one outcome per distinct verdict of the
+Trials (at most M of them) plus the Trials' index, and row i is outcome
+``index[i]`` with ``trial`` i; summary frequencies and means are taken on
+the index array.  The CSV and JSON writers render each distinct outcome
+once and splice each trial's number into its text; a plain list of rows, as
+in a sweep report, is the case where every row is its own outcome.  Each
+format's text comes from one generator of chunks: its header, its rows in
+blocks of ``_ROW_BLOCK``, and its summary.  :func:`dump_report` streams the
+chunks to a file or to standard output, so a report's text is never held
+whole or encoded at once; :func:`format_csv` and :func:`format_json` join
+them.  Both serializations are byte-stable for a fixed seed (floats via
+``repr``, keys sorted, row order fixed by trial index).  A run's peak memory
+therefore grows by a few tens of bytes per trial, not by the size of its
+report (``_PEAK_BYTES_PER_TRIAL``).
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from . import statevec
 from .seeding import trial_uniforms
-from .testers import AEPlan, TestVerdict, sample_plan
+from .testers import AEPlan, Trials, sample_plan
 
 SCHEMA_VERSION = 1
 
-# Peak bytes per run of a report's trials: each run's uniform, phase, verdict
-# reference and outcome index; the report text is streamed in blocks of
+# Peak bytes per run of a report's trials: each run's uniform, phase and
+# index entry, and the per-trial transients of the vote, the means and the
+# writer's list of outcome numbers; the report text is streamed in blocks of
 # _ROW_BLOCK rows and does not grow with the runs.  Peak RSS at 200,000 runs
-# less that at 20,000, per run, measured 18 for `estimate --gen l2-pair
-# --n 4 --eps 0.5` as JSON, 22 as CSV, and 40 for `test-kwise --n 4 --k 2
-# --eps 0.3 --gen spike:1,2:0.6 --repeats 3` (M = 4096: phases above 256
-# are separate int objects); 64 is the largest plus 60%.
+# less that at 20,000, per run, measured 20 for `estimate --gen l2-pair
+# --n 4 --eps 0.5` as JSON, 26 as CSV, and 39 for `test-kwise --n 4 --k 2
+# --eps 0.3 --gen spike:1,2:0.6 --repeats 3`; 64 is the largest plus 60%.
 _PEAK_BYTES_PER_TRIAL = 64
 
 ORACLE_QUERY_COLUMNS = ("queries_forward", "queries_inverse", "queries_ctrl")
@@ -79,7 +82,7 @@ def require_trial_memory(runs: int) -> None:
     statevec.require_bytes(runs * _PEAK_BYTES_PER_TRIAL, f"a run of {runs} trials")
 
 
-def run_trials(plan: AEPlan, trials: int, seed: int) -> list[TestVerdict]:
+def run_trials(plan: AEPlan, trials: int, seed: int) -> Trials:
     """Independent runs of one plan; run i measures its phase from the first
     ``random()`` of ``trial_rng(seed, i)``."""
     if trials < 1:
@@ -91,15 +94,16 @@ class TrialRows(Sequence):
     """The rows of a trial report, dictionary-encoded.
 
     ``outcomes[k]`` holds every column of distinct outcome k but ``trial``,
-    and ``index[i]`` is the outcome of trial i, so row i is ``{"trial": i,
-    **outcomes[index[i]]}``.  A plan's runs have at most M outcomes, one per
-    measured phase, so a report of many trials holds few outcomes.  Rows are
-    read-only and built on access.
+    and ``index[i]`` (an intp array) is the outcome of trial i, so row i is
+    ``{"trial": i, **outcomes[index[i]]}``.  The outcomes and the index are
+    those of the report's :class:`~qdtest.testers.Trials`: a plan's runs have
+    at most M outcomes, one per measured phase, so a report of many trials
+    holds few outcomes.  Rows are read-only and built on access.
     """
 
     __slots__ = ("outcomes", "index")
 
-    def __init__(self, outcomes: list[dict], index: list[int]):
+    def __init__(self, outcomes: list[dict], index: np.ndarray):
         self.outcomes, self.index = outcomes, index
 
     def __len__(self) -> int:
@@ -110,19 +114,30 @@ class TrialRows(Sequence):
         return {"trial": i, **self.outcomes[self.index[i]]}
 
     def mean(self, column: str) -> float:
-        """Mean of a column over the trials, summed in trial order."""
-        return sum(self.outcomes[k][column] for k in self.index) / len(self.index)
+        """Mean of a column over the trials: ``sum(row[column] for row in
+        self) / len(self)`` with the sum in trial order.
+
+        Integer columns are summed exactly, from each outcome's count.  Float
+        columns are added one trial after the other, as Python's ``sum`` adds
+        floats (through 3.11); its sum starts from the integer 0, so a sum of
+        negative zeros is +0.0.
+        """
+        values = [outcome[column] for outcome in self.outcomes]
+        if all(type(value) is int for value in values):
+            counts = np.bincount(self.index, minlength=len(values)).tolist()
+            total = sum(count * value for count, value in zip(counts, values))
+        else:
+            per_trial = np.array(values, dtype=np.float64)[self.index]
+            total = float(np.add.accumulate(per_trial, out=per_trial)[-1]) + 0.0
+        return total / len(self.index)
 
 
-def _trial_rows(verdicts: list[TestVerdict], fields) -> TrialRows:
-    """One row per run, dictionary-encoded.  Runs that measured the same phase
-    share one verdict object, so each distinct verdict's fields, ``fields(v)``
-    followed by its oracle-query totals, are built once."""
-    distinct = {id(v): v for v in verdicts}
-    number = {key: k for k, key in enumerate(distinct)}
+def _trial_rows(trials: Trials, fields) -> TrialRows:
+    """One row per run, dictionary-encoded over the runs' distinct verdicts:
+    each verdict's fields, ``fields(v)`` followed by its oracle-query totals,
+    are built once."""
     return TrialRows([{**fields(v), **oracle_query_totals(v.queries)}
-                      for v in distinct.values()],
-                     [number[id(v)] for v in verdicts])
+                      for v in trials.verdicts], trials.index)
 
 
 def _trial_report(command: str, params: dict, rows: TrialRows, summary: dict,
@@ -136,23 +151,23 @@ def _trial_report(command: str, params: dict, rows: TrialRows, summary: dict,
             "params": params, "rows": rows, "summary": summary}
 
 
-def verdict_report(command: str, params: dict, verdicts: list[TestVerdict],
+def verdict_report(command: str, params: dict, trials: Trials,
                    extra_summary: dict | None = None) -> dict:
-    rows = _trial_rows(verdicts, lambda v: {"verdict": v.verdict,
-                                            "statistic": v.statistic})
-    frequencies = Counter(v.verdict for v in verdicts)
-    n = len(verdicts)
+    rows = _trial_rows(trials, lambda v: {"verdict": v.verdict,
+                                          "statistic": v.statistic})
+    frequencies = trials.label_counts()
+    n = len(trials)
     summary = {
         "trials": n,
         "frequencies": {k: frequencies[k] / n for k in sorted(frequencies)},
-        "t": verdicts[0].t,
-        "threshold": verdicts[0].threshold,
+        "t": trials[0].t,
+        "threshold": trials[0].threshold,
         "mean_statistic": rows.mean("statistic"),
     }
     return _trial_report(command, params, rows, summary, extra_summary)
 
 
-def estimate_report(command: str, params: dict, verdicts: list[TestVerdict],
+def estimate_report(command: str, params: dict, trials: Trials,
                     true_value: float | None) -> dict:
     """Estimator report: each row's estimate is 2 sqrt(statistic)."""
     def fields(v):
@@ -162,8 +177,8 @@ def estimate_report(command: str, params: dict, verdicts: list[TestVerdict],
             row["error"] = abs(row["estimate"] - true_value)
         return row
 
-    rows = _trial_rows(verdicts, fields)
-    summary = {"trials": len(rows), "t": verdicts[0].t,
+    rows = _trial_rows(trials, fields)
+    summary = {"trials": len(rows), "t": trials[0].t,
                "mean_estimate": rows.mean("estimate")}
     if true_value is not None:
         summary["true_value"] = true_value
@@ -204,7 +219,8 @@ def _row_blocks(rows: Sequence[dict], render, key: str, sep: str) -> Iterator[st
     if isinstance(rows, TrialRows):
         split = (render({"trial": -1, **o}).partition(key + "-1") for o in rows.outcomes)
         parts = [(head + key, tail) for head, _, tail in split]
-        texts = (parts[k][0] + str(i) + parts[k][1] for i, k in enumerate(rows.index))
+        texts = (parts[k][0] + str(i) + parts[k][1]
+                 for i, k in enumerate(rows.index.tolist()))
     else:
         texts = map(render, rows)
     for start in range(0, len(rows), _ROW_BLOCK):

@@ -568,6 +568,7 @@ def dense_matrix_of(op: QuantumOp, layout: RegisterLayout, *, cap: int = 4096,
 # --- query ledger ---------------------------------------------------------------
 
 KINDS = ("forward", "inverse", "ctrl_forward", "ctrl_inverse")
+_MIRROR = dict(zip(KINDS, ("inverse", "forward", "ctrl_inverse", "ctrl_forward")))
 
 
 class QueryLedger:
@@ -599,12 +600,14 @@ class QueryLedger:
         dup.counts = self.snapshot()
         return dup
 
-    def merge(self, other: "QueryLedger", times: int = 1) -> None:
-        """Add ``times`` copies of another ledger's counts."""
+    def merge(self, other: "QueryLedger", times: int = 1, *, inverse: bool = False) -> None:
+        """Add ``times`` copies of another ledger's counts, or with ``inverse``
+        of its mirror: the counts of the recorded operation's inverse, which
+        makes every application in reverse, forward and inverse swapped."""
         for label, per in other.counts.items():
             mine = self.counts.setdefault(label, dict.fromkeys(KINDS, 0))
             for kind, count in per.items():
-                mine[kind] += count * times
+                mine[_MIRROR[kind] if inverse else kind] += count * times
 
     def __repr__(self):
         return f"QueryLedger({self.counts})"

@@ -13,7 +13,11 @@ seeded trial harness passes trial i the uniform
 (:func:`qdtest.seeding.trial_uniforms`).  So trial i reproduces a single
 call with that rng exactly, a verdict's ``queries`` is always the
 deterministic cost of one run, and a caller's ledger gets that cost once per
-run.
+run.  The runs come back as one :class:`Trials`, a read-only sequence of
+verdicts kept as arrays: one verdict per measured phase, plus an intp index
+that gives each run's verdict.  :meth:`Trials.vote` takes the
+:func:`majority` of consecutive groups of runs on that index, and the
+reports of :mod:`qdtest.experiments` read it directly.
 
 Success guarantees hold under the respective promises with probability at
 least 8/pi^2 per call; the promise itself is not (and cannot be) checked
@@ -38,7 +42,7 @@ __all__ = [
     "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
     "estimator_plan", "sample_plan", "run_plan", "tolerant_l2_closeness",
     "l2_closeness", "l1_closeness", "estimate_l2_distance", "estimator_budget",
-    "kwise_uniformity_test", "majority", "repeat_majority",
+    "kwise_uniformity_test", "majority", "repeat_majority", "Trials",
 ]
 
 
@@ -137,8 +141,56 @@ def estimator_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float) -> AEPlan
                   {"eps": eps})
 
 
+class Trials(Sequence):
+    """Runs of one plan, dictionary-encoded and read-only.
+
+    ``verdicts`` holds one verdict per distinct measured phase, and
+    ``index[i]`` (an intp array) is the verdict of run i, so ``trials[i]`` is
+    ``verdicts[index[i]]`` and a slice is the Trials of those runs.
+    """
+
+    __slots__ = ("verdicts", "index")
+
+    def __init__(self, verdicts: tuple[TestVerdict, ...], index: np.ndarray):
+        self.verdicts, self.index = verdicts, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trials(self.verdicts, self.index[i])
+        return self.verdicts[self.index[i]]
+
+    def label_counts(self) -> dict[str, int]:
+        """Runs per verdict label, for the labels some run carries."""
+        counts: dict[str, int] = {}
+        runs = np.bincount(self.index, minlength=len(self.verdicts)).tolist()
+        for v, count in zip(self.verdicts, runs):
+            if count:
+                counts[v.verdict] = counts.get(v.verdict, 0) + count
+        return counts
+
+    def vote(self, repeats: int) -> "Trials":
+        """Runs ``repeats * j`` to ``repeats * j + repeats - 1`` voted into
+        trial j: :func:`majority` of each group, on the index array.
+
+        Each run counts the runs of its group that carry its label, and the
+        first run with the highest count is kept: the first run of the most
+        frequent label, a tie going to the label seen first.
+        """
+        if repeats == 1:
+            return self
+        names: dict[str, int] = {}
+        label = np.array([names.setdefault(v.verdict, len(names)) for v in self.verdicts])
+        groups = self.index.reshape(-1, repeats)
+        runs = label[groups]
+        count = (runs[:, :, None] == runs[:, None, :]).sum(axis=2)
+        return Trials(self.verdicts, groups[np.arange(len(groups)), count.argmax(axis=1)])
+
+
 def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray,
-                ledger: QueryLedger | None = None) -> list[TestVerdict]:
+                ledger: QueryLedger | None = None) -> Trials:
     """One estimation run per uniform draw in [0, 1), all on the plan's one
     exact phase distribution, each thresholded into a verdict.
 
@@ -146,26 +198,30 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray,
     ``uniforms[k]``, all runs in one vectorised pass.  Trial i of
     :func:`qdtest.experiments.run_trials` draws ``default_rng([seed,
     i]).random()``, computed in bulk by
-    :func:`qdtest.seeding.trial_uniforms`.  Each distinct phase is mapped
-    to its statistic sin^2(pi y / M) once (with ``math.sin``; numpy's sine
-    may differ in the last bit), and runs that measure the same phase share one
-    verdict object.  Every verdict's ``queries`` is the per-run cost;
-    ``ledger``, if given, gets that cost once per run.
+    :func:`qdtest.seeding.trial_uniforms`.  Each measured phase is mapped to
+    its statistic sin^2(pi y / M) and its verdict once (with ``math.sin``;
+    numpy's sine may differ in the last bit), in order of y, and the runs
+    come back as :class:`Trials` over those verdicts.  Every verdict's
+    ``queries`` is the per-run cost; ``ledger``, if given, gets that cost
+    once per run.
     """
     dist = phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t)
     cost = dist.ledger_cost.snapshot()
     params = dict(plan.params)
     threshold = math.inf if plan.threshold is None else plan.threshold
     below, above = plan.labels
-    phases = dist.phases(uniforms).tolist()
-    verdict_of = {}
-    for y in set(phases):
+    phases = dist.phases(uniforms)
+    measured = np.flatnonzero(np.bincount(phases, minlength=dist.points))
+    lookup = np.zeros(dist.points, dtype=np.intp)
+    lookup[measured] = np.arange(measured.size)
+    verdicts = []
+    for y in measured.tolist():
         statistic = estimate_from_phase(y, dist.points)
-        verdict_of[y] = TestVerdict(below if statistic < threshold else above,
-                                    statistic, plan.t, plan.threshold, params, cost)
+        verdicts.append(TestVerdict(below if statistic < threshold else above,
+                                    statistic, plan.t, plan.threshold, params, cost))
     if ledger is not None:
-        ledger.merge(dist.ledger_cost, times=len(phases))
-    return [verdict_of[y] for y in phases]
+        ledger.merge(dist.ledger_cost, times=phases.size)
+    return Trials(tuple(verdicts), lookup[phases])
 
 
 def run_plan(plan: AEPlan, rng: np.random.Generator,

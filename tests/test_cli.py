@@ -1,5 +1,7 @@
 """CLI tests: subcommands end to end, determinism of reports, file-format
 errors and exit codes, the sweep's scaling columns, and selfcheck."""
+import gc
+import hashlib
 import json
 import math
 import os
@@ -19,6 +21,8 @@ from qdtest import cli
 from qdtest import experiments as exp
 from qdtest import statevec as sv
 from qdtest.distributions import to_json, uniform
+
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -311,6 +315,49 @@ def test_benchmarked_runs_never_import_numpy_random(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
     assert out_file.stat().st_size > 0
+
+
+def _cli_child(*argv):
+    """``python -m qdtest.cli ARGV`` in a fresh interpreter, which starts in
+    the frozen entry (cli.entry)."""
+    src = str(Path(qdtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "qdtest.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_frozen_entry_end_to_end(tmp_path):
+    """With the heap frozen by the entry, the report is still flushed whole,
+    to a pipe and to --out, and the exit codes are main's."""
+    command = ("estimate --gen l2-pair --n 4 --eps 0.5 --trials 20000 --format json "
+               "--seed 10000")
+    digest = GOLDEN[command]
+    piped = _cli_child(*command.split())
+    assert piped.returncode == 0, piped.stderr
+    assert hashlib.sha256(piped.stdout).hexdigest() == digest
+    out_file = tmp_path / "report.json"
+    to_file = _cli_child(*command.split(), "--out", str(out_file))
+    assert to_file.returncode == 0, to_file.stderr
+    assert to_file.stdout == b""
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+    refused = _cli_child("estimate", "--gen", "l2-pair", "--n", "4", "--seed", "-1")
+    assert refused.returncode == 2
+    assert refused.stderr.decode().startswith("error: --seed must be non-negative")
+
+
+def test_only_the_entry_freezes_the_heap(capsys, monkeypatch):
+    """cli.main run in-process leaves the collector's permanent generation
+    alone; cli.entry freezes it once, then returns main's exit code."""
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "estimate", "--gen", "l2-pair", "--n", "4", "--trials", "5")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 7)
+    assert cli.entry() == 7
+    assert calls == ["freeze", "main"]
 
 
 def test_reports_are_byte_identical_for_fixed_seed(tmp_path, capsys):

@@ -6,14 +6,16 @@ writer that renders one row at a time."""
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdtest import experiments as exp
@@ -103,7 +105,7 @@ def _closeness_verdicts(trials, repeats=1, identical=False):
     op, oq = (orc.make_purified_oracle(d, "haar", seed=s, label=label)
               for d, s, label in zip((p, p if identical else q), (1, 2), "pq"))
     runs = exp.run_trials(testers.closeness_plan(op, oq, 0.2, 0.5), trials * repeats, seed=9)
-    return [testers.majority(runs[i:i + repeats]) for i in range(0, len(runs), repeats)]
+    return runs.vote(repeats)
 
 
 TRIAL_CASES = {
@@ -140,6 +142,35 @@ def test_trial_rows_match_per_trial_rows(case):
             if f"mean_{column}" in summary:
                 assert summary[f"mean_{column}"] == (
                     sum(r[column] for r in expected) / len(expected))
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@st.composite
+def mean_columns(draw):
+    """A float and an int value for each of 1-6 outcomes, and an index of
+    1-300 trials into them."""
+    floats = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6))
+    ints = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=len(floats),
+                         max_size=len(floats)))
+    index = draw(st.lists(st.integers(0, len(floats) - 1), min_size=1, max_size=300))
+    return floats, ints, index
+
+
+@settings(max_examples=200, deadline=None)
+@given(mean_columns())
+@example(([-0.0, 1.0], [0, 1], [0, 0, 0]))
+def test_trial_rows_mean_is_the_trial_order_sum(columns):
+    """TrialRows.mean equals ``sum(...) / n`` over the rows in trial order,
+    bit for bit: float columns added one trial after the other (not
+    pairwise, and negative zeros summing to +0.0), int columns exactly."""
+    floats, ints, index = columns
+    rows = exp.TrialRows([{"x": x, "k": k} for x, k in zip(floats, ints)],
+                         np.array(index, dtype=np.intp))
+    assert _bits(rows.mean("x")) == _bits(sum(floats[k] for k in index) / len(index))
+    assert _bits(rows.mean("k")) == _bits(sum(ints[k] for k in index) / len(index))
 
 
 def test_format_json_of_trial_reports():

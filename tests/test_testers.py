@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdtest import experiments as exp
 from qdtest import oracles as orc
@@ -185,7 +187,7 @@ def test_trials_reproduce_single_calls():
     for plan in (testers.closeness_plan(op, oq, 0.2, 0.5),
                  testers.estimator_plan(op, oq, 0.2)):
         trials = exp.run_trials(plan, 5, seed=3)
-        assert trials == [testers.run_plan(plan, trial_rng(3, i)) for i in range(5)]
+        assert list(trials) == [testers.run_plan(plan, trial_rng(3, i)) for i in range(5)]
     estimate = testers.estimate_l2_distance(op, oq, 0.2, trial_rng(3, 4))
     assert estimate == 2 * math.sqrt(trials[4].statistic)
 
@@ -289,3 +291,51 @@ def test_majority_returns_first_winning_run():
     picked = testers.repeat_majority(run, 5, np.random.default_rng(0))
     assert (picked.verdict, picked.statistic) == ("FAR", 0.9)
     assert picked.params == {"repeats": 5}
+
+
+# --- Trials against the list of verdicts it stands for ------------------------------------
+
+@st.composite
+def trials_and_list(draw, repeats=1):
+    """A Trials over 1-4 distinct verdicts with labels from {A, B, C} (all
+    one label included), and the list of per-run verdicts it encodes."""
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=4))
+    verdicts = tuple(testers.TestVerdict(label, k / 8, 1, 0.5)
+                     for k, label in enumerate(labels))
+    runs = draw(st.lists(st.integers(0, len(verdicts) - 1), min_size=repeats,
+                         max_size=12 * repeats).map(lambda ks: ks[:len(ks) - len(ks) % repeats]))
+    trials = testers.Trials(verdicts, np.array(runs, dtype=np.intp))
+    return trials, [verdicts[k] for k in runs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 3, 5]).flatmap(
+    lambda r: st.tuples(st.just(r), trials_and_list(repeats=r))))
+def test_vote_is_majority_of_each_group(case):
+    """Trials.vote(r) keeps, per group of r runs, the run majority() picks:
+    the first run of the most frequent label, a tie going to the label
+    seen first."""
+    repeats, (trials, runs) = case
+    voted = trials.vote(repeats)
+    expected = [testers.majority(runs[i:i + repeats]) for i in range(0, len(runs), repeats)]
+    assert len(voted) == len(expected)
+    assert all(got is want for got, want in zip(voted, expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trials_and_list(), st.data())
+def test_trials_behave_like_their_list(case, data):
+    trials, runs = case
+    n = len(runs)
+    assert len(trials) == n
+    assert list(trials) == runs
+    i = data.draw(st.integers(-n, n - 1))
+    assert trials[i] is runs[i]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trials[bad]
+    part = data.draw(st.slices(n))
+    assert isinstance(trials[part], testers.Trials)
+    assert list(trials[part]) == runs[part]
+    assert trials.label_counts() == {label: sum(v.verdict == label for v in runs)
+                                     for label in {v.verdict for v in runs}}
