@@ -1,9 +1,9 @@
 """Quantum testers for distribution closeness and k-wise uniformity, simulated
 exactly on a dense state-vector engine with per-oracle query counting."""
 
-from .amplitude import (AEConfig, AEDistribution, AEResult, amplitude_estimation,
-                        exact_amplitude, grover_iterate, phase_distribution,
-                        phase_pmf, qpe_joint_state, zero_budget, zero_tester)
+from .amplitude import (AEConfig, AEDistribution, grover_iterate,
+                        phase_distribution, phase_pmf, qpe_joint_state,
+                        zero_budget)
 from .distributions import (BITSTRING, RANGE, Distribution, DistributionError,
                             load, point_mass, random_distribution, uniform)
 from .oracles import (GARBAGE_STYLES, PurifiedOracle, closeness_instance,
@@ -18,7 +18,6 @@ from .statevec import (ControlledOp, MatrixOp, PermutationOp, PhaseFlipOp,
                        inverse, measure, new_basis_state, pauli_x,
                        projector_norm_sq, register_marginal)
 from .testers import (TestVerdict, estimate_l2_distance, kwise_uniformity_test,
-                      l1_closeness, l2_closeness, repeat_majority,
-                      tolerant_l2_closeness)
+                      l1_closeness, l2_closeness, tolerant_l2_closeness)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Amplitude estimation via quantum phase estimation, and the zero tester.
+"""Amplitude estimation via quantum phase estimation.
 
 Given a unitary U and projector Pi with p = ||Pi U|0>||^2, the estimator runs
 phase estimation on the reflection product Q = -U S0 U^dagger S_Pi applied to
@@ -56,16 +56,6 @@ class AEConfig:
         return 1 << self.phase_bits
 
 
-@dataclass(frozen=True)
-class AEResult:
-    """One estimation outcome: the phase draw y and the estimate sin^2(pi y/M)."""
-
-    estimate: float
-    phase_outcome: int
-    t: int
-    points: int
-
-
 class AEDistribution:
     """Exact outcome distribution of one estimation setup.
 
@@ -89,11 +79,6 @@ class AEDistribution:
         inverse CDF, clipped to M-1 in case the cumulative sum ends below 1."""
         y = np.searchsorted(self._cdf, uniforms, side="right")
         return np.minimum(y, self.points - 1)
-
-    def sample(self, rng: np.random.Generator) -> AEResult:
-        y = int(self.phases(rng.random()))
-        return AEResult(estimate=estimate_from_phase(y, self.points),
-                        phase_outcome=y, t=self.t, points=self.points)
 
 
 def estimate_from_phase(y: int, points: int) -> float:
@@ -182,36 +167,12 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     return AEDistribution(cfg.t, cfg.points, phase_pmf(p, cfg.points), cost)
 
 
-def amplitude_estimation(unitary: QuantumOp, layout: RegisterLayout,
-                         projector: Projector, t: int, rng: np.random.Generator,
-                         *, ledger: QueryLedger | None = None) -> AEResult:
-    """Run one estimation: build the phase distribution, measure once."""
-    return phase_distribution(unitary, layout, projector, t, ledger=ledger).sample(rng)
-
-
 def zero_budget(eps: float) -> int:
-    """Iteration budget ceil(10 pi / sqrt(eps)) of the zero tester."""
+    """Iteration budget ceil(10 pi / sqrt(eps)) of the zero test inside
+    :func:`qdtest.testers.kwise_plan`."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {eps}")
     return math.ceil(10.0 * math.pi / math.sqrt(eps))
-
-
-def zero_tester(unitary: QuantumOp, layout: RegisterLayout, projector: Projector,
-                eps: float, rng: np.random.Generator, *,
-                ledger: QueryLedger | None = None) -> str:
-    """YES if the projected mass is 0 (with certainty), NO if it exceeds eps
-    (with probability at least 8/pi^2), using O(1/sqrt(eps)) queries."""
-    result = amplitude_estimation(unitary, layout, projector, zero_budget(eps),
-                                  rng, ledger=ledger)
-    return "YES" if result.estimate < eps / 2.0 else "NO"
-
-
-def exact_amplitude(unitary: QuantumOp, layout: RegisterLayout,
-                    projector: Projector) -> float:
-    """Deterministic projected mass ||Pi U|0>||^2, bypassing estimation."""
-    state = new_basis_state(layout)
-    apply(unitary, state)
-    return projector_norm_sq(state, projector)
 
 
 def qpe_joint_state(unitary: QuantumOp, layout: RegisterLayout,

@@ -1,6 +1,5 @@
 """Classical ground truth: exact distances, brute-force Fourier analysis of
-density functions, exact k-wise uniformity checks, instance generators, and a
-naive sampling baseline.
+density functions, exact k-wise uniformity checks, and instance generators.
 
 Everything here is deterministic, direct, and independent of the simulator --
 these values are what the quantum testers are checked against.
@@ -14,44 +13,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BITSTRING, RANGE, Distribution
+from .distributions import BITSTRING, Distribution
 
 __all__ = [
-    "DensityFunction", "lp_distance", "tv_distance", "hellinger_distance",
-    "fourier_coefficient", "fourier_weight", "is_kwise_uniform", "binom_sum",
-    "subsets_up_to", "mask_from_coords", "gen_l2_pair", "gen_l1_pair",
-    "gen_fourier_spike", "gen_random_multiset_uniform",
-    "classical_sampling_l2_estimate",
+    "lp_distance", "tv_distance", "hellinger_distance", "fourier_coefficient",
+    "fourier_weight", "is_kwise_uniform", "binom_sum", "subsets_up_to",
+    "mask_from_coords", "gen_l2_pair", "gen_l1_pair", "gen_fourier_spike",
+    "gen_random_multiset_uniform",
 ]
-
-
-@dataclass(frozen=True)
-class DensityFunction:
-    """phi(x) = 2^n p_x: the distribution rescaled so uniform has density 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size & (v.size - 1):
-            raise ValueError("density needs a power-of-two number of values")
-        if np.any(v < 0):
-            raise ValueError("density values must be non-negative")
-        mean = float(v.mean())
-        if abs(mean - 1.0) > 1e-9:
-            raise ValueError(f"density mean is {mean}, not 1")
-
-    @classmethod
-    def from_distribution(cls, dist: Distribution) -> "DensityFunction":
-        if dist.kind != BITSTRING:
-            raise ValueError("density functions are defined over bitstring spaces")
-        return cls(dist.weights * dist.size)
 
 
 def _require_same_space(p: Distribution, q: Distribution) -> None:
@@ -208,16 +180,3 @@ def gen_random_multiset_uniform(n: int, count: int,
     weights = np.bincount(draws, minlength=2 ** n).astype(np.float64) / count
     return Distribution(weights, BITSTRING)
 
-
-def classical_sampling_l2_estimate(p: Distribution, q: Distribution, samples: int,
-                                   rng: np.random.Generator) -> float:
-    """l2 distance of empirical distributions from independent samples of each
-    (the naive plug-in baseline for comparison plots)."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    _require_same_space(p, q)
-    emp_p = np.bincount(rng.choice(p.size, size=samples, p=p.weights),
-                        minlength=p.size) / samples
-    emp_q = np.bincount(rng.choice(q.size, size=samples, p=q.weights),
-                        minlength=q.size) / samples
-    return float(np.sqrt(np.sum((emp_p - emp_q) ** 2)))

@@ -42,7 +42,7 @@ __all__ = [
     "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
     "estimator_plan", "sample_plan", "run_plan", "tolerant_l2_closeness",
     "l2_closeness", "l1_closeness", "estimate_l2_distance", "estimator_budget",
-    "kwise_uniformity_test", "majority", "repeat_majority", "Trials",
+    "kwise_uniformity_test", "majority", "Trials",
 ]
 
 
@@ -281,14 +281,3 @@ def majority(runs: Sequence[TestVerdict]) -> TestVerdict:
     winner = Counter(v.verdict for v in runs).most_common(1)[0][0]
     return next(v for v in runs if v.verdict == winner)
 
-
-def repeat_majority(run, repeats: int, rng: np.random.Generator) -> TestVerdict:
-    """Majority vote of an odd number of independent runs of ``run(rng)``.
-
-    Amplifies the per-call success probability; the returned verdict is the
-    first winning run (:func:`majority`), with ``params["repeats"]`` added.
-    """
-    if repeats < 1 or repeats % 2 == 0:
-        raise ValueError(f"repeats must be odd and positive, got {repeats}")
-    pick = majority([run(rng) for _ in range(repeats)])
-    return replace(pick, params={**pick.params, "repeats": repeats})

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from qdtest import statevec as sv
+from qdtest.amplitude import estimate_from_phase
 from qdtest.distributions import BITSTRING, Distribution
 from qdtest.experiments import oracle_query_totals
 
@@ -17,6 +18,12 @@ def rotation_system(p: float):
                     [math.sin(theta), math.cos(theta)]])
     layout = sv.RegisterLayout([("Q", 2)])
     return sv.MatrixOp(("Q",), mat, label="U"), layout, sv.Projector({"Q": 1})
+
+
+def estimates(dist, uniforms) -> list[float]:
+    """One estimation run per uniform: the estimate sin^2(pi y / M) of the
+    phase y that ``dist`` measures on it."""
+    return [estimate_from_phase(y, dist.points) for y in dist.phases(uniforms).tolist()]
 
 
 def parity_set_distribution(n: int) -> Distribution:

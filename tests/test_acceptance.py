@@ -5,7 +5,7 @@ or ``-s``).
 Monte-Carlo criteria share one exact phase distribution per instance and draw
 independent seeded Born samples per trial, which reproduces per-call runs
 exactly (the phase evolution is deterministic; only the measurement is
-random).  The certainty criterion additionally runs full per-call estimations.
+random).
 """
 import math
 import time
@@ -22,7 +22,8 @@ from qdtest import testers
 from qdtest.distributions import (BITSTRING, Distribution, point_mass,
                                   random_distribution, uniform)
 
-from helpers import parity_set_distribution, random_bitstring_distribution, rotation_system
+from helpers import (estimates, parity_set_distribution, random_bitstring_distribution,
+                     rotation_system)
 
 ATOL = 1e-10
 
@@ -122,16 +123,14 @@ def test_criterion_4_certainty_and_coverage():
     with Budget(4, 120):
         unitary, layout, proj = rotation_system(0.0)
         rng = np.random.default_rng(1004)
-        for _ in range(1000):
-            result = ae.amplitude_estimation(unitary, layout, proj, 64, rng)
-            assert result.estimate == 0.0
+        dist = ae.phase_distribution(unitary, layout, proj, 64)
+        assert all(e == 0.0 for e in estimates(dist, rng.random(1000)))
 
         u = uniform(4)
         op, oq = pair_oracles(u, u)
         c_layout, c_unitary, c_proj = orc.closeness_instance(op, oq)
-        for _ in range(5):
-            assert ae.amplitude_estimation(c_unitary, c_layout, c_proj, 64,
-                                           rng).estimate == 0.0
+        dist = ae.phase_distribution(c_unitary, c_layout, c_proj, 64)
+        assert estimates(dist, rng.random(5)) == [0.0] * 5
 
         for m in (64, 128):
             for p in (0.05, 0.1, 0.25, 0.5, 0.9):
@@ -140,8 +139,7 @@ def test_criterion_4_certainty_and_coverage():
                 bound = (2 * math.pi * math.sqrt(p * (1 - p)) / dist.points
                          + math.pi ** 2 / dist.points ** 2)
                 srng = np.random.default_rng([1004, m, int(p * 1000)])
-                hits = sum(abs(dist.sample(srng).estimate - p) <= bound
-                           for _ in range(500))
+                hits = sum(abs(e - p) <= bound for e in estimates(dist, srng.random(500)))
                 assert hits / 500 >= 0.75, (p, m, hits / 500)
 
 

@@ -1,8 +1,8 @@
 """Estimation tests: the reflection iterate's eigenstructure, the closed-form
 phase distribution against simulated phase estimation (the iterate powers and
 a materialized phase register) on rotations and on real tester instances,
-certainty at zero, the error bound's coverage, the zero tester, and query
-accounting."""
+certainty at zero, the error bound's coverage, the zero test's budget and
+threshold, and query accounting."""
 import math
 
 import numpy as np
@@ -14,7 +14,7 @@ from qdtest import reference as ref
 from qdtest import statevec as sv
 from qdtest.distributions import BITSTRING, uniform
 
-from helpers import rotation_system
+from helpers import estimates, rotation_system
 
 
 def bound(p, m):
@@ -96,7 +96,7 @@ def test_sampled_phase_distribution_total_variation():
     unitary, layout, proj = rotation_system(0.3)
     dist = ae.phase_distribution(unitary, layout, proj, 64)
     rng = np.random.default_rng(2024)
-    draws = np.array([dist.sample(rng).phase_outcome for _ in range(30000)])
+    draws = dist.phases(rng.random(30000))
     emp = np.bincount(draws, minlength=dist.points) / draws.size
     tv = 0.5 * np.abs(emp - simulated_phase_marginal(unitary, layout, proj, 64)).sum()
     assert tv <= 0.02
@@ -158,18 +158,18 @@ def test_joint_state_measurement_certainty_at_zero():
 
 def test_exact_phase_case_deterministic():
     unitary, layout, proj = rotation_system(0.5)
+    dist = ae.phase_distribution(unitary, layout, proj, 8)
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        result = ae.amplitude_estimation(unitary, layout, proj, 8, rng)
-        assert result.phase_outcome in (2, 6)
-        assert abs(result.estimate - 0.5) < 1e-15
+    for y in dist.phases(rng.random(20)).tolist():
+        assert y in (2, 6)
+        assert abs(ae.estimate_from_phase(y, dist.points) - 0.5) < 1e-15
 
 
 def test_certainty_at_zero_rotation():
     unitary, layout, proj = rotation_system(0.0)
     dist = ae.phase_distribution(unitary, layout, proj, 64)
     rng = np.random.default_rng(10)
-    assert all(dist.sample(rng).estimate == 0.0 for _ in range(1000))
+    assert all(e == 0.0 for e in estimates(dist, rng.random(1000)))
 
 
 def test_certainty_at_zero_closeness_instance():
@@ -177,10 +177,9 @@ def test_certainty_at_zero_closeness_instance():
     op = orc.make_purified_oracle(u, label="p")
     oq = orc.make_purified_oracle(u, label="q")
     layout, unitary, proj = orc.closeness_instance(op, oq)
+    dist = ae.phase_distribution(unitary, layout, proj, 32)
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        result = ae.amplitude_estimation(unitary, layout, proj, 32, rng)
-        assert result.estimate == 0.0
+    assert estimates(dist, rng.random(5)) == [0.0] * 5
 
 
 @pytest.mark.parametrize("m", [64, 128])
@@ -190,7 +189,7 @@ def test_error_bound_coverage(p, m):
     unitary, layout, proj = rotation_system(p)
     dist = ae.phase_distribution(unitary, layout, proj, m)
     rng = np.random.default_rng(int(p * 1000) + m)
-    hits = sum(abs(dist.sample(rng).estimate - p) <= bound(p, m) for _ in range(500))
+    hits = sum(abs(e - p) <= bound(p, m) for e in estimates(dist, rng.random(500)))
     assert hits / 500 >= 0.75
 
 
@@ -198,8 +197,8 @@ def test_error_bound_coverage_p03_t128():
     unitary, layout, proj = rotation_system(0.3)
     dist = ae.phase_distribution(unitary, layout, proj, 128)
     rng = np.random.default_rng(303)
-    hits = sum(abs(dist.sample(rng).estimate - 0.3) <= bound(0.3, dist.points)
-               for _ in range(500))
+    hits = sum(abs(e - 0.3) <= bound(0.3, dist.points)
+               for e in estimates(dist, rng.random(500)))
     assert hits / 500 >= 8 / math.pi ** 2 - 0.05
 
 
@@ -207,12 +206,16 @@ def test_query_accounting():
     unitary, layout, proj = rotation_system(0.3)
     for t in (5, 64, 100):
         ledger = sv.QueryLedger()
-        result = ae.amplitude_estimation(unitary, layout, proj, t, np.random.default_rng(0),
-                                         ledger=ledger)
-        m = result.points
+        m = ae.phase_distribution(unitary, layout, proj, t, ledger=ledger).points
         counts = ledger.get("U")
         assert counts["forward"] == m  # one preparation plus m-1 iterate steps
         assert counts["inverse"] == m - 1
+
+
+def projected_mass(unitary, layout, proj):
+    state = sv.new_basis_state(layout)
+    sv.apply(unitary, state)
+    return sv.projector_norm_sq(state, proj)
 
 
 def test_exact_amplitude():
@@ -220,21 +223,21 @@ def test_exact_amplitude():
     op = orc.make_purified_oracle(u, label="p")
     oq = orc.make_purified_oracle(u, label="q")
     layout, unitary, proj = orc.closeness_instance(op, oq)
-    assert ae.exact_amplitude(unitary, layout, proj) == 0.0
+    assert projected_mass(unitary, layout, proj) == 0.0
 
     from qdtest.distributions import point_mass
     op = orc.make_purified_oracle(point_mass(2, 0), label="p")
     oq = orc.make_purified_oracle(point_mass(2, 1), label="q")
     layout, unitary, proj = orc.closeness_instance(op, oq)
-    assert abs(ae.exact_amplitude(unitary, layout, proj) - 0.5) < 1e-10
+    assert abs(projected_mass(unitary, layout, proj) - 0.5) < 1e-10
 
     from qdtest.distributions import BITSTRING
     oracle = orc.make_purified_oracle(uniform(16, BITSTRING), label="p")
     layout, unitary, proj = orc.kwise_instance(oracle, 2)
-    assert ae.exact_amplitude(unitary, layout, proj) < 1e-20
+    assert projected_mass(unitary, layout, proj) < 1e-20
 
 
-# --- zero tester -----------------------------------------------------------------------
+# --- zero test -------------------------------------------------------------------------
 
 def test_zero_tester_budget():
     assert ae.zero_budget(0.01) == math.ceil(10 * math.pi / 0.1)
@@ -246,9 +249,9 @@ def test_zero_tester_budget():
 
 def test_zero_tester_yes_at_zero():
     unitary, layout, proj = rotation_system(0.0)
+    dist = ae.phase_distribution(unitary, layout, proj, ae.zero_budget(0.01))
     rng = np.random.default_rng(21)
-    for _ in range(25):
-        assert ae.zero_tester(unitary, layout, proj, 0.01, rng) == "YES"
+    assert all(e < 0.01 / 2 for e in estimates(dist, rng.random(25)))
 
 
 @pytest.mark.parametrize("mult", [2, 5])
@@ -258,7 +261,7 @@ def test_zero_tester_no_frequency(mult):
     t = ae.zero_budget(eps)
     dist = ae.phase_distribution(unitary, layout, proj, t)
     rng = np.random.default_rng(mult)
-    noes = sum(dist.sample(rng).estimate >= eps / 2 for _ in range(300))
+    noes = sum(e >= eps / 2 for e in estimates(dist, rng.random(300)))
     assert noes / 300 >= 0.75
 
 

@@ -1,5 +1,5 @@
 """Ground-truth module tests: distances, Fourier identities, k-wise checks,
-instance generators, and the sampling baseline."""
+and instance generators."""
 import math
 
 import numpy as np
@@ -85,20 +85,7 @@ def test_pair_generator_ranges():
         ref.gen_l2_pair(4, 1.5)
 
 
-# --- density and Fourier --------------------------------------------------------------
-
-def test_density_values():
-    dist = uniform(8, BITSTRING)
-    density = ref.DensityFunction.from_distribution(dist)
-    assert np.allclose(density.values, 1.0)
-    with pytest.raises(ValueError):
-        ref.DensityFunction(np.array([2.0, 0.5]))
-
-
-def test_density_requires_bitstring():
-    with pytest.raises(ValueError):
-        ref.DensityFunction.from_distribution(uniform(8))
-
+# --- Fourier --------------------------------------------------------------------------
 
 def test_uniform_coefficients():
     u = uniform(16, BITSTRING)
@@ -215,26 +202,3 @@ def test_multiset_weights_are_multiplicities():
     assert np.allclose(counts, np.round(counts))
     assert counts.sum() == 5
 
-
-# --- sampling baseline ------------------------------------------------------------------
-
-def test_sampling_baseline_identical():
-    u = uniform(8)
-    rng = np.random.default_rng(4)
-    assert ref.classical_sampling_l2_estimate(u, u, 100000, rng) < 0.05
-
-
-def test_sampling_baseline_disjoint_exact():
-    p, q = point_mass(4, 0), point_mass(4, 1)
-    rng = np.random.default_rng(5)
-    est = ref.classical_sampling_l2_estimate(p, q, 10, rng)
-    assert abs(est - math.sqrt(2)) < 1e-15
-
-
-@given(weights_st, weights_st, st.integers(1, 50))
-@settings(max_examples=25, deadline=None)
-def test_sampling_baseline_non_negative(w1, w2, samples):
-    rng = np.random.default_rng(0)
-    est = ref.classical_sampling_l2_estimate(normalized(w1), normalized(w2),
-                                             samples, rng)
-    assert est >= 0.0

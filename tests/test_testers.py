@@ -1,17 +1,22 @@
 """Tester behavior: threshold formulas, certainty paths, promise-side success
 frequencies, garbage invariance, and the query-budget laws."""
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdtest
 from qdtest import experiments as exp
 from qdtest import oracles as orc
 from qdtest import reference as ref
 from qdtest import testers
-from qdtest.distributions import BITSTRING, point_mass, uniform
+from qdtest.amplitude import phase_distribution
+from qdtest.distributions import (BITSTRING, Distribution, point_mass, random_distribution,
+                                  uniform)
 from qdtest.seeding import trial_rng
 from qdtest.statevec import QueryLedger
 
@@ -113,6 +118,29 @@ def test_kwise_parity_set_always_yes():
     plan = testers.kwise_plan(oracle, 2, 0.3)
     freq = frequencies(plan, 100, seed=4)
     assert freq.get("YES", 0) == 1.0
+
+
+def test_near_side_measures_zero_with_certainty():
+    """Even the largest double below 1 measures y = 0, so every run's estimate
+    is exactly 0: on random p = q, and on the parity mixtures
+    w U(even) + (1 - w) U(odd), (n-1)-wise uniform but not uniform."""
+    plans = {}
+    for garbage in ("basis", "haar"):
+        for n in (2, 5, 16, 64):
+            p = random_distribution(n, np.random.default_rng(n))
+            op, oq = make_pair(p, p, garbage, seeds=(2 * n + 1, 2 * n + 2))
+            plans["closeness", garbage, n] = testers.closeness_plan(op, oq, 0.2, 0.5)
+        for n in (4, 5, 6):
+            even = parity_set_distribution(n).weights
+            for w in (0.3, 0.8):
+                dist = Distribution(w * even + (1 - w) * (2.0 ** (1 - n) - even), BITSTRING)
+                for k in (1, 2, 3):
+                    assert ref.is_kwise_uniform(dist, k)
+                    oracle = orc.make_purified_oracle(dist, garbage, seed=10 * n + k)
+                    plans["kwise", garbage, n, w, k] = testers.kwise_plan(oracle, k, 0.3)
+    for case, plan in plans.items():
+        dist = phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t)
+        assert dist.phases(np.nextafter(1.0, 0.0)) == 0, case
 
 
 def test_estimator_zero_distance_exact():
@@ -267,30 +295,24 @@ def test_l1_budget_scales_with_sqrt_n():
         assert 1.3 <= ratio <= 1.55
 
 
-# --- majority wrapper -----------------------------------------------------------------------
+# --- exported names ------------------------------------------------------------------------
 
-def test_repeat_majority():
-    p, q = ref.gen_l2_pair(8, 0.2 * math.sqrt(2))
-    op, oq = make_pair(p, q)
-    rng = np.random.default_rng(9)
-    verdict = testers.repeat_majority(
-        lambda r: testers.l2_closeness(op, oq, 0.2, r), 3, rng)
-    assert verdict.verdict == "FAR"
-    assert verdict.params["repeats"] == 3
-    with pytest.raises(ValueError):
-        testers.repeat_majority(lambda r: None, 2, rng)
+def test_all_names_resolve():
+    """Every name in a module's ``__all__`` exists, so ``import *`` works."""
+    for info in pkgutil.iter_modules(qdtest.__path__):
+        module = importlib.import_module(f"qdtest.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"qdtest.{info.name}.__all__ lists missing {name}"
 
+
+# --- majority -------------------------------------------------------------------------------
 
 def test_majority_returns_first_winning_run():
-    runs = iter([("FAR", 0.9), ("CLOSE", 0.1), ("FAR", 0.2), ("CLOSE", 0.05), ("FAR", 0.5)])
-
-    def run(rng):
-        verdict, statistic = next(runs)
-        return testers.TestVerdict(verdict, statistic, 1, 0.3)
-
-    picked = testers.repeat_majority(run, 5, np.random.default_rng(0))
+    runs = [testers.TestVerdict(verdict, statistic, 1, 0.3) for verdict, statistic in
+            [("FAR", 0.9), ("CLOSE", 0.1), ("FAR", 0.2), ("CLOSE", 0.05), ("FAR", 0.5)]]
+    picked = testers.majority(runs)
+    assert picked is runs[0]
     assert (picked.verdict, picked.statistic) == ("FAR", 0.9)
-    assert picked.params == {"repeats": 5}
 
 
 # --- Trials against the list of verdicts it stands for ------------------------------------
