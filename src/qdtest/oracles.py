@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import BITSTRING, RANGE, Distribution, next_pow2, padded_weights
+from .reference import subset_sizes
 from .seeding import trial_uniforms
 from .statevec import (ControlledOp, MatrixOp, PermutationOp, Projector,
                        QuantumOp, QueryLedger, RegisterLayout, ReflectionOp,
@@ -323,7 +324,7 @@ def subset_superposition(n: int, k: int, prefix: str = "S") -> QuantumOp:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     column = np.zeros(2 ** n)
-    sizes = np.array([int(x).bit_count() for x in range(2 ** n)])
+    sizes = subset_sizes(n)
     support = (sizes >= 1) & (sizes <= k)
     column[support] = 1.0 / math.sqrt(int(support.sum()))
     regs = tuple(f"{prefix}{i}" for i in range(1, n + 1))

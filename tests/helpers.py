@@ -1,6 +1,8 @@
 """Shared test fixtures: independent oracles and small instance builders."""
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +35,37 @@ def parity_set_distribution(n: int) -> Distribution:
         if bin(x).count("1") % 2 == 0:
             weights[x] = 1.0
     return Distribution(weights / weights.sum(), BITSTRING)
+
+
+@functools.lru_cache(maxsize=None)
+def character_table(n: int) -> np.ndarray:
+    """chi_S(x) = (-1)^popcount(S & x) for every subset mask S (rows) and
+    string x (columns), from ``bin`` popcounts one entry at a time."""
+    xs = range(2 ** n)
+    table = np.array([[1.0 - 2.0 * (bin(s & x).count("1") % 2) for x in xs] for s in xs])
+    table.flags.writeable = False
+    return table
+
+
+def fourier_coefficient(dist: Distribution, mask: int) -> float:
+    """Density Fourier coefficient phi_hat(S) = 2^-n sum_x phi(x) chi_S(x)
+    = sum_x p_x chi_S(x), by direct summation: the brute-force oracle for
+    ``reference.fourier_spectrum``."""
+    return float(np.dot(dist.weights, character_table(dist.n_bits)[mask]))
+
+
+def marginals_uniform(dist: Distribution, k: int, tol: float = 1e-9) -> bool:
+    """Whether every k-coordinate marginal assigns 2^-k to every pattern,
+    walking all C(n, k) marginals: the brute-force oracle for
+    ``reference.is_kwise_uniform``."""
+    n = dist.n_bits
+    cube = dist.weights.reshape([2] * n)
+    for axes in itertools.combinations(range(n), k):
+        other = tuple(a for a in range(n) if a not in axes)
+        marginal = cube.sum(axis=other) if other else cube
+        if np.abs(marginal - 0.5 ** k).max() > tol:
+            return False
+    return True
 
 
 def random_bitstring_distribution(n: int, rng: np.random.Generator) -> Distribution:

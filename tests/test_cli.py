@@ -12,7 +12,6 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import qdtest

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qdtest import reference as ref
 from qdtest.distributions import BITSTRING, Distribution, point_mass, uniform
 
-from helpers import parity_set_distribution, random_bitstring_distribution
+from helpers import (fourier_coefficient, marginals_uniform, parity_set_distribution,
+                     random_bitstring_distribution)
 
 
 def normalized(weights):
@@ -88,19 +89,19 @@ def test_pair_generator_ranges():
 # --- Fourier --------------------------------------------------------------------------
 
 def test_uniform_coefficients():
-    u = uniform(16, BITSTRING)
-    assert ref.fourier_coefficient(u, 0) == 1.0
-    for mask in range(1, 16):
-        assert abs(ref.fourier_coefficient(u, mask)) < 1e-15
+    spectrum = ref.fourier_spectrum(uniform(16, BITSTRING))
+    assert spectrum[0] == 1.0
+    assert not spectrum[1:].any()
 
 
 def test_spike_coefficients():
     mask = ref.mask_from_coords(4, (1, 3))
     dist = ref.gen_fourier_spike(4, mask, 0.5)
-    assert abs(ref.fourier_coefficient(dist, mask) - 0.5) < 1e-12
+    spectrum = ref.fourier_spectrum(dist)
+    assert abs(spectrum[mask] - 0.5) < 1e-12
     for other in range(1, 16):
         if other != mask:
-            assert abs(ref.fourier_coefficient(dist, other)) < 1e-12
+            assert abs(spectrum[other]) < 1e-12
     assert abs(ref.tv_distance(dist, uniform(16, BITSTRING)) - 0.25) < 1e-12
     assert abs(ref.fourier_weight(dist, 2) - 0.25) < 1e-12
 
@@ -111,8 +112,42 @@ def test_parseval(weights):
     """Sum of squared coefficients equals the density's mean square."""
     dist = normalized_bits(weights)
     density = dist.weights * dist.size
-    total = sum(ref.fourier_coefficient(dist, mask) ** 2 for mask in range(16))
+    total = np.sum(ref.fourier_spectrum(dist) ** 2)
     assert abs(total - np.mean(density ** 2)) < 1e-9
+
+
+@st.composite
+def bitstring_distributions(draw, max_bits=8):
+    """Random weights on n = 1..max_bits bits, or a spike, parity-set or
+    point-mass instance of the same size."""
+    n = draw(st.integers(1, max_bits))
+    shape = draw(st.sampled_from(("random", "spike", "parity", "point")))
+    if shape == "spike":
+        mask = draw(st.integers(1, 2 ** n - 1))
+        return ref.gen_fourier_spike(n, mask, draw(st.floats(0.01, 1.0)))
+    if shape == "parity":
+        return parity_set_distribution(n)
+    if shape == "point":
+        return Distribution(np.eye(2 ** n)[draw(st.integers(0, 2 ** n - 1))], BITSTRING)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return random_bitstring_distribution(n, np.random.default_rng(seed))
+
+
+@given(bitstring_distributions())
+@settings(max_examples=60, deadline=None)
+def test_spectrum_matches_direct_sums(dist):
+    """The transform adds in another order than the direct sums, so the two
+    agree to rounding, not bit for bit."""
+    spectrum = ref.fourier_spectrum(dist)
+    direct = [fourier_coefficient(dist, mask) for mask in range(dist.size)]
+    assert np.abs(spectrum - direct).max() < 1e-12
+
+
+@given(bitstring_distributions())
+@settings(max_examples=60, deadline=None)
+def test_kwise_uniform_matches_marginals(dist):
+    for k in range(1, dist.n_bits + 1):
+        assert ref.is_kwise_uniform(dist, k) == marginals_uniform(dist, k), k
 
 
 def test_mask_from_coords():
@@ -123,10 +158,12 @@ def test_mask_from_coords():
         ref.mask_from_coords(4, (5,))
 
 
-def test_subsets_up_to():
-    masks = list(ref.subsets_up_to(4, 2))
-    assert len(masks) == 10 == ref.binom_sum(4, 2)
-    assert all(1 <= bin(m).count("1") <= 2 for m in masks)
+def test_subset_sizes():
+    for n in range(9):
+        sizes = ref.subset_sizes(n)
+        assert sizes.tolist() == [bin(x).count("1") for x in range(2 ** n)]
+        for k in range(1, n + 1):
+            assert np.count_nonzero((sizes >= 1) & (sizes <= k)) == ref.binom_sum(n, k)
 
 
 def test_binom_sum_values():
@@ -168,7 +205,7 @@ def test_marginal_fourier_equivalence_exhaustive_small():
     for dist in cases:
         n = dist.n_bits
         for k in range(1, n + 1):
-            marginal = ref.is_kwise_uniform(dist, k)
+            marginal = marginals_uniform(dist, k)
             weight = ref.fourier_weight(dist, k)
             assert marginal == (weight < 1e-18), (dist.weights, k)
 
