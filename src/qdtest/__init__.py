@@ -10,13 +10,13 @@ from .oracles import (GARBAGE_STYLES, PurifiedOracle, closeness_instance,
                       closeness_unitary, encoder_layout, from_discrete_oracle,
                       from_pure_state_oracle, haar_unitary, kwise_encoder,
                       kwise_instance, make_purified_oracle, probability_encoder,
-                      subset_superposition, u_copy)
-from .statevec import (ControlledOp, MatrixOp, PermutationOp, PhaseFlipOp,
-                       Projector, QuantumOp, QueryLedger, ReflectionOp,
-                       RegisterError, RegisterLayout, SequenceOp, StateVector,
-                       XorCopyOp, apply, controlled_z, dense_matrix_of, hadamard,
-                       inverse, measure, new_basis_state, pauli_x,
-                       projector_norm_sq, register_marginal)
+                      subset_superposition)
+from .statevec import (ControlledOp, MatrixOp, PhaseFlipOp, Projector,
+                       QuantumOp, QueryLedger, ReflectionOp, RegisterError,
+                       RegisterLayout, SequenceOp, StateVector, XorOp, apply,
+                       controlled_z, dense_matrix_of, hadamard, inverse,
+                       measure, new_basis_state, pauli_x, projector_norm_sq,
+                       register_marginal)
 from .testers import (TestVerdict, estimate_l2_distance, kwise_uniformity_test,
                       l1_closeness, l2_closeness, tolerant_l2_closeness)
 

@@ -125,10 +125,18 @@ def _gen_args(spec: str) -> tuple[str, list[str]]:
     return name, rest.split(":") if rest else []
 
 
+def _require_closeness_memory(size: int) -> None:
+    """The memory pre-flight of a closeness run on a sample space of ``size``
+    elements: registers A, B and C of the padded size, and the qubit D."""
+    d = dists.next_pow2(size)
+    require_memory(orc.closeness_layout((("A", d), ("B", d))))
+
+
 def _closeness_pair(args) -> tuple[Distribution, Distribution]:
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
+        _require_closeness_memory(n)  # before a generator allocates n weights
         if name == "l2-pair":
             d = float(extra[0]) if extra else min(1.0, math.sqrt(2.0) * args.eps)
             return ref.gen_l2_pair(n, d)
@@ -150,6 +158,8 @@ def _kwise_dist(args) -> Distribution:
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
+        if not 1 <= n <= dists.MAX_BITS:  # before a generator allocates 2^n weights
+            raise DistributionError(f"--n must be 1..{dists.MAX_BITS} bits, got {n}")
         if name == "uniform":
             return dists.uniform(2 ** n, dists.BITSTRING)
         if name == "spike":
@@ -172,7 +182,7 @@ def _kwise_dist(args) -> Distribution:
 
 def _oracle_pair(p, q, args):
     for dist in (p, q):
-        require_memory(orc.closeness_layout(orc.purified_registers(dist)))
+        _require_closeness_memory(dist.size)
     op = orc.make_purified_oracle(p, args.garbage, seed=args.seed * 2 + 1, label="p")
     oq = orc.make_purified_oracle(q, args.garbage, seed=args.seed * 2 + 2, label="q")
     return op, oq

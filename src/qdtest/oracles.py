@@ -22,12 +22,13 @@ Derived unitaries:
   whose projected amplitudes are the density Fourier coefficients of p scaled
   by 1/sqrt(M), M = binom_sum(n, k).
 
-Sample spaces are zero-padded to the next power of two so the XOR-cascade copy
+Sample spaces are zero-padded to the next power of two so the XOR copy
 unitary is well defined; padding elements carry zero probability and do not
 affect any encoded quantity.  Every copy (B into the workspace A inside the
-oracle, B into C in the probability encoder) is a
-:class:`~qdtest.statevec.XorCopyOp`: one CNOT per bit, each a swap of two
-slices, so no copy keeps a table over the joint space.
+oracle, B into C in the probability encoder) and the discrete query of
+:func:`from_discrete_oracle` is one :class:`~qdtest.statevec.XorOp`: a copy
+has the table arange(d), the query the function table, and each applies as
+one gather per source value, so no op keeps a table over the joint space.
 """
 from __future__ import annotations
 
@@ -39,17 +40,16 @@ import numpy as np
 from .distributions import BITSTRING, RANGE, Distribution, next_pow2, padded_weights
 from .reference import subset_sizes
 from .seeding import trial_uniforms
-from .statevec import (ControlledOp, MatrixOp, PermutationOp, Projector,
-                       QuantumOp, QueryLedger, RegisterLayout, ReflectionOp,
-                       SequenceOp, XorCopyOp, controlled_z, hadamard, inverse,
-                       pauli_x)
+from .statevec import (ControlledOp, MatrixOp, Projector, QuantumOp,
+                       QueryLedger, RegisterLayout, ReflectionOp, SequenceOp,
+                       XorOp, controlled_z, hadamard, inverse, pauli_x)
 
 __all__ = [
     "GARBAGE_STYLES", "PurifiedOracle", "QueryLedger", "make_purified_oracle",
-    "from_pure_state_oracle", "from_discrete_oracle", "u_copy", "probability_encoder",
+    "from_pure_state_oracle", "from_discrete_oracle", "probability_encoder",
     "encoder_layout", "purified_registers", "closeness_unitary", "closeness_layout",
     "closeness_instance", "subset_superposition", "kwise_encoder", "kwise_layout",
-    "kwise_instance", "haar_unitary", "reflection_completion", "reflection_parts",
+    "kwise_instance", "haar_unitary", "reflection_parts",
 ]
 
 GARBAGE_STYLES = ("basis", "haar")
@@ -86,28 +86,12 @@ def reflection_parts(column: np.ndarray) -> tuple[np.ndarray, float] | None:
     return w, denom
 
 
-def reflection_completion(column: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix with the given real unit vector as first column."""
-    parts = reflection_parts(column)
-    if parts is None:
-        return np.eye(np.asarray(column).size)
-    w, denom = parts
-    return np.eye(w.size) - np.outer(w, w) / denom
-
-
 def _prep_op(regs, column: np.ndarray, label: str | None = None) -> QuantumOp | None:
     """State-preparation reflection sending |0...0> to the given real column."""
     parts = reflection_parts(column)
     if parts is None:
         return None
     return ReflectionOp(regs, parts[0], parts[1], label=label)
-
-
-def u_copy(dim: int, src: str = "B", dst: str = "C") -> XorCopyOp:
-    """XOR-cascade copy |b>|c> -> |b>|c xor b| on two equal pow2 registers."""
-    if dim < 1 or dim & (dim - 1):
-        raise ValueError(f"copy unitary needs a power-of-two dimension, got {dim}")
-    return XorCopyOp((src,), (dst,))
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,7 @@ def _assemble(dist: Distribution, prep: QuantumOp | None, garbage: str,
     (_, dim), *b_regs = purified_registers(dist, a_name, b_name)
     b_names = tuple(n for n, _ in b_regs)
     steps: list[QuantumOp] = [] if prep is None else [prep]
-    steps.append(XorCopyOp(b_names, (a_name,)))
+    steps.append(XorOp(b_names, (a_name,), np.arange(dim)))
     if garbage == "haar":
         if seed is None:
             raise ValueError("haar garbage needs a seed")
@@ -237,8 +221,7 @@ def from_discrete_oracle(table, *, omega: int | None = None, label: str = "p",
         [np.full(n_in, 1.0 / math.sqrt(n_in)), np.zeros(d_a - n_in)]))
     f_padded = np.zeros(d_a, dtype=np.int64)
     f_padded[:n_in] = f
-    j, y = np.divmod(np.arange(d_a * d_b, dtype=np.int64), d_b)
-    query = PermutationOp((a_name, b_name), j * d_b + (y ^ f_padded[j]))
+    query = XorOp((a_name,), (b_name,), f_padded)
 
     counts = np.bincount(f, minlength=omega).astype(np.float64)
     dist = Distribution(counts / n_in, RANGE)
@@ -262,7 +245,8 @@ def probability_encoder(oracle: PurifiedOracle, c_prefix: str = "C") -> QuantumO
     """
     b_names = tuple(n for n, _ in oracle.b_regs)
     c_names = tuple(n for n, _ in _mirror_regs(oracle.b_regs, c_prefix))
-    return SequenceOp([oracle.op, XorCopyOp(b_names, c_names), inverse(oracle.op)])
+    copy = XorOp(b_names, c_names, np.arange(oracle.sample_dim))
+    return SequenceOp([oracle.op, copy, inverse(oracle.op)])
 
 
 def encoder_layout(oracle: PurifiedOracle, c_prefix: str = "C") -> RegisterLayout:

@@ -15,14 +15,14 @@ application views the amplitudes as ``amps.reshape(layout.dims)``, one axis
 per register: a control fixes its axis to a one-element slice, which is a
 view; a projector or phase pattern is such a slice too; and an operator on a
 register tuple moves the target axes last and acts on the blocks along
-them.  The XOR copy splits power-of-two registers into bit axes and swaps
-slices, one CNOT per bit.  One kernel rule is exact: a matrix on a
-two-column block (a qubit gate such as a Hadamard) combines its two slices
-with separate elementwise multiplies and adds, never BLAS, whose fused
-multiply-add leaves rounding residue where ``x*h + (-x)*h`` must cancel to
-exactly 0.  The testers' one-sided error rests on this: for p = q the
-closeness encoder's final Hadamard meets exactly opposite blocks, and the
-projected amplitude must come out 0.0.
+them.  The XOR query gathers the destination block of each source value
+by an XOR of its index, one exact permutation per block.  One kernel rule
+is exact: a matrix on a two-column block (a qubit gate such as a Hadamard)
+combines its two slices with separate elementwise multiplies and adds,
+never BLAS, whose fused multiply-add leaves rounding residue where
+``x*h + (-x)*h`` must cancel to exactly 0.  The testers' one-sided error
+rests on this: for p = q the closeness encoder's final Hadamard meets
+exactly opposite blocks, and the projected amplitude must come out 0.0.
 """
 from __future__ import annotations
 
@@ -350,69 +350,45 @@ class ReflectionOp(QuantumOp):
         view -= np.outer(coef, self.w / self.denom).reshape(view.shape)
 
 
-class PermutationOp(QuantumOp):
-    """Unitary basis permutation |j> -> |perm[j]> on a tuple of registers."""
-
-    def __init__(self, regs: Sequence[str] | str, perm: np.ndarray, label: str | None = None):
-        super().__init__(regs, label)
-        perm = np.asarray(perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(perm.size)):
-            raise RegisterError("perm must be a permutation of 0..dim-1")
-        self.perm = perm
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size, dtype=np.int64)
-        self._perm_inv = inv
-        self.size = perm.size
-
-    def _apply(self, state, inverse, controls, ledger):
-        view = self._target_view(state, controls)
-        # out[perm[j]] = in[j] forward, so out[i] = in[perm^-1[i]]
-        source = self.perm if inverse else self._perm_inv
-        view[...] = np.take(view.reshape(-1, self.size), source, axis=1).reshape(view.shape)
-
-
-class XorCopyOp(QuantumOp):
-    """XOR copy |b>|c> -> |b>|c xor b> from one register tuple to another.
+class XorOp(QuantumOp):
+    """XOR query |b>|c> -> |b>|c xor table[b]> from one register tuple to another.
 
     ``b`` and ``c`` are the joint values of ``src`` and ``dst`` (first
-    register most significant); every register must have a power-of-two
-    dimension and both tuples the same joint dimension.  Each register is
-    viewed as its bit axes, and the copy is one CNOT per bit: on the slice
-    where the source bit is 1 it swaps the two halves of the destination
-    bit.  Self-inverse.
+    register most significant); the destination's joint dimension must be a
+    power of two and ``table`` holds one entry in [0, d_dst) per source
+    value.  With ``table = arange(d)`` this is the copy U_copy; with a
+    function table it is the discrete query |i>|b> -> |i>|b xor f(i)>.  Each
+    destination block with a non-zero entry is gathered in one exact
+    permutation, so the temporaries are per block, never state-sized.
+    Self-inverse.
     """
 
-    def __init__(self, src: Sequence[str], dst: Sequence[str], label: str | None = None):
+    def __init__(self, src: Sequence[str], dst: Sequence[str], table: np.ndarray,
+                 label: str | None = None):
         self.src, self.dst = tuple(src), tuple(dst)
         if set(self.src) & set(self.dst):
-            raise RegisterError(f"copy source {self.src} overlaps destination {self.dst}")
+            raise RegisterError(f"XOR source {self.src} overlaps destination {self.dst}")
+        self.table = np.asarray(table, dtype=np.int64).reshape(-1)
         super().__init__(self.src + self.dst, label)
 
     def _apply(self, state, inverse, controls, ledger):
-        view = _scope(state, self.regs, controls)
-        shape, bit_axes = [], {}
-        for name, d in zip(state.layout.names, view.shape):
-            if name not in self.regs:
-                shape.append(d)
-                continue
-            bits = d.bit_length() - 1
-            if d != 1 << bits:
-                raise RegisterError(f"copy register {name!r} has dimension {d}, "
-                                    "not a power of two")
-            bit_axes[name] = range(len(shape), len(shape) + bits)
-            shape.extend([2] * bits)
-        src = [axis for name in self.src for axis in bit_axes[name]]
-        dst = [axis for name in self.dst for axis in bit_axes[name]]
-        if len(src) != len(dst):
-            raise RegisterError(f"copy needs equal joint dimensions, got 2^{len(src)} "
-                                f"from {self.src} and 2^{len(dst)} for {self.dst}")
-        bits = view.reshape(shape)  # only splits axes, so a view
-        for s, t in zip(src, dst):
-            # axis 0: the destination bit, on the slice where the source bit is 1
-            flip = np.moveaxis(bits, (s, t), (0, 1))[1]
-            kept = flip[0].copy()
-            flip[0] = flip[1]
-            flip[1] = kept
+        src_shape = tuple(state.layout.dim_of(r) for r in self.src)
+        d_dst = math.prod(state.layout.dim_of(r) for r in self.dst)
+        if d_dst & (d_dst - 1):
+            raise RegisterError(f"XOR destination {self.dst} has joint dimension "
+                                f"{d_dst}, not a power of two")
+        if self.table.size != math.prod(src_shape):
+            raise RegisterError(f"XOR table has {self.table.size} entries but source "
+                                f"{self.src} has joint dimension {math.prod(src_shape)}")
+        if self.table.min() < 0 or self.table.max() >= d_dst:
+            raise RegisterError(f"XOR table entries must lie in [0, {d_dst})")
+        view = self._target_view(state, controls)
+        tail = (slice(None),) * len(self.dst)
+        for t, b in zip(self.table, np.ndindex(*src_shape)):
+            if t:
+                block = view[(..., *b, *tail)]
+                block[...] = np.take(block.reshape(-1, d_dst), np.arange(d_dst) ^ t,
+                                     axis=1).reshape(block.shape)
 
 
 class PhaseFlipOp(QuantumOp):

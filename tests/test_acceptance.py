@@ -5,7 +5,8 @@ or ``-s``).
 Monte-Carlo criteria share one exact phase distribution per instance and draw
 independent seeded Born samples per trial, which reproduces per-call runs
 exactly (the phase evolution is deterministic; only the measurement is
-random).
+random).  Criteria 5 and 6 also check the exact operating characteristic:
+the phase mass on each side of a plan's threshold, with no sampling.
 """
 import math
 import time
@@ -49,6 +50,15 @@ class Budget:
 def pair_oracles(p, q, style="basis", seeds=(None, None)):
     return (orc.make_purified_oracle(p, style, seed=seeds[0], label="p"),
             orc.make_purified_oracle(q, style, seed=seeds[1], label="q"))
+
+
+def exact_acceptance(plan) -> float:
+    """Exact probability of the plan's labels[0] verdict: the mass of the
+    phases whose estimate sin^2(pi y / M) falls below the threshold."""
+    dist = ae.phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t)
+    below = [ae.estimate_from_phase(y, dist.points) < plan.threshold
+             for y in range(dist.points)]
+    return float(dist.probs[below].sum())
 
 
 def verdict_freq(plan, trials, seed):
@@ -162,6 +172,20 @@ def test_criterion_5_closeness_tester_frequencies():
         freq = verdict_freq(testers.closeness_plan(op, oq, eps, nu), 300, seed=52)
         assert freq.get("CLOSE", 0) >= 0.66
 
+        # exact: identical pairs accepted with certainty (with Haar garbage the
+        # rejection mass is about 1e-28, so the acceptance sum is what is
+        # exact), and pairs at distance exactly eps rejected w.p. >= 8/pi^2
+        for style, seeds in (("basis", (None, None)), ("haar", (53, 54))):
+            for size in (8, 16, 64):
+                u = uniform(size)
+                plan = testers.closeness_plan(*pair_oracles(u, u, style, seeds), eps, nu)
+                assert exact_acceptance(plan) == 1.0, (style, size)
+            for far_eps in (0.4, 0.2, 0.1):
+                p, q = ref.gen_l2_pair(n, far_eps * math.sqrt(2))
+                plan = testers.closeness_plan(*pair_oracles(p, q, style, seeds),
+                                              far_eps, nu)
+                assert 1.0 - exact_acceptance(plan) >= 8 / math.pi ** 2, (style, far_eps)
+
 
 def test_criterion_6_kwise_tester_frequencies():
     """Certainty on k-wise uniform inputs; >= 0.66 rejection of the far spike."""
@@ -176,6 +200,12 @@ def test_criterion_6_kwise_tester_frequencies():
         oracle = orc.make_purified_oracle(parity, label="p")
         freq = verdict_freq(testers.kwise_plan(oracle, k, eps), 100, seed=61)
         assert freq.get("YES", 0) == 1.0
+
+        # exact: uniform and parity-set inputs accepted with certainty
+        for style, seed in (("basis", None), ("haar", 63)):
+            for dist in (uniform(2 ** n, BITSTRING), parity):
+                oracle = orc.make_purified_oracle(dist, style, seed=seed, label="p")
+                assert exact_acceptance(testers.kwise_plan(oracle, k, eps)) == 1.0, style
 
         spike = ref.gen_fourier_spike(n, ref.mask_from_coords(n, (1, 2)), 0.6)
         assert abs(ref.tv_distance(spike, uniform(2 ** n, BITSTRING)) - 0.3) < 1e-12

@@ -259,6 +259,31 @@ def test_too_many_trials_exit_2_before_any_oracle(capsys, monkeypatch, argv):
     assert "available" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "l2-pair", "--n", "1000000000000"),
+    ("test-kwise", "--gen", "uniform", "--n", "40"),
+    ("estimate", "--gen", "identical", "--n", "1000000000000"),
+])
+def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
+    """An --n whose weights alone would take TiBs is refused (k-wise: more
+    than MAX_BITS bits; closeness and estimate: the state pre-flight on the
+    padded size) before any generator allocates them."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle was built for an oversized --n")
+
+    monkeypatch.setattr(sv, "available_memory_bytes", lambda: 8 * 2 ** 30)
+    monkeypatch.setattr(cli.orc, "make_purified_oracle", no_oracle)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--trials", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def _cap_address_space():
     limit = 2 * 2 ** 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

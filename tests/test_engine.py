@@ -1,7 +1,8 @@
-"""Property tests of the state-vector engine: every leaf operator and the XOR
-copy against an independent flat-index reference, on drawn layouts, target
-orders, controls and directions; U^dagger U = I; and the linearity of the
-phase-distribution ledger in M."""
+"""Property tests of the state-vector engine: every leaf operator, the XOR
+query included, against an independent flat-index reference, on drawn
+layouts, target orders, controls and directions; U^dagger U = I; the
+linearity of the phase-distribution ledger in M; and the memory of a run and
+of one XOR copy."""
 import math
 import tracemalloc
 
@@ -17,12 +18,12 @@ from qdtest import statevec as sv
 
 from helpers import haar_state, random_bitstring_distribution, reference_apply
 
-LEAF_KINDS = ("matrix", "reflection", "permutation", "phase_flip")
+LEAF_KINDS = ("matrix", "reflection", "xor", "phase_flip")
 # register dimensions 1-6, weighted towards qubits (the exact two-slice path)
 # and dimension 1 (targets that add no axis length)
 DIMS = st.one_of(st.just(1), st.just(2), st.integers(1, 6))
 # ops whose reference action is a signed permutation: compared bit for bit
-EXACT_KINDS = ("permutation", "phase_flip", "xor_copy")
+EXACT_KINDS = ("xor", "phase_flip")
 
 
 @st.composite
@@ -39,12 +40,14 @@ def controls_and_layout(draw, registers):
 def leaf_cases(draw):
     """(layout, op, regs, local, controls, inverse, seed, kind) for one leaf op;
     ``local`` is the op's forward matrix over the joint value of ``regs``."""
+    kind = draw(st.sampled_from(LEAF_KINDS))
+    if kind == "xor":
+        return draw(xor_cases())
     dims = draw(st.lists(DIMS, min_size=1, max_size=4))
     names = [f"R{i}" for i in range(len(dims))]
     controls, layout = draw(controls_and_layout(zip(names, dims)))
     regs = tuple(draw(st.permutations(names))[:draw(st.integers(1, len(names)))])
     size = math.prod(layout.dim_of(r) for r in regs)
-    kind = draw(st.sampled_from(LEAF_KINDS))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     if kind == "matrix":
@@ -55,11 +58,6 @@ def leaf_cases(draw):
         denom = float(w @ w) / 2.0
         local = np.eye(size) - np.outer(w, w) / denom
         op = sv.ReflectionOp(regs, w, denom)
-    elif kind == "permutation":
-        perm = rng.permutation(size)
-        local = np.zeros((size, size))
-        local[perm, np.arange(size)] = 1.0
-        op = sv.PermutationOp(regs, perm)
     else:
         fixed = {r: int(rng.integers(layout.dim_of(r))) for r in regs}
         complement = bool(rng.integers(2))
@@ -80,25 +78,33 @@ def _bit_split(draw, nbits: int) -> list[int]:
 
 
 @st.composite
-def xor_copy_cases(draw):
-    """The same tuple for the XOR copy |b>|c> -> |b>|c xor b> between two
-    register groups of equal power-of-two joint dimension."""
+def xor_cases(draw):
+    """The same tuple for the XOR query |b>|c> -> |b>|c xor table[b]> from 1-2
+    source registers to 1-2 destination registers of power-of-two joint
+    dimension: either the copy table arange(d) between groups of equal
+    power-of-two dimension, or a random table from sources of any dimension."""
     nbits = draw(st.integers(0, 4))
-    src_bits, dst_bits = _bit_split(draw, nbits), _bit_split(draw, nbits)
-    src = [(f"S{i}", 2 ** b) for i, b in enumerate(src_bits)]
-    dst = [(f"T{i}", 2 ** b) for i, b in enumerate(dst_bits)]
+    dst = [(f"T{i}", 2 ** b) for i, b in enumerate(_bit_split(draw, nbits))]
+    copy = draw(st.booleans())
+    if copy:
+        src = [(f"S{i}", 2 ** b) for i, b in enumerate(_bit_split(draw, nbits))]
+    else:
+        src = [(f"S{i}", draw(DIMS)) for i in range(draw(st.integers(1, 2)))]
     others = [(f"R{i}", draw(DIMS))
               for i in range(draw(st.integers(0, 4 - len(src) - len(dst))))]
     controls, layout = draw(controls_and_layout(src + dst + others))
     src_names = tuple(draw(st.permutations([n for n, _ in src])))
     dst_names = tuple(draw(st.permutations([n for n, _ in dst])))
-    d = 2 ** nbits
-    b, c = np.divmod(np.arange(d * d), d)
-    local = np.zeros((d * d, d * d))
-    local[b * d + (c ^ b), b * d + c] = 1.0
-    op = sv.XorCopyOp(src_names, dst_names)
+    d_src, d_dst = math.prod(d for _, d in src), 2 ** nbits
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    table = (np.arange(d_src) if copy
+             else np.random.default_rng(seed).integers(d_dst, size=d_src))
+    b, c = np.divmod(np.arange(d_src * d_dst), d_dst)
+    local = np.zeros((d_src * d_dst, d_src * d_dst))
+    local[b * d_dst + (c ^ table[b]), b * d_dst + c] = 1.0
+    op = sv.XorOp(src_names, dst_names, table)
     return (layout, op, src_names + dst_names, local, controls, draw(st.booleans()),
-            draw(st.integers(0, 2 ** 32 - 1)), "xor_copy")
+            seed, "xor")
 
 
 def check_against_reference(case):
@@ -122,15 +128,9 @@ def check_against_reference(case):
         assert np.abs(state.amplitudes - amps).max() < 1e-12
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(leaf_cases())
 def test_leaf_ops_match_reference(case):
-    check_against_reference(case)
-
-
-@settings(max_examples=100, deadline=None)
-@given(xor_copy_cases())
-def test_xor_copy_matches_reference(case):
     check_against_reference(case)
 
 
@@ -188,3 +188,18 @@ def test_phase_distribution_memory(name):
         tracemalloc.stop()
     assert peak <= 64 * layout.total_dim
     assert retained <= layout.total_dim
+
+
+def test_xor_copy_memory():
+    """One copy of B(256) into C(256) keeps its temporaries to a few blocks
+    of 256 amplitudes: at most 4 x state bytes / 256."""
+    layout = sv.RegisterLayout([("B", 256), ("C", 256)])
+    state = sv.StateVector(layout, haar_state(layout.total_dim, np.random.default_rng(7)))
+    op = sv.XorOp(("B",), ("C",), np.arange(256))
+    tracemalloc.start()
+    try:
+        sv.apply(op, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * state.amplitudes.nbytes // 256

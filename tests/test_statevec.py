@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qdtest import statevec as sv
-from qdtest.oracles import haar_unitary, u_copy
+from qdtest.oracles import haar_unitary
 
 from helpers import haar_state
 
@@ -124,7 +124,7 @@ def test_apply_register_mismatch():
     with pytest.raises(sv.RegisterError):
         sv.apply(sv.ReflectionOp(("A",), np.ones(3), 1.5), sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError):
-        sv.apply(sv.PermutationOp(("A",), np.arange(3)), sv.new_basis_state(lay))
+        sv.apply(sv.XorOp(("A",), ("B",), np.arange(2)), sv.new_basis_state(lay))
 
 
 # --- operator algebra: norm, inverse, dense, controlled ---------------------------
@@ -171,7 +171,7 @@ def test_dense_hadamard_matrix():
 
 def test_dense_copy_is_cnot():
     lay = sv.RegisterLayout([("B", 2), ("C", 2)])
-    dense = sv.dense_matrix_of(u_copy(2), lay)
+    dense = sv.dense_matrix_of(sv.XorOp(("B",), ("C",), np.arange(2)), lay)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert np.allclose(dense, cnot, atol=1e-12)
 
@@ -193,7 +193,7 @@ def leaf_op(kind, rng):
         w[0] -= 1.0
         return sv.ReflectionOp(("A", "B"), w, 1.0 - v[0])
     if kind == "permutation":
-        return sv.PermutationOp(("A", "B"), rng.permutation(6))
+        return sv.XorOp(("A",), ("B",), [1, 0, 1])
     return sv.PhaseFlipOp({"A": 1, "B": 0})
 
 
@@ -250,20 +250,38 @@ def test_sequence_and_inverse_ops():
     assert sv.inverse(sv.inverse(seq)) is seq
 
 
-def test_permutation_op_action_and_inverse():
+def test_xor_op_action_and_inverse():
     rng = np.random.default_rng(49)
-    layout = sv.RegisterLayout([("A", 4), ("B", 4)])
-    perm = rng.permutation(16)
-    op = sv.PermutationOp(("A", "B"), perm)
+    layout = sv.RegisterLayout([("A", 3), ("B", 4)])
+    table = np.array([3, 0, 2])
+    op = sv.XorOp(("A",), ("B",), table)
     dense = sv.dense_matrix_of(op, layout)
-    expected = np.zeros((16, 16))
-    expected[perm, np.arange(16)] = 1.0  # |j> -> |perm[j]>
+    a, b = np.divmod(np.arange(12), 4)
+    expected = np.zeros((12, 12))
+    expected[a * 4 + (b ^ table[a]), np.arange(12)] = 1.0  # |a>|b> -> |a>|b xor f(a)>
     assert np.abs(dense - expected).max() == 0.0
-    state = sv.StateVector(layout, haar_state(16, rng))
+    state = sv.StateVector(layout, haar_state(12, rng))
     before = state.amplitudes.copy()
     sv.apply(op, state)
     sv.apply(op, state, inverse=True)
-    assert np.abs(state.amplitudes - before).max() < 1e-12
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_xor_op_rejects_overlapping_registers():
+    with pytest.raises(sv.RegisterError, match="overlaps"):
+        sv.XorOp(("A", "B"), ("B",), np.arange(4))
+
+
+@pytest.mark.parametrize("dst,table,match", [
+    ("B", np.zeros(4), "not a power of two"),
+    ("C", np.arange(3), "has 3 entries"),
+    ("C", [0, 1, 2, 4], r"must lie in \[0, 4\)"),
+    ("C", [0, -1, 2, 3], r"must lie in \[0, 4\)"),
+])
+def test_xor_op_checks_at_apply(dst, table, match):
+    lay = sv.RegisterLayout([("A", 4), ("B", 3), ("C", 4)])
+    with pytest.raises(sv.RegisterError, match=match):
+        sv.apply(sv.XorOp(("A",), (dst,), table), sv.new_basis_state(lay))
 
 
 def test_reflection_op_matches_matrix():
