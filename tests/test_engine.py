@@ -78,14 +78,16 @@ def _bit_split(draw, nbits: int) -> list[int]:
 
 
 @st.composite
-def xor_cases(draw):
+def xor_cases(draw, copy=None):
     """The same tuple for the XOR query |b>|c> -> |b>|c xor table[b]> from 1-2
     source registers to 1-2 destination registers of power-of-two joint
     dimension: either the copy table arange(d) between groups of equal
-    power-of-two dimension, or a random table from sources of any dimension."""
+    power-of-two dimension, or a random table from sources of any dimension.
+    ``copy`` fixes the choice; None draws it."""
     nbits = draw(st.integers(0, 4))
     dst = [(f"T{i}", 2 ** b) for i, b in enumerate(_bit_split(draw, nbits))]
-    copy = draw(st.booleans())
+    if copy is None:
+        copy = draw(st.booleans())
     if copy:
         src = [(f"S{i}", 2 ** b) for i, b in enumerate(_bit_split(draw, nbits))]
     else:
@@ -131,6 +133,13 @@ def check_against_reference(case):
 @settings(max_examples=300, deadline=None)
 @given(leaf_cases())
 def test_leaf_ops_match_reference(case):
+    check_against_reference(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xor_cases(copy=True))
+def test_xor_copy_matches_reference(case):
+    """The copy table arange(d): |b>|c> -> |b>|c xor b>."""
     check_against_reference(case)
 
 
