@@ -19,11 +19,11 @@ p alone: it is the two-peak Fejer kernel of :func:`phase_pmf`
 (Brassard-Hoyer-Mosca-Tapp, arXiv:quant-ph/0005055, section 4).
 :func:`phase_distribution` therefore applies U once to read p and evaluates
 that closed form.  One estimation run applies U forward M times (one
-preparation plus M-1 iterate steps) and inverse M-1 times; the ledger records
-exactly those counts, scaled from the one measured application of U and its
-mirror (forward and inverse swapped).  :func:`qpe_joint_state` still
-simulates the iterate powers and a materialized phase register, as the
-cross-check for small systems.
+preparation plus M-1 iterate steps) and inverse M-1 times; the returned
+``ledger_cost`` holds exactly those counts, scaled from the one measured
+application of U and its mirror (forward and inverse swapped).
+:func:`qpe_joint_state` still simulates the iterate powers and a
+materialized phase register, as the cross-check for small systems.
 """
 from __future__ import annotations
 
@@ -34,7 +34,14 @@ import numpy as np
 
 from .statevec import (MatrixOp, PhaseFlipOp, Projector, QuantumOp,
                        QueryLedger, RegisterLayout, SequenceOp, StateVector,
-                       apply, inverse, new_basis_state, projector_norm_sq)
+                       apply, inverse, new_basis_state, projector_norm_sq,
+                       require_bytes)
+
+# Peak bytes per phase point of one estimation setup and its sampling: the
+# pmf and its kernel temporaries, the CDF, and sample_plan's per-phase counts
+# and lookup.  tracemalloc measured 65.0 for testers.sample_plan on one
+# uniform at M = 2^16..2^22; 80 leaves some headroom.
+_PEAK_BYTES_PER_POINT = 80
 
 
 @dataclass(frozen=True)
@@ -144,17 +151,18 @@ def phase_pmf(p: float, points: int) -> np.ndarray:
 
 
 def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
-                       projector: Projector, t: int, *,
-                       ledger: QueryLedger | None = None) -> AEDistribution:
+                       projector: Projector, t: int) -> AEDistribution:
     """Exact phase-measurement distribution for one estimation setup.
 
     Applies U once, to read p and to count its queries; U^dagger makes the
     same applications with forward and inverse swapped, so its count is the
-    mirror of U's.  Query counts for the single run it represents are
-    recorded both in the passed ledger and in the returned object's
-    ``ledger_cost``.
+    mirror of U's.  The returned object's ``ledger_cost`` holds the query
+    counts of the single run it represents.  Checks first that the M-point
+    phase register fits in the available memory.
     """
     cfg = AEConfig(t)
+    require_bytes(cfg.points * _PEAK_BYTES_PER_POINT,
+                  f"a phase register of {cfg.points} points")
     state = new_basis_state(layout)
     forward = QueryLedger()
     apply(unitary, state, ledger=forward)
@@ -162,8 +170,6 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     cost = QueryLedger()
     cost.merge(forward, times=cfg.points)
     cost.merge(forward, times=cfg.points - 1, inverse=True)
-    if ledger is not None:
-        ledger.merge(cost)
     return AEDistribution(cfg.t, cfg.points, phase_pmf(p, cfg.points), cost)
 
 
@@ -176,20 +182,18 @@ def zero_budget(eps: float) -> int:
 
 
 def qpe_joint_state(unitary: QuantumOp, layout: RegisterLayout,
-                    projector: Projector, t: int,
-                    phase_name: str = "phase") -> tuple[StateVector, int]:
+                    projector: Projector, t: int) -> tuple[StateVector, int]:
     """Materialized post-transform joint state with a real phase register.
 
-    Cross-check path for small systems: the marginal of ``phase_name`` on the
-    returned state is the simulated counterpart of the closed form in
-    :func:`phase_distribution`, equal to it up to rounding.
+    Cross-check path for small systems: the marginal of the register
+    ``"phase"`` on the returned state is the simulated counterpart of the
+    closed form in :func:`phase_distribution`, equal to it up to rounding.
     """
-    cfg = AEConfig(t)
-    m = cfg.points
+    m = AEConfig(t).points
     table = _power_table(unitary, layout, projector, m, None)
-    joint_layout = RegisterLayout(((phase_name, m),) + layout.registers)
-    joint = StateVector(joint_layout, (table / math.sqrt(m)).ravel())
+    joint = StateVector(RegisterLayout((("phase", m),) + layout.registers),
+                        (table / math.sqrt(m)).ravel())
     omega = np.exp(-2j * math.pi / m)
     dft_inv = omega ** np.outer(np.arange(m), np.arange(m)) / math.sqrt(m)
-    apply(MatrixOp((phase_name,), dft_inv), joint)
+    apply(MatrixOp(("phase",), dft_inv), joint)
     return joint, m

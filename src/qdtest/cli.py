@@ -50,7 +50,7 @@ from . import plotting
 from . import reference as ref
 from .distributions import Distribution, DistributionError
 from .selfcheck import run_selfcheck
-from .statevec import require_memory
+from .statevec import require_bytes, require_memory
 from .testers import Trials, closeness_plan, estimator_plan, kwise_plan, l1_plan
 
 _CLOSENESS_TESTERS = ("l2", "tolerant-l2", "l1")
@@ -125,18 +125,17 @@ def _gen_args(spec: str) -> tuple[str, list[str]]:
     return name, rest.split(":") if rest else []
 
 
-def _require_closeness_memory(size: int) -> None:
-    """The memory pre-flight of a closeness run on a sample space of ``size``
-    elements: registers A, B and C of the padded size, and the qubit D."""
-    d = dists.next_pow2(size)
-    require_memory(orc.closeness_layout((("A", d), ("B", d))))
+def _require_closeness_memory(kind: str, size: int) -> None:
+    """The memory pre-flight of a closeness run on a sample space of this
+    kind and ``size`` elements."""
+    require_memory(orc.closeness_layout(orc.purified_registers(kind, size)))
 
 
 def _closeness_pair(args) -> tuple[Distribution, Distribution]:
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
-        _require_closeness_memory(n)  # before a generator allocates n weights
+        _require_closeness_memory(dists.RANGE, n)  # before a generator allocates n weights
         if name == "l2-pair":
             d = float(extra[0]) if extra else min(1.0, math.sqrt(2.0) * args.eps)
             return ref.gen_l2_pair(n, d)
@@ -169,6 +168,7 @@ def _kwise_dist(args) -> Distribution:
             return ref.gen_fourier_spike(n, ref.mask_from_coords(n, coords), float(extra[1]))
         if name == "multiset":
             count = int(extra[0]) if extra else 2 ** (n - 1)
+            require_bytes(count * 8, f"a multiset of {count} strings")  # int64 draws
             return ref.gen_random_multiset_uniform(
                 n, count, np.random.default_rng([args.seed, 0xA11CE]))
         raise DistributionError(f"unknown k-wise generator {args.gen!r}")
@@ -182,15 +182,23 @@ def _kwise_dist(args) -> Distribution:
 
 def _oracle_pair(p, q, args):
     for dist in (p, q):
-        _require_closeness_memory(dist.size)
+        _require_closeness_memory(dist.kind, dist.size)
     op = orc.make_purified_oracle(p, args.garbage, seed=args.seed * 2 + 1, label="p")
     oq = orc.make_purified_oracle(q, args.garbage, seed=args.seed * 2 + 2, label="q")
     return op, oq
 
 
 def _kwise_oracle(dist, args):
-    require_memory(orc.kwise_layout(orc.purified_registers(dist)))
+    require_memory(orc.kwise_layout(orc.purified_registers(dist.kind, dist.size)))
     return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
+
+
+def _closeness_tester_plan(tester: str, op, oq, eps: float, nu: float):
+    """The plan of a closeness tester: l1 and tolerant-l2 at ``nu``, plain l2
+    at nu = 1/2."""
+    if tester == "l1":
+        return l1_plan(op, oq, eps, nu)
+    return closeness_plan(op, oq, eps, nu if tester == "tolerant-l2" else 0.5)
 
 
 def _check_repeats(repeats: int) -> None:
@@ -219,12 +227,8 @@ def _at_least(value: float, bound: float) -> bool:
 def cmd_test_closeness(args) -> int:
     _check_repeats(args.repeats)
     p, q = _closeness_pair(args)
-    op, oq = _oracle_pair(p, q, args)
-    nu = args.nu if args.tester in ("tolerant-l2", "l1") else 0.5
-    if args.tester == "l1":
-        plan = l1_plan(op, oq, args.eps, nu)
-    else:
-        plan = closeness_plan(op, oq, args.eps, nu)
+    plan = _closeness_tester_plan(args.tester, *_oracle_pair(p, q, args), args.eps, args.nu)
+    nu = plan.params["nu"]
 
     l2 = ref.lp_distance(p, q, 2)
     norm, distance = "l2", l2
@@ -306,7 +310,7 @@ def cmd_sweep(args) -> int:
         else:
             point_args.gen = f"{args.tester}-pair"
             op, oq = _oracle_pair(*_closeness_pair(point_args), point_args)
-            plan = (l1_plan if args.tester == "l1" else closeness_plan)(op, oq, eps, args.nu)
+            plan = _closeness_tester_plan(args.tester, op, oq, eps, args.nu)
             expect = "FAR"
         trials = exp.run_trials(plan, args.trials, args.seed)
         success = trials.label_counts().get(expect, 0) / len(trials)

@@ -60,15 +60,15 @@ _PEAK_BYTES_PER_TRIAL = 64
 ORACLE_QUERY_COLUMNS = ("queries_forward", "queries_inverse", "queries_ctrl")
 
 
-def oracle_query_totals(queries: dict, skip: tuple[str, ...] = ("U",)) -> dict[str, int]:
+def oracle_query_totals(queries: dict) -> dict[str, int]:
     """Aggregate ledger snapshot into forward / inverse / controlled totals.
 
-    The estimation target's own label (default ``"U"``) is excluded so the
-    columns count queries to the underlying distribution oracles.
+    The encoding unitary's own label ``"U"`` is excluded so the columns
+    count queries to the underlying distribution oracles.
     """
     fwd = inv = ctrl = 0
     for label, per in queries.items():
-        if label in skip:
+        if label == "U":
             continue
         fwd += per.get("forward", 0)
         inv += per.get("inverse", 0)

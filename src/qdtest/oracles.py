@@ -29,6 +29,11 @@ oracle, B into C in the probability encoder) and the discrete query of
 :func:`from_discrete_oracle` is one :class:`~qdtest.statevec.XorOp`: a copy
 has the table arange(d), the query the function table, and each applies as
 one gather per source value, so no op keeps a table over the joint space.
+
+Register names are fixed.  A layout lists, in this order: the subset qubits
+S1..Sn (k-wise tests only), the workspace A, the sample register B (one
+qubit B1..Bn per coordinate on a bitstring space), the copy register C that
+mirrors B (C or C1..Cn), and the closeness ancilla qubit D.
 """
 from __future__ import annotations
 
@@ -86,12 +91,12 @@ def reflection_parts(column: np.ndarray) -> tuple[np.ndarray, float] | None:
     return w, denom
 
 
-def _prep_op(regs, column: np.ndarray, label: str | None = None) -> QuantumOp | None:
+def _prep_op(regs, column: np.ndarray) -> QuantumOp | None:
     """State-preparation reflection sending |0...0> to the given real column."""
     parts = reflection_parts(column)
     if parts is None:
         return None
-    return ReflectionOp(regs, parts[0], parts[1], label=label)
+    return ReflectionOp(regs, *parts)
 
 
 @dataclass(frozen=True)
@@ -122,55 +127,51 @@ class PurifiedOracle:
         return RegisterLayout(self.registers)
 
 
-def _sample_regs(dist: Distribution, b_name: str) -> tuple[tuple[str, int], ...]:
-    if dist.kind == BITSTRING:
-        return tuple((f"{b_name}{i}", 2) for i in range(1, dist.n_bits + 1))
-    return ((b_name, next_pow2(dist.size)),)
-
-
-def purified_registers(dist: Distribution, a_name: str = "A",
-                       b_name: str = "B") -> tuple[tuple[str, int], ...]:
-    """Workspace register, then sample register(s), of the purified oracle
-    that :func:`make_purified_oracle` builds for a distribution."""
-    b_regs = _sample_regs(dist, b_name)
-    return ((a_name, math.prod(d for _, d in b_regs)),) + b_regs
+def purified_registers(kind: str, size: int) -> tuple[tuple[str, int], ...]:
+    """Workspace register A, then sample register(s) B, of the purified
+    oracle that :func:`make_purified_oracle` builds for a distribution of
+    this kind on ``size`` elements."""
+    if kind == BITSTRING:
+        b_regs = tuple((f"B{i}", 2) for i in range(1, (size - 1).bit_length() + 1))
+    else:
+        b_regs = (("B", next_pow2(size)),)
+    return (("A", math.prod(d for _, d in b_regs)),) + b_regs
 
 
 def _assemble(dist: Distribution, prep: QuantumOp | None, garbage: str,
-              seed: int | None, label: str,
-              a_name: str, b_name: str) -> PurifiedOracle:
-    (_, dim), *b_regs = purified_registers(dist, a_name, b_name)
-    b_names = tuple(n for n, _ in b_regs)
+              seed: int | None, label: str) -> PurifiedOracle:
+    (_, dim), *b_regs = purified_registers(dist.kind, dist.size)
     steps: list[QuantumOp] = [] if prep is None else [prep]
-    steps.append(XorOp(b_names, (a_name,), np.arange(dim)))
+    steps.append(XorOp(tuple(n for n, _ in b_regs), ("A",), np.arange(dim)))
     if garbage == "haar":
         if seed is None:
             raise ValueError("haar garbage needs a seed")
-        steps.append(MatrixOp((a_name,), haar_unitary(dim, seed)))
+        steps.append(MatrixOp(("A",), haar_unitary(dim, seed)))
     elif garbage != "basis":
         raise ValueError(f"unknown garbage style {garbage!r}")
     return PurifiedOracle(distribution=dist, garbage=garbage, label=label,
-                          a_reg=(a_name, dim), b_regs=tuple(b_regs),
+                          a_reg=("A", dim), b_regs=tuple(b_regs),
                           op=SequenceOp(steps, label=label))
 
 
+def _sample_names(dist: Distribution) -> tuple[str, ...]:
+    return tuple(n for n, _ in purified_registers(dist.kind, dist.size)[1:])
+
+
 def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
-                         seed: int | None = None, label: str = "p",
-                         a_name: str = "A", b_name: str = "B") -> PurifiedOracle:
+                         seed: int | None = None, label: str = "p") -> PurifiedOracle:
     """Purified oracle for a distribution with the chosen garbage style.
 
     The construction prepares sqrt(p) on the sample register, copies it into
     the workspace, and (for haar garbage) scrambles the workspace with
     ``haar_unitary(dim, seed)``, so haar garbage needs a seed.
     """
-    b_regs = _sample_regs(dist, b_name)
-    prep = _prep_op(tuple(n for n, _ in b_regs), np.sqrt(padded_weights(dist)))
-    return _assemble(dist, prep, garbage, seed, label, a_name, b_name)
+    prep = _prep_op(_sample_names(dist), np.sqrt(padded_weights(dist)))
+    return _assemble(dist, prep, garbage, seed, label)
 
 
 def from_pure_state_oracle(v: np.ndarray | MatrixOp, *, kind: str = RANGE,
-                           label: str = "p", a_name: str = "A",
-                           b_name: str = "B") -> PurifiedOracle:
+                           label: str = "p") -> PurifiedOracle:
     """Purified oracle from a state-preparation unitary v|0> = sum sqrt(p_i)|i>.
 
     One application of the result costs one underlying preparation query; the
@@ -193,13 +194,11 @@ def from_pure_state_oracle(v: np.ndarray | MatrixOp, *, kind: str = RANGE,
         mat = padded
     weights = np.clip(column.real, 0.0, None) ** 2
     dist = Distribution(weights / weights.sum(), kind)
-    b_regs = _sample_regs(dist, b_name)
-    prep = MatrixOp(tuple(n for n, _ in b_regs), mat)
-    return _assemble(dist, prep, "basis", None, label, a_name, b_name)
+    return _assemble(dist, MatrixOp(_sample_names(dist), mat), "basis", None, label)
 
 
-def from_discrete_oracle(table, *, omega: int | None = None, label: str = "p",
-                         a_name: str = "A", b_name: str = "B") -> PurifiedOracle:
+def from_discrete_oracle(table, *, omega: int | None = None,
+                         label: str = "p") -> PurifiedOracle:
     """Purified oracle from a function table f: [n] -> omega.
 
     Encodes p_i = |{j : f(j) = i}| / n by querying |j>|y> -> |j>|y xor f(j)>
@@ -217,40 +216,39 @@ def from_discrete_oracle(table, *, omega: int | None = None, label: str = "p",
     n_in = f.size
     d_a, d_b = next_pow2(n_in), next_pow2(omega)
 
-    prep = _prep_op((a_name,), np.concatenate(
+    prep = _prep_op(("A",), np.concatenate(
         [np.full(n_in, 1.0 / math.sqrt(n_in)), np.zeros(d_a - n_in)]))
     f_padded = np.zeros(d_a, dtype=np.int64)
     f_padded[:n_in] = f
-    query = XorOp((a_name,), (b_name,), f_padded)
+    query = XorOp(("A",), ("B",), f_padded)
 
     counts = np.bincount(f, minlength=omega).astype(np.float64)
     dist = Distribution(counts / n_in, RANGE)
     steps = [query] if prep is None else [prep, query]
     return PurifiedOracle(distribution=dist, garbage="preimage", label=label,
-                          a_reg=(a_name, d_a), b_regs=((b_name, d_b),),
+                          a_reg=("A", d_a), b_regs=(("B", d_b),),
                           op=SequenceOp(steps, label=label))
 
 
-def _mirror_regs(b_regs, prefix: str) -> tuple[tuple[str, int], ...]:
-    if len(b_regs) == 1:
-        return ((prefix, b_regs[0][1]),)
-    return tuple((f"{prefix}{i}", d) for i, (_, d) in enumerate(b_regs, start=1))
+def _copy_regs(b_regs) -> tuple[tuple[str, int], ...]:
+    """The copy register C, or C1..Cn, mirroring the sample register(s)."""
+    return tuple(("C" + name[1:], d) for name, d in b_regs)
 
 
-def probability_encoder(oracle: PurifiedOracle, c_prefix: str = "C") -> QuantumOp:
+def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
     """U_p^dagger . copy(B->C) . U_p: reads the probabilities into amplitudes.
 
     On |0>_A |0>_B |0>_C the (A=0, B=0, C=k) amplitude equals p_k for every k;
     each application costs one forward and one inverse oracle query.
     """
-    b_names = tuple(n for n, _ in oracle.b_regs)
-    c_names = tuple(n for n, _ in _mirror_regs(oracle.b_regs, c_prefix))
-    copy = XorOp(b_names, c_names, np.arange(oracle.sample_dim))
+    samples = tuple(n for n, _ in oracle.b_regs)
+    copies = tuple(n for n, _ in _copy_regs(oracle.b_regs))
+    copy = XorOp(samples, copies, np.arange(oracle.sample_dim))
     return SequenceOp([oracle.op, copy, inverse(oracle.op)])
 
 
-def encoder_layout(oracle: PurifiedOracle, c_prefix: str = "C") -> RegisterLayout:
-    return RegisterLayout(oracle.registers + _mirror_regs(oracle.b_regs, c_prefix))
+def encoder_layout(oracle: PurifiedOracle) -> RegisterLayout:
+    return RegisterLayout(oracle.registers + _copy_regs(oracle.b_regs))
 
 
 def _require_same_space(op: PurifiedOracle, oq: PurifiedOracle) -> None:
@@ -266,8 +264,7 @@ def _require_same_space(op: PurifiedOracle, oq: PurifiedOracle) -> None:
         raise ValueError("oracles need distinct ledger labels")
 
 
-def closeness_unitary(op: PurifiedOracle, oq: PurifiedOracle,
-                      d_name: str = "D", label: str = "U") -> QuantumOp:
+def closeness_unitary(op: PurifiedOracle, oq: PurifiedOracle) -> QuantumOp:
     """One-ancilla combination of two probability encoders.
 
     With Pi = |0><0|_A x |0><0|_B x I_C x |0><0|_D, the projected mass of the
@@ -278,31 +275,27 @@ def closeness_unitary(op: PurifiedOracle, oq: PurifiedOracle,
     enc_p = probability_encoder(op)
     enc_q = probability_encoder(oq)
     return SequenceOp([
-        pauli_x(d_name),
-        hadamard(d_name),
-        ControlledOp(enc_p, d_name, 0),
-        ControlledOp(enc_q, d_name, 1),
-        hadamard(d_name),
-    ], label=label)
+        pauli_x("D"),
+        hadamard("D"),
+        ControlledOp(enc_p, "D", 0),
+        ControlledOp(enc_q, "D", 1),
+        hadamard("D"),
+    ], label="U")
 
 
-def closeness_layout(registers: tuple[tuple[str, int], ...],
-                     d_name: str = "D") -> RegisterLayout:
+def closeness_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
     """Layout of a closeness test on oracles with the given (A, B...) registers."""
-    return RegisterLayout(registers + _mirror_regs(registers[1:], "C") + ((d_name, 2),))
+    return RegisterLayout(registers + _copy_regs(registers[1:]) + (("D", 2),))
 
 
-def closeness_instance(op: PurifiedOracle, oq: PurifiedOracle,
-                       d_name: str = "D") -> tuple[RegisterLayout, QuantumOp, Projector]:
+def closeness_instance(op: PurifiedOracle, oq: PurifiedOracle
+                       ) -> tuple[RegisterLayout, QuantumOp, Projector]:
     """Layout, unitary, and projector for a closeness test of two oracles."""
-    unitary = closeness_unitary(op, oq, d_name)
-    layout = closeness_layout(op.registers, d_name)
-    fixed = {op.a_reg[0]: 0, d_name: 0}
-    fixed.update({n: 0 for n, _ in op.b_regs})
-    return layout, unitary, Projector(fixed)
+    fixed = {"A": 0, "D": 0, **{name: 0 for name, _ in op.b_regs}}
+    return closeness_layout(op.registers), closeness_unitary(op, oq), Projector(fixed)
 
 
-def subset_superposition(n: int, k: int, prefix: str = "S") -> QuantumOp:
+def subset_superposition(n: int, k: int) -> QuantumOp:
     """Unitary sending |0...0> to the uniform superposition over the n-bit
     indicators of all non-empty subsets of size at most k."""
     if not 1 <= k <= n:
@@ -311,12 +304,10 @@ def subset_superposition(n: int, k: int, prefix: str = "S") -> QuantumOp:
     sizes = subset_sizes(n)
     support = (sizes >= 1) & (sizes <= k)
     column[support] = 1.0 / math.sqrt(int(support.sum()))
-    regs = tuple(f"{prefix}{i}" for i in range(1, n + 1))
-    return _prep_op(regs, column)
+    return _prep_op(tuple(f"S{i}" for i in range(1, n + 1)), column)
 
 
-def kwise_encoder(oracle: PurifiedOracle, k: int, s_prefix: str = "S",
-                  label: str = "U") -> QuantumOp:
+def kwise_encoder(oracle: PurifiedOracle, k: int) -> QuantumOp:
     """Subset-phase circuit whose projected amplitudes are density Fourier
     coefficients.
 
@@ -332,24 +323,19 @@ def kwise_encoder(oracle: PurifiedOracle, k: int, s_prefix: str = "S",
     n = oracle.distribution.n_bits
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    prep = subset_superposition(n, k, s_prefix)
-    b_names = [name for name, _ in oracle.b_regs]
-    phases = [controlled_z(f"{s_prefix}{i}", b_names[i - 1]) for i in range(1, n + 1)]
-    return SequenceOp([prep, oracle.op, *phases, inverse(oracle.op)], label=label)
+    phases = [controlled_z(f"S{i}", f"B{i}") for i in range(1, n + 1)]
+    return SequenceOp([subset_superposition(n, k), oracle.op, *phases,
+                       inverse(oracle.op)], label="U")
 
 
-def kwise_layout(registers: tuple[tuple[str, int], ...],
-                 s_prefix: str = "S") -> RegisterLayout:
+def kwise_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
     """Layout of a k-wise test on an oracle with (A, B1..Bn) registers."""
-    s_regs = tuple((f"{s_prefix}{i}", 2) for i in range(1, len(registers)))
+    s_regs = tuple((f"S{i}", 2) for i in range(1, len(registers)))
     return RegisterLayout(s_regs + registers)
 
 
-def kwise_instance(oracle: PurifiedOracle, k: int, s_prefix: str = "S",
+def kwise_instance(oracle: PurifiedOracle, k: int
                    ) -> tuple[RegisterLayout, QuantumOp, Projector]:
     """Layout, unitary, and projector for a k-wise uniformity test."""
-    unitary = kwise_encoder(oracle, k, s_prefix)
-    layout = kwise_layout(oracle.registers, s_prefix)
-    fixed = {oracle.a_reg[0]: 0}
-    fixed.update({name: 0 for name, _ in oracle.b_regs})
-    return layout, unitary, Projector(fixed)
+    fixed = {name: 0 for name, _ in oracle.registers}
+    return kwise_layout(oracle.registers), kwise_encoder(oracle, k), Projector(fixed)

@@ -114,10 +114,10 @@ def fourier_weight(p: Distribution, k: int) -> float:
     return float(np.sum(_low_degree(p, k) ** 2))
 
 
-def is_kwise_uniform(p: Distribution, k: int, tol: float = 1e-9) -> bool:
-    """Whether every non-empty subset of size at most k has |phi_hat(S)| <= tol,
-    which holds at tol = 0 iff every k-coordinate marginal is uniform."""
-    return bool(np.abs(_low_degree(p, k)).max() <= tol)
+def is_kwise_uniform(p: Distribution, k: int) -> bool:
+    """Whether every non-empty subset of size at most k has |phi_hat(S)| <=
+    1e-9: every k-coordinate marginal is uniform, up to rounding."""
+    return bool(np.abs(_low_degree(p, k)).max() <= 1e-9)
 
 
 def binom_sum(n: int, k: int) -> int:

@@ -157,9 +157,7 @@ def check_estimation() -> None:
     bound = 2 * math.pi * math.sqrt(0.21) / dist.points + math.pi ** 2 / dist.points ** 2
     assert abs(top - 0.3) <= bound, "most likely estimate outside the error bound"
 
-    ledger = sv.QueryLedger()
-    ae.phase_distribution(system(0.3), layout, proj, 100, ledger=ledger)
-    counts = ledger.get("U")
+    counts = ae.phase_distribution(system(0.3), layout, proj, 100).ledger_cost.get("U")
     assert counts["forward"] == 128 and counts["inverse"] == 127, "query accounting off"
 
 
@@ -192,7 +190,7 @@ SUITES = (
 )
 
 
-def run_selfcheck(out=print) -> int:
+def run_selfcheck() -> int:
     """Run every suite; returns 0 iff all pass."""
     failures = 0
     for name, suite in SUITES:
@@ -201,8 +199,8 @@ def run_selfcheck(out=print) -> int:
             suite()
         except AssertionError as exc:
             failures += 1
-            out(f"FAIL {name} ({time.perf_counter() - start:.2f}s): {exc}")
+            print(f"FAIL {name} ({time.perf_counter() - start:.2f}s): {exc}")
         else:
-            out(f"ok   {name} ({time.perf_counter() - start:.2f}s)")
-    out(f"selfcheck: {len(SUITES) - failures}/{len(SUITES)} suites passed")
+            print(f"ok   {name} ({time.perf_counter() - start:.2f}s)")
+    print(f"selfcheck: {len(SUITES) - failures}/{len(SUITES)} suites passed")
     return 0 if failures == 0 else 1

@@ -486,20 +486,10 @@ def controlled_z(control: str, target: str) -> PhaseFlipOp:
 # --- application, measurement, dense cross-check -------------------------------
 
 def apply(op: QuantumOp, state: StateVector, *, inverse: bool = False,
-          control: str | None = None, control_value: int = 1,
           ledger: "QueryLedger | None" = None) -> StateVector:
-    """Apply an operator in place; returns the state for chaining.
-
-    ``control`` selects controlled mode: the operator acts on the block where
-    the named qubit register holds ``control_value`` and as the identity
-    elsewhere.
-    """
-    controls: Controls = ()
-    if control is not None:
-        if state.layout.dim_of(control) != 2:
-            raise RegisterError(f"control register {control!r} must be a qubit")
-        controls = ((control, control_value),)
-    op.apply_to(state, inverse=inverse, controls=controls, ledger=ledger)
+    """Apply an operator in place; returns the state for chaining.  A
+    controlled application is a :class:`ControlledOp`."""
+    op.apply_to(state, inverse=inverse, ledger=ledger)
     return state
 
 
@@ -526,17 +516,19 @@ def measure(state: StateVector, register: str, rng: np.random.Generator) -> int:
     return outcome
 
 
-def dense_matrix_of(op: QuantumOp, layout: RegisterLayout, *, cap: int = 4096,
-                    inverse: bool = False) -> np.ndarray:
+_DENSE_CAP = 4096
+
+
+def dense_matrix_of(op: QuantumOp, layout: RegisterLayout) -> np.ndarray:
     """Materialize the operator over a layout: column j is op applied to |j>."""
     dim = layout.total_dim
-    if dim > cap:
-        raise RegisterError(f"layout dimension {dim} exceeds dense cap {cap}")
+    if dim > _DENSE_CAP:
+        raise RegisterError(f"layout dimension {dim} exceeds dense cap {_DENSE_CAP}")
     out = np.empty((dim, dim), dtype=np.complex128)
     for j in range(dim):
         state = StateVector(layout)
         state.amplitudes[j] = 1.0
-        op.apply_to(state, inverse=inverse)
+        op.apply_to(state)
         out[:, j] = state.amplitudes
     return out
 

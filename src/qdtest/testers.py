@@ -11,13 +11,13 @@ testers go through :func:`run_plan`, which passes one ``rng.random()``; the
 seeded trial harness passes trial i the uniform
 ``default_rng([seed, i]).random()``, computed in bulk
 (:func:`qdtest.seeding.trial_uniforms`).  So trial i reproduces a single
-call with that rng exactly, a verdict's ``queries`` is always the
-deterministic cost of one run, and a caller's ledger gets that cost once per
-run.  The runs come back as one :class:`Trials`, a read-only sequence of
-verdicts kept as arrays: one verdict per measured phase, plus an intp index
-that gives each run's verdict.  :meth:`Trials.vote` takes the
-:func:`majority` of consecutive groups of runs on that index, and the
-reports of :mod:`qdtest.experiments` read it directly.
+call with that rng exactly, and a verdict's ``queries`` is always the
+deterministic cost of one run.  The runs come back as one :class:`Trials`,
+a read-only sequence of verdicts kept as arrays: one verdict per measured
+phase, plus an intp index that gives each run's verdict.
+:meth:`Trials.vote` takes the :func:`majority` of consecutive groups of
+runs on that index, and the reports of :mod:`qdtest.experiments` read it
+directly.
 
 Success guarantees hold under the respective promises with probability at
 least 8/pi^2 per call; the promise itself is not (and cannot be) checked
@@ -36,7 +36,7 @@ import numpy as np
 from .amplitude import estimate_from_phase, phase_distribution, zero_budget
 from .oracles import PurifiedOracle, closeness_instance, kwise_instance
 from .reference import binom_sum
-from .statevec import Projector, QuantumOp, QueryLedger, RegisterLayout
+from .statevec import Projector, QuantumOp, RegisterLayout
 
 __all__ = [
     "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
@@ -189,8 +189,7 @@ class Trials(Sequence):
         return Trials(self.verdicts, groups[np.arange(len(groups)), count.argmax(axis=1)])
 
 
-def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray,
-                ledger: QueryLedger | None = None) -> Trials:
+def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray) -> Trials:
     """One estimation run per uniform draw in [0, 1), all on the plan's one
     exact phase distribution, each thresholded into a verdict.
 
@@ -202,8 +201,7 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray,
     its statistic sin^2(pi y / M) and its verdict once (with ``math.sin``;
     numpy's sine may differ in the last bit), in order of y, and the runs
     come back as :class:`Trials` over those verdicts.  Every verdict's
-    ``queries`` is the per-run cost; ``ledger``, if given, gets that cost
-    once per run.
+    ``queries`` is the per-run cost.
     """
     dist = phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t)
     cost = dist.ledger_cost.snapshot()
@@ -219,57 +217,49 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray,
         statistic = estimate_from_phase(y, dist.points)
         verdicts.append(TestVerdict(below if statistic < threshold else above,
                                     statistic, plan.t, plan.threshold, params, cost))
-    if ledger is not None:
-        ledger.merge(dist.ledger_cost, times=phases.size)
     return Trials(tuple(verdicts), lookup[phases])
 
 
-def run_plan(plan: AEPlan, rng: np.random.Generator,
-             ledger: QueryLedger | None = None) -> TestVerdict:
+def run_plan(plan: AEPlan, rng: np.random.Generator) -> TestVerdict:
     """Execute a plan once: one estimation run on ``rng.random()``, one
     threshold comparison."""
-    return sample_plan(plan, [rng.random()], ledger)[0]
+    return sample_plan(plan, [rng.random()])[0]
 
 
 def tolerant_l2_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                          nu: float, rng: np.random.Generator,
-                          ledger: QueryLedger | None = None) -> TestVerdict:
+                          nu: float, rng: np.random.Generator) -> TestVerdict:
     """CLOSE if ||p - q||_2 <= (1 - nu) eps, FAR if ||p - q||_2 >= eps, using
     O(1/(nu eps)) oracle queries."""
-    return run_plan(closeness_plan(op, oq, eps, nu), rng, ledger)
+    return run_plan(closeness_plan(op, oq, eps, nu), rng)
 
 
 def l2_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                 rng: np.random.Generator,
-                 ledger: QueryLedger | None = None) -> TestVerdict:
+                 rng: np.random.Generator) -> TestVerdict:
     """CLOSE if p = q, FAR if ||p - q||_2 >= eps; the tolerant tester at
     nu = 1/2, using O(1/eps) queries."""
-    return tolerant_l2_closeness(op, oq, eps, 0.5, rng, ledger)
+    return tolerant_l2_closeness(op, oq, eps, 0.5, rng)
 
 
 def l1_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                 rng: np.random.Generator,
-                 ledger: QueryLedger | None = None) -> TestVerdict:
+                 rng: np.random.Generator) -> TestVerdict:
     """CLOSE if p = q, FAR if ||p - q||_1 >= eps, using O(sqrt(n)/eps)
     queries (:func:`l1_plan`)."""
-    return run_plan(l1_plan(op, oq, eps), rng, ledger)
+    return run_plan(l1_plan(op, oq, eps), rng)
 
 
 def estimate_l2_distance(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                         rng: np.random.Generator,
-                         ledger: QueryLedger | None = None) -> float:
+                         rng: np.random.Generator) -> float:
     """Estimate ||p - q||_2 to within additive eps (with probability at least
     8/pi^2) as twice the square root of the estimated projected mass."""
-    return 2.0 * math.sqrt(run_plan(estimator_plan(op, oq, eps), rng, ledger).statistic)
+    return 2.0 * math.sqrt(run_plan(estimator_plan(op, oq, eps), rng).statistic)
 
 
 def kwise_uniformity_test(oracle: PurifiedOracle, k: int, eps: float,
-                          rng: np.random.Generator,
-                          ledger: QueryLedger | None = None) -> TestVerdict:
+                          rng: np.random.Generator) -> TestVerdict:
     """YES (with certainty) if p is k-wise uniform, NO (with probability at
     least 8/pi^2) if p is eps-far in total variation from every k-wise uniform
     distribution, using O(sqrt(n^k)/eps) queries."""
-    return run_plan(kwise_plan(oracle, k, eps), rng, ledger)
+    return run_plan(kwise_plan(oracle, k, eps), rng)
 
 
 def majority(runs: Sequence[TestVerdict]) -> TestVerdict:

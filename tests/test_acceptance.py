@@ -220,11 +220,10 @@ def test_criterion_7_query_scaling_laws():
         rng = np.random.default_rng(1007)
         p, q = ref.gen_l2_pair(8, 0.4)
         op, oq = pair_oracles(p, q)
-        led_a, led_b = sv.QueryLedger(), sv.QueryLedger()
-        testers.l2_closeness(op, oq, 0.4, rng, ledger=led_a)
-        testers.l2_closeness(op, oq, 0.2, rng, ledger=led_b)
+        cost_a = testers.l2_closeness(op, oq, 0.4, rng).queries
+        cost_b = testers.l2_closeness(op, oq, 0.2, rng).queries
         for label in ("p", "q"):
-            ratio = led_b.total(label) / led_a.total(label)
+            ratio = sum(cost_b[label].values()) / sum(cost_a[label].values())
             assert abs(ratio - 2.0) <= 0.2
 
         budgets = {}

@@ -205,9 +205,8 @@ def test_error_bound_coverage_p03_t128():
 def test_query_accounting():
     unitary, layout, proj = rotation_system(0.3)
     for t in (5, 64, 100):
-        ledger = sv.QueryLedger()
-        m = ae.phase_distribution(unitary, layout, proj, t, ledger=ledger).points
-        counts = ledger.get("U")
+        dist = ae.phase_distribution(unitary, layout, proj, t)
+        m, counts = dist.points, dist.ledger_cost.get("U")
         assert counts["forward"] == m  # one preparation plus m-1 iterate steps
         assert counts["inverse"] == m - 1
 
@@ -267,9 +266,9 @@ def test_zero_tester_no_frequency(mult):
 
 def test_distribution_ledger_cost_is_reusable():
     unitary, layout, proj = rotation_system(0.2)
-    outer = sv.QueryLedger()
-    dist = ae.phase_distribution(unitary, layout, proj, 16, ledger=outer)
-    assert dist.ledger_cost.snapshot() == outer.snapshot()
+    dist = ae.phase_distribution(unitary, layout, proj, 16)
+    again = ae.phase_distribution(unitary, layout, proj, 16)
+    assert dist.ledger_cost.snapshot() == again.ledger_cost.snapshot()
     trial = dist.ledger_cost.copy()
     trial.record("U", inverse=False, controlled=False)
     assert dist.ledger_cost.get("U")["forward"] + 1 == trial.get("U")["forward"]

