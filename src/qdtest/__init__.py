@@ -1,9 +1,8 @@
 """Quantum testers for distribution closeness and k-wise uniformity, simulated
 exactly on a dense state-vector engine with per-oracle query counting."""
 
-from .amplitude import (AEConfig, AEDistribution, grover_iterate,
-                        phase_distribution, phase_pmf, qpe_joint_state,
-                        zero_budget)
+from .amplitude import (AEDistribution, grover_iterate, phase_distribution,
+                        phase_points, phase_pmf, qpe_joint_state, zero_budget)
 from .distributions import (BITSTRING, RANGE, Distribution, DistributionError,
                             load, point_mass, random_distribution, uniform)
 from .oracles import (GARBAGE_STYLES, PurifiedOracle, closeness_instance,
@@ -11,11 +10,11 @@ from .oracles import (GARBAGE_STYLES, PurifiedOracle, closeness_instance,
                       from_pure_state_oracle, haar_unitary, kwise_encoder,
                       kwise_instance, make_purified_oracle, probability_encoder,
                       subset_superposition)
-from .statevec import (ControlledOp, MatrixOp, PhaseFlipOp, Projector,
-                       QuantumOp, QueryLedger, ReflectionOp, RegisterError,
+from .statevec import (ControlledOp, MatrixOp, PhaseFlipOp, QuantumOp,
+                       QueryLedger, ReflectionOp, RegisterError,
                        RegisterLayout, SequenceOp, StateVector, XorOp, apply,
                        controlled_z, dense_matrix_of, hadamard, inverse,
-                       measure, new_basis_state, pauli_x, projector_norm_sq,
+                       new_basis_state, pauli_x, projector_norm_sq,
                        register_marginal)
 from .testers import (TestVerdict, estimate_l2_distance, kwise_uniformity_test,
                       l1_closeness, l2_closeness, tolerant_l2_closeness)

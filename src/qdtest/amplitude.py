@@ -5,14 +5,15 @@ phase estimation on the reflection product Q = -U S0 U^dagger S_Pi applied to
 U|0>: a uniform M-point phase register is entangled with the powers Q^y of the
 iterate, the inverse Fourier transform is taken along the phase axis, the
 phase register is measured once, and the estimate sin^2(pi y / M) is returned.
-M = 2^m is the least power of two at or above the requested iteration budget
-t, so the guarantee
+M = ``next_pow2(t)`` (:func:`phase_points`) is the least power of two at or
+above the requested iteration budget t, so the guarantee
 
     |estimate - p| <= 2 pi sqrt(p (1-p)) / M + pi^2 / M^2
 
 holds with probability at least 8/pi^2, and the estimate is exactly 0 with
 certainty when p = 0.
 
+The projector Pi is a ``{register: value}`` map (:mod:`qdtest.statevec`).
 Q only rotates the two-dimensional span of Pi U|0> and (I - Pi) U|0>, by
 2 theta with sin^2(theta) = p, so the phase-register distribution depends on
 p alone: it is the two-peak Fejer kernel of :func:`phase_pmf`
@@ -28,14 +29,14 @@ materialized phase register, as the cross-check for small systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .statevec import (MatrixOp, PhaseFlipOp, Projector, QuantumOp,
-                       QueryLedger, RegisterLayout, SequenceOp, StateVector,
-                       apply, inverse, new_basis_state, projector_norm_sq,
-                       require_bytes)
+from .distributions import next_pow2
+from .statevec import (MatrixOp, PhaseFlipOp, QuantumOp, QueryLedger,
+                       RegisterLayout, SequenceOp, StateVector, apply, inverse,
+                       new_basis_state, projector_norm_sq, require_bytes)
 
 # Peak bytes per phase point of one estimation setup and its sampling: the
 # pmf and its kernel temporaries, the CDF, and sample_plan's per-phase counts
@@ -44,38 +45,26 @@ from .statevec import (MatrixOp, PhaseFlipOp, Projector, QuantumOp,
 _PEAK_BYTES_PER_POINT = 80
 
 
-@dataclass(frozen=True)
-class AEConfig:
-    """Iteration budget t and the derived phase-register size M = 2^m >= t."""
-
-    t: int
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError(f"iteration budget must be positive, got {self.t}")
-
-    @property
-    def phase_bits(self) -> int:
-        return max(0, int(math.ceil(math.log2(self.t))))
-
-    @property
-    def points(self) -> int:
-        return 1 << self.phase_bits
+def phase_points(t: int) -> int:
+    """Phase-register size M of iteration budget t: the least power of two
+    at or above t."""
+    if t < 1:
+        raise ValueError(f"iteration budget must be positive, got {t}")
+    return next_pow2(t)
 
 
 class AEDistribution:
     """Exact outcome distribution of one estimation setup.
 
     The phase-register measurement distribution is deterministic given
-    (U, Pi, t); sampling from it repeatedly is exactly repeating the
+    (U, Pi, M); sampling from it repeatedly is exactly repeating the
     estimation, and ``ledger_cost`` holds the deterministic per-run query
     counts.
     """
 
-    __slots__ = ("t", "points", "probs", "_cdf", "ledger_cost")
+    __slots__ = ("points", "probs", "_cdf", "ledger_cost")
 
-    def __init__(self, t: int, points: int, probs: np.ndarray, ledger_cost: QueryLedger):
-        self.t = t
+    def __init__(self, points: int, probs: np.ndarray, ledger_cost: QueryLedger):
         self.points = points
         self.probs = probs
         self._cdf = np.cumsum(probs)
@@ -93,7 +82,7 @@ def estimate_from_phase(y: int, points: int) -> float:
 
 
 def grover_iterate(unitary: QuantumOp, layout: RegisterLayout,
-                   projector: Projector) -> QuantumOp:
+                   projector: Mapping[str, int]) -> QuantumOp:
     """The reflection product Q = -U S0 U^dagger S_Pi.
 
     S_Pi = I - 2 Pi and S0 = I - 2|0...0><0...0| over the full layout; the
@@ -101,13 +90,14 @@ def grover_iterate(unitary: QuantumOp, layout: RegisterLayout,
     eigenphases are exactly +/- 2 theta with sin^2(theta) = ||Pi U|0>||^2.
     One application costs one forward and one inverse application of U.
     """
-    s_pi = PhaseFlipOp(dict(projector.fixed))
+    s_pi = PhaseFlipOp(projector)
     neg_s0 = PhaseFlipOp({name: 0 for name in layout.names}, complement=True)
     return SequenceOp([s_pi, inverse(unitary), neg_s0, unitary])
 
 
-def _power_table(unitary: QuantumOp, layout: RegisterLayout, projector: Projector,
-                 points: int, ledger: QueryLedger | None) -> np.ndarray:
+def _power_table(unitary: QuantumOp, layout: RegisterLayout,
+                 projector: Mapping[str, int], points: int,
+                 ledger: QueryLedger | None) -> np.ndarray:
     """Rows y = Q^y U|0> for y in 0..points-1 (the simulated cross-check)."""
     state = new_basis_state(layout)
     apply(unitary, state, ledger=ledger)
@@ -151,7 +141,7 @@ def phase_pmf(p: float, points: int) -> np.ndarray:
 
 
 def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
-                       projector: Projector, t: int) -> AEDistribution:
+                       projector: Mapping[str, int], t: int) -> AEDistribution:
     """Exact phase-measurement distribution for one estimation setup.
 
     Applies U once, to read p and to count its queries; U^dagger makes the
@@ -160,17 +150,16 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     counts of the single run it represents.  Checks first that the M-point
     phase register fits in the available memory.
     """
-    cfg = AEConfig(t)
-    require_bytes(cfg.points * _PEAK_BYTES_PER_POINT,
-                  f"a phase register of {cfg.points} points")
+    m = phase_points(t)
+    require_bytes(m * _PEAK_BYTES_PER_POINT, f"a phase register of {m} points")
     state = new_basis_state(layout)
     forward = QueryLedger()
     apply(unitary, state, ledger=forward)
     p = projector_norm_sq(state, projector)
     cost = QueryLedger()
-    cost.merge(forward, times=cfg.points)
-    cost.merge(forward, times=cfg.points - 1, inverse=True)
-    return AEDistribution(cfg.t, cfg.points, phase_pmf(p, cfg.points), cost)
+    cost.merge(forward, times=m)
+    cost.merge(forward, times=m - 1, inverse=True)
+    return AEDistribution(m, phase_pmf(p, m), cost)
 
 
 def zero_budget(eps: float) -> int:
@@ -182,14 +171,14 @@ def zero_budget(eps: float) -> int:
 
 
 def qpe_joint_state(unitary: QuantumOp, layout: RegisterLayout,
-                    projector: Projector, t: int) -> tuple[StateVector, int]:
+                    projector: Mapping[str, int], t: int) -> tuple[StateVector, int]:
     """Materialized post-transform joint state with a real phase register.
 
     Cross-check path for small systems: the marginal of the register
     ``"phase"`` on the returned state is the simulated counterpart of the
     closed form in :func:`phase_distribution`, equal to it up to rounding.
     """
-    m = AEConfig(t).points
+    m = phase_points(t)
     table = _power_table(unitary, layout, projector, m, None)
     joint = StateVector(RegisterLayout((("phase", m),) + layout.registers),
                         (table / math.sqrt(m)).ravel())

@@ -201,6 +201,11 @@ def _closeness_tester_plan(tester: str, op, oq, eps: float, nu: float):
     return closeness_plan(op, oq, eps, nu if tester == "tolerant-l2" else 0.5)
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise DistributionError(f"k={k} out of range for n={n}")
+
+
 def _check_repeats(repeats: int) -> None:
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError("--repeats must be odd and positive")
@@ -256,8 +261,7 @@ def cmd_test_kwise(args) -> int:
     _check_repeats(args.repeats)
     dist = _kwise_dist(args)
     n = dist.n_bits
-    if not 1 <= args.k <= n:
-        raise DistributionError(f"k={args.k} out of range for n={n}")
+    _check_k(args.k, n)
     plan = kwise_plan(_kwise_oracle(dist, args), args.k, args.eps)
 
     weight = ref.fourier_weight(dist, args.k)
@@ -302,7 +306,8 @@ def cmd_sweep(args) -> int:
         eps, n = g["eps"], g["n"]
         point_args = argparse.Namespace(**{**vars(args), "eps": eps, "n": n})
         if args.tester == "kwise":
-            coords = ",".join(str(c) for c in range(1, min(args.k, n) + 1))
+            _check_k(args.k, n)  # before the spike on coordinates 1..k
+            coords = ",".join(str(c) for c in range(1, args.k + 1))
             point_args.gen = f"spike:{coords}:{args.delta!r}"
             oracle = _kwise_oracle(_kwise_dist(point_args), point_args)
             plan = kwise_plan(oracle, args.k, eps)

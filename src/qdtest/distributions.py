@@ -15,7 +15,9 @@ File formats (shared by the CLI and library loaders):
   (loaded as a ``range`` distribution).
 
 Loaders renormalize weight sums within 1e-6 of one and reject anything
-further off; the constructor itself requires normalization within 1e-9.
+further off; the constructor itself requires finite weights normalized within
+1e-9, so a NaN or infinite weight is rejected wherever a distribution is
+built.
 """
 from __future__ import annotations
 
@@ -54,6 +56,8 @@ class Distribution:
             raise DistributionError(f"unknown sample-space kind {self.kind!r}")
         if w.ndim != 1 or w.size < 1:
             raise DistributionError("weights must be a non-empty 1-d vector")
+        if not np.all(np.isfinite(w)):
+            raise DistributionError(f"non-finite weight {w[~np.isfinite(w)][0]}")
         if np.any(w < 0):
             raise DistributionError(f"negative weight {w.min()}")
         total = float(w.sum())

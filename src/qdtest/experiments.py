@@ -63,13 +63,11 @@ ORACLE_QUERY_COLUMNS = ("queries_forward", "queries_inverse", "queries_ctrl")
 def oracle_query_totals(queries: dict) -> dict[str, int]:
     """Aggregate ledger snapshot into forward / inverse / controlled totals.
 
-    The encoding unitary's own label ``"U"`` is excluded so the columns
-    count queries to the underlying distribution oracles.
+    A plan's ledger holds only oracle labels, so the columns count queries to
+    the underlying distribution oracles.
     """
     fwd = inv = ctrl = 0
-    for label, per in queries.items():
-        if label == "U":
-            continue
+    for per in queries.values():
         fwd += per.get("forward", 0)
         inv += per.get("inverse", 0)
         ctrl += per.get("ctrl_forward", 0) + per.get("ctrl_inverse", 0)

@@ -10,7 +10,9 @@ are provided ("basis": |phi_i> = |i>; "haar": columns of a random unitary
 drawn from the seeded uniforms of :mod:`qdtest.seeding`, :func:`haar_unitary`).
 Every oracle application — forward, inverse, controlled — is counted in a
 :class:`~qdtest.statevec.QueryLedger` under the oracle's label; those counts
-are the measured query complexity of every experiment.
+are the measured query complexity of every experiment.  The encoding
+unitaries carry no label of their own, so a run's ledger, and the per-run
+``queries`` of every verdict, hold oracle labels only.
 
 Derived unitaries:
 
@@ -45,9 +47,9 @@ import numpy as np
 from .distributions import BITSTRING, RANGE, Distribution, next_pow2, padded_weights
 from .reference import subset_sizes
 from .seeding import trial_uniforms
-from .statevec import (ControlledOp, MatrixOp, Projector, QuantumOp,
-                       QueryLedger, RegisterLayout, ReflectionOp, SequenceOp,
-                       XorOp, controlled_z, hadamard, inverse, pauli_x)
+from .statevec import (ControlledOp, MatrixOp, QuantumOp, QueryLedger,
+                       RegisterLayout, ReflectionOp, SequenceOp, XorOp,
+                       controlled_z, hadamard, inverse, pauli_x)
 
 __all__ = [
     "GARBAGE_STYLES", "PurifiedOracle", "QueryLedger", "make_purified_oracle",
@@ -236,7 +238,7 @@ def _copy_regs(b_regs) -> tuple[tuple[str, int], ...]:
 
 
 def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
-    """U_p^dagger . copy(B->C) . U_p: reads the probabilities into amplitudes.
+    """U_p^dagger . copy(B->C) . U_p: reads the weights p_k into amplitudes.
 
     On |0>_A |0>_B |0>_C the (A=0, B=0, C=k) amplitude equals p_k for every k;
     each application costs one forward and one inverse oracle query.
@@ -280,7 +282,7 @@ def closeness_unitary(op: PurifiedOracle, oq: PurifiedOracle) -> QuantumOp:
         ControlledOp(enc_p, "D", 0),
         ControlledOp(enc_q, "D", 1),
         hadamard("D"),
-    ], label="U")
+    ])
 
 
 def closeness_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
@@ -289,10 +291,10 @@ def closeness_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
 
 
 def closeness_instance(op: PurifiedOracle, oq: PurifiedOracle
-                       ) -> tuple[RegisterLayout, QuantumOp, Projector]:
-    """Layout, unitary, and projector for a closeness test of two oracles."""
+                       ) -> tuple[RegisterLayout, QuantumOp, dict[str, int]]:
+    """Layout, unitary, and projector map for a closeness test of two oracles."""
     fixed = {"A": 0, "D": 0, **{name: 0 for name, _ in op.b_regs}}
-    return closeness_layout(op.registers), closeness_unitary(op, oq), Projector(fixed)
+    return closeness_layout(op.registers), closeness_unitary(op, oq), fixed
 
 
 def subset_superposition(n: int, k: int) -> QuantumOp:
@@ -325,7 +327,7 @@ def kwise_encoder(oracle: PurifiedOracle, k: int) -> QuantumOp:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     phases = [controlled_z(f"S{i}", f"B{i}") for i in range(1, n + 1)]
     return SequenceOp([subset_superposition(n, k), oracle.op, *phases,
-                       inverse(oracle.op)], label="U")
+                       inverse(oracle.op)])
 
 
 def kwise_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
@@ -335,7 +337,7 @@ def kwise_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
 
 
 def kwise_instance(oracle: PurifiedOracle, k: int
-                   ) -> tuple[RegisterLayout, QuantumOp, Projector]:
-    """Layout, unitary, and projector for a k-wise uniformity test."""
+                   ) -> tuple[RegisterLayout, QuantumOp, dict[str, int]]:
+    """Layout, unitary, and projector map for a k-wise uniformity test."""
     fixed = {name: 0 for name, _ in oracle.registers}
-    return kwise_layout(oracle.registers), kwise_encoder(oracle, k), Projector(fixed)
+    return kwise_layout(oracle.registers), kwise_encoder(oracle, k), fixed

@@ -132,7 +132,7 @@ def check_subset_phases() -> None:
 def check_estimation() -> None:
     rng = np.random.default_rng(107)
     layout = sv.RegisterLayout([("Q", 2)])
-    proj = sv.Projector({"Q": 1})
+    proj = {"Q": 1}
 
     def system(p):
         th = math.asin(math.sqrt(p))

@@ -7,8 +7,14 @@ so the flat index of a basis assignment ``{r_i: v_i}`` is ``sum(v_i * stride_i)`
 
 Operators (:class:`QuantumOp`) act in place on a slice of registers and compose
 into sequences; every operator supports forward, inverse, and controlled
-application.  Dense matrices of operators exist only as a cross-check path for
-small systems (:func:`dense_matrix_of`).
+application.  Only a leaf operator names the registers it acts on; a
+composite passes its inverse or control context down to its leaves.  Dense
+matrices of operators exist only as a cross-check path for small systems
+(:func:`dense_matrix_of`).
+
+A projector is a plain ``{register: value}`` map: it fixes those registers to
+basis values and leaves every other register free
+(:func:`projector_norm_sq`, :class:`PhaseFlipOp`).
 
 Leaf operators keep no index plans or other per-layout state.  Each
 application views the amplitudes as ``amps.reshape(layout.dims)``, one axis
@@ -106,9 +112,6 @@ class RegisterLayout:
     def dim_of(self, name: str) -> int:
         return self.dims[self.axis(name)]
 
-    def stride_of(self, name: str) -> int:
-        return self.strides[self.axis(name)]
-
     def basis_index(self, values: Mapping[str, int]) -> int:
         """Flat index of the basis state with the given register values (others 0)."""
         idx = 0
@@ -116,7 +119,7 @@ class RegisterLayout:
             d = self.dim_of(name)
             if not 0 <= v < d:
                 raise RegisterError(f"value {v} out of range for register {name!r} (dim {d})")
-            idx += v * self.stride_of(name)
+            idx += v * self.strides[self.axis(name)]
         return idx
 
     def register_values(self, index: int) -> dict[str, int]:
@@ -142,17 +145,8 @@ class StateVector:
                     f"layout dimension {layout.total_dim}")
         self.amplitudes = amplitudes
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def amplitude(self, values: Mapping[str, int]) -> complex:
-        return complex(self.amplitudes[self.layout.basis_index(values)])
 
 
 def available_memory_bytes() -> int | None:
@@ -192,26 +186,10 @@ def new_basis_state(layout: RegisterLayout, values: Mapping[str, int] | None = N
     return state
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Product projector fixing some registers to basis values (others wildcard)."""
-
-    fixed: tuple[tuple[str, int], ...]
-
-    def __init__(self, fixed: Mapping[str, int] | Iterable[tuple[str, int]]):
-        items = tuple(dict(fixed).items())
-        object.__setattr__(self, "fixed", items)
-
-    def mask(self, layout: RegisterLayout) -> np.ndarray:
-        """Boolean mask over flat indices selecting the projected subspace."""
-        mask = np.zeros(layout.dims, dtype=bool)
-        mask[_fix(layout, self.fixed)] = True
-        return mask.ravel()
-
-
-def projector_norm_sq(state: StateVector, proj: Projector) -> float:
-    """Squared norm of the projected state: sum of |amplitude|^2 over the block."""
-    block = _grid(state)[_fix(state.layout, proj.fixed)]
+def projector_norm_sq(state: StateVector, fixed: Mapping[str, int]) -> float:
+    """Squared norm of the state projected onto the registers' fixed values:
+    the sum of |amplitude|^2 over that block."""
+    block = _grid(state)[_fix(state.layout, fixed.items())]
     return float(np.sum(np.abs(block.ravel()) ** 2))
 
 
@@ -258,7 +236,7 @@ class QuantumOp:
     """
 
     label: str | None = None
-    regs: tuple[str, ...] = ()
+    regs: tuple[str, ...] = ()  # a leaf op's target registers
     size: int | None = None  # joint dimension of ``regs`` the op needs; None: any
 
     def __init__(self, regs: Sequence[str] | str, label: str | None = None):
@@ -422,10 +400,7 @@ class SequenceOp(QuantumOp):
 
     def __init__(self, steps: Sequence[QuantumOp], label: str | None = None):
         self.steps = tuple(steps)
-        seen: list[str] = []
-        for op in self.steps:
-            seen.extend(r for r in op.regs if r not in seen)
-        super().__init__(seen, label)
+        self.label = label
 
     def _apply(self, state, inverse, controls, ledger):
         steps = reversed(self.steps) if inverse else self.steps
@@ -437,7 +412,6 @@ class InverseOp(QuantumOp):
     """Adjoint of a wrapped operator."""
 
     def __init__(self, op: QuantumOp):
-        super().__init__(op.regs)
         self.op = op
 
     def _apply(self, state, inverse, controls, ledger):
@@ -454,7 +428,6 @@ class ControlledOp(QuantumOp):
     """Wrapped operator applied only on the block where a register holds a value."""
 
     def __init__(self, op: QuantumOp, control: str, value: int = 1):
-        super().__init__(op.regs + (control,))
         self.op = op
         self.control = control
         self.value = value
@@ -483,7 +456,7 @@ def controlled_z(control: str, target: str) -> PhaseFlipOp:
     return PhaseFlipOp({control: 1, target: 1}, require_qubits=True)
 
 
-# --- application, measurement, dense cross-check -------------------------------
+# --- application, marginals, dense cross-check ---------------------------------
 
 def apply(op: QuantumOp, state: StateVector, *, inverse: bool = False,
           ledger: "QueryLedger | None" = None) -> StateVector:
@@ -494,26 +467,11 @@ def apply(op: QuantumOp, state: StateVector, *, inverse: bool = False,
 
 
 def register_marginal(state: StateVector, register: str) -> np.ndarray:
-    """Born-rule outcome probabilities of one register."""
+    """Born-rule outcome distribution of one register."""
     axis = state.layout.axis(register)
-    probs = state.probabilities().reshape(state.layout.dims)
+    probs = (np.abs(state.amplitudes) ** 2).reshape(state.layout.dims)
     other = tuple(i for i in range(len(state.layout.dims)) if i != axis)
     return probs.sum(axis=other) if other else probs
-
-
-def measure(state: StateVector, register: str, rng: np.random.Generator) -> int:
-    """Sample an outcome for one register and collapse the state onto it."""
-    probs = register_marginal(state, register)
-    total = probs.sum()
-    outcome = int(np.searchsorted(np.cumsum(probs / total), rng.random(), side="right"))
-    outcome = min(outcome, probs.size - 1)
-    block = probs[outcome]
-    if block <= 0.0:
-        raise RuntimeError("measurement collapsed onto a zero-norm block")
-    others = np.arange(probs.size) != outcome
-    np.moveaxis(_grid(state), state.layout.axis(register), 0)[others] = 0.0
-    state.amplitudes /= math.sqrt(block)
-    return outcome
 
 
 _DENSE_CAP = 4096
@@ -555,18 +513,8 @@ class QueryLedger:
     def get(self, label: str) -> dict[str, int]:
         return dict(self.counts.get(label, dict.fromkeys(KINDS, 0)))
 
-    def total(self, label: str | None = None) -> int:
-        if label is not None:
-            return sum(self.get(label).values())
-        return sum(sum(per.values()) for per in self.counts.values())
-
     def snapshot(self) -> dict[str, dict[str, int]]:
         return {label: dict(per) for label, per in self.counts.items()}
-
-    def copy(self) -> "QueryLedger":
-        dup = QueryLedger()
-        dup.counts = self.snapshot()
-        return dup
 
     def merge(self, other: "QueryLedger", times: int = 1, *, inverse: bool = False) -> None:
         """Add ``times`` copies of another ledger's counts, or with ``inverse``

@@ -2,7 +2,8 @@
 l2-distance estimation, and k-wise uniformity.
 
 Every tester is one recipe.  An :class:`AEPlan` fixes the encoding unitary,
-the projector, the amplitude-estimation budget t and a threshold;
+the projector (a ``{register: value}`` map), the amplitude-estimation budget
+t and a threshold;
 :func:`sample_plan` builds the plan's exact phase distribution once, turns
 each uniform draw into one phase measurement by inverting its CDF, and
 thresholds each estimate into a :class:`TestVerdict`.  The estimator is the
@@ -12,9 +13,10 @@ seeded trial harness passes trial i the uniform
 ``default_rng([seed, i]).random()``, computed in bulk
 (:func:`qdtest.seeding.trial_uniforms`).  So trial i reproduces a single
 call with that rng exactly, and a verdict's ``queries`` is always the
-deterministic cost of one run.  The runs come back as one :class:`Trials`,
-a read-only sequence of verdicts kept as arrays: one verdict per measured
-phase, plus an intp index that gives each run's verdict.
+deterministic cost of one run, keyed by oracle label only.  The runs come
+back as one :class:`Trials`, a read-only sequence of verdicts kept as
+arrays: one verdict per measured phase, plus an intp index that gives each
+run's verdict.
 :meth:`Trials.vote` takes the :func:`majority` of consecutive groups of
 runs on that index, and the reports of :mod:`qdtest.experiments` read it
 directly.
@@ -36,7 +38,7 @@ import numpy as np
 from .amplitude import estimate_from_phase, phase_distribution, zero_budget
 from .oracles import PurifiedOracle, closeness_instance, kwise_instance
 from .reference import binom_sum
-from .statevec import Projector, QuantumOp, RegisterLayout
+from .statevec import QuantumOp, RegisterLayout
 
 __all__ = [
     "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
@@ -70,7 +72,7 @@ class AEPlan:
 
     layout: RegisterLayout
     unitary: QuantumOp
-    projector: Projector
+    projector: dict[str, int]
     t: int
     threshold: float | None
     labels: tuple[str, str]

@@ -19,7 +19,7 @@ def rotation_system(p: float):
     mat = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     layout = sv.RegisterLayout([("Q", 2)])
-    return sv.MatrixOp(("Q",), mat, label="U"), layout, sv.Projector({"Q": 1})
+    return sv.MatrixOp(("Q",), mat, label="U"), layout, {"Q": 1}
 
 
 def estimates(dist, uniforms) -> list[float]:

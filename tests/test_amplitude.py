@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdtest import amplitude as ae
 from qdtest import oracles as orc
@@ -23,13 +25,29 @@ def bound(p, m):
 
 # --- configuration -----------------------------------------------------------------
 
-def test_config_points():
-    assert ae.AEConfig(1).points == 1
-    assert ae.AEConfig(2).points == 2
-    assert ae.AEConfig(100).points == 128
-    assert ae.AEConfig(128).points == 128
+# budgets in [1, 2^70], weighted towards the edges 2^k and 2^k + 1, where a
+# float log2 rounds 2^k + 1 down to 2^k from about 2^47 on
+BUDGETS = st.one_of(
+    st.integers(0, 70).map(lambda k: 2 ** k),
+    st.integers(0, 69).map(lambda k: 2 ** k + 1),
+    st.integers(1, 2 ** 70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(BUDGETS)
+@example(1)
+@example(2)
+@example(100)
+@example(128)
+@example(2 ** 49 + 1)
+def test_config_points(t):
+    """The phase register has M points, the least power of two at or above
+    the budget t; a budget below 1 is rejected."""
+    m = ae.phase_points(t)
+    assert m & (m - 1) == 0
+    assert m >= t > m // 2
     with pytest.raises(ValueError):
-        ae.AEConfig(0)
+        ae.phase_points(1 - t)
 
 
 def test_estimate_from_phase_symmetry():
@@ -49,8 +67,8 @@ def test_iterate_eigenphases():
         state = sv.new_basis_state(layout)
         sv.apply(unitary, state)
         psi = state.amplitudes
-        mask = proj.mask(layout)
-        good = np.where(mask, psi, 0)
+        good = np.zeros_like(psi)
+        good[layout.basis_index(proj)] = psi[layout.basis_index(proj)]
         bad = psi - good
         basis = np.stack([good / np.linalg.norm(good),
                           bad / np.linalg.norm(bad)], axis=1)
@@ -147,11 +165,11 @@ def test_closed_form_matches_simulation_on_instances(build):
 
 
 def test_joint_state_measurement_certainty_at_zero():
+    """At p = 0 the materialized phase register holds all its mass on y = 0."""
     unitary, layout, proj = rotation_system(0.0)
     joint, _ = ae.qpe_joint_state(unitary, layout, proj, 16)
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        assert sv.measure(joint.copy(), "phase", rng) == 0
+    marginal = sv.register_marginal(joint, "phase")
+    assert abs(marginal[0] - 1.0) < 1e-12
 
 
 # --- estimation behavior ----------------------------------------------------------------
@@ -269,6 +287,7 @@ def test_distribution_ledger_cost_is_reusable():
     dist = ae.phase_distribution(unitary, layout, proj, 16)
     again = ae.phase_distribution(unitary, layout, proj, 16)
     assert dist.ledger_cost.snapshot() == again.ledger_cost.snapshot()
-    trial = dist.ledger_cost.copy()
+    trial = sv.QueryLedger()
+    trial.merge(dist.ledger_cost)
     trial.record("U", inverse=False, controlled=False)
     assert dist.ledger_cost.get("U")["forward"] + 1 == trial.get("U")["forward"]

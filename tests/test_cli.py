@@ -60,6 +60,23 @@ def test_closeness_malformed_json_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("name,text", [
+    ("nan.csv", "0,nan\n1,0.5\n"),
+    ("nan.json", '{"kind": "range", "n": 2, "weights": [NaN, 0.5]}'),
+])
+def test_nan_weight_file_exits_2(tmp_path, capsys, name, text):
+    """A NaN weight passes a sum test (NaN compares false), so it must be
+    rejected as non-finite: no CLOSE verdicts with l2_distance=nan."""
+    bad, ok = tmp_path / name, tmp_path / "ok.csv"
+    bad.write_text(text, encoding="utf-8")
+    ok.write_text("0,0.5\n1,0.5\n", encoding="utf-8")
+    for command in ("test-closeness", "estimate"):
+        code, out, err = run(capsys, command, "--dist", str(bad), "--dist2", str(ok),
+                             "--trials", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "non-finite" in err
+
+
 def test_closeness_missing_instance_exits_2(capsys):
     code, _, err = run(capsys, "test-closeness")
     assert code == 2 and "error:" in err
@@ -530,6 +547,16 @@ def test_sweep_uses_the_closeness_testers_nu(tmp_path, capsys, tester, t):
     assert budget == json.loads(close.read_text(encoding="utf-8"))["summary"]["t"] == t
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "4"])
+def test_sweep_kwise_k_out_of_range_exits_2(capsys, k):
+    """sweep checks k as test-kwise does, before it builds a spike on
+    coordinates 1..k, and gives the same message."""
+    code, out, err = run(capsys, "sweep", "--tester", "kwise", "--n", "3", "--k", k)
+    assert code == 2 and out == ""
+    assert err == f"error: k={k} out of range for n=3\n"
+    assert run(capsys, "test-kwise", "--gen", "uniform", "--n", "3", "--k", k)[2] == err
+
+
 def test_sweep_empty_grid_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--eps-grid", "", "--n", "4")
     assert code == 2
@@ -546,7 +573,7 @@ def test_selfcheck_detects_injected_sign_flip(capsys, monkeypatch):
     real = ae.grover_iterate
 
     def corrupted(unitary, layout, projector):
-        flipped = sv.PhaseFlipOp(dict(projector.fixed), complement=True)  # wrong sign
+        flipped = sv.PhaseFlipOp(projector, complement=True)  # wrong sign
         neg_s0 = sv.PhaseFlipOp({name: 0 for name in layout.names}, complement=True)
         return sv.SequenceOp([flipped, sv.inverse(unitary), neg_s0, unitary])
 

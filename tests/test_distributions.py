@@ -18,6 +18,16 @@ def test_rejects_negative_and_unnormalized():
         Distribution(np.array([0.5, 0.4]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_weights(bad):
+    """A non-finite weight is rejected, even where the sum test cannot see it
+    (a NaN sum is not more than any tolerance away from 1)."""
+    with pytest.raises(DistributionError, match="non-finite"):
+        Distribution(np.array([bad, 1.0]))
+    with pytest.raises(DistributionError, match="non-finite"):
+        Distribution(np.array([0.0, 1.0, bad, 0.0]), BITSTRING)
+
+
 def test_bitstring_needs_power_of_two():
     Distribution(np.full(8, 1 / 8), BITSTRING)
     with pytest.raises(DistributionError):

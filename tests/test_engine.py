@@ -164,7 +164,7 @@ def test_phase_distribution_ledger_is_linear(name, t):
     forward, backward = sv.QueryLedger(), sv.QueryLedger()
     sv.apply(unitary, sv.new_basis_state(layout), ledger=forward)
     sv.apply(unitary, sv.new_basis_state(layout), inverse=True, ledger=backward)
-    m = ae.AEConfig(t).points
+    m = ae.phase_points(t)
     cost = ae.phase_distribution(unitary, layout, proj, t).ledger_cost
     labels = set(forward.counts) | set(backward.counts)
     assert set(cost.counts) == labels and labels

@@ -1,0 +1,80 @@
+"""Static checks of the package source with ``ast``, in place of a linter:
+every module-level import is used, and every ``__all__`` entry names
+something the module defines or imports."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import qdtest
+
+SOURCES = sorted(Path(qdtest.__file__).parent.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _dunder_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names the module reads, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level by definitions and assignments."""
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_used_and_exports_defined(path):
+    """A top-level import is read in the module or listed in ``__all__`` (the
+    package ``__init__``'s imports are its public names and exempt), and
+    every ``__all__`` entry is defined or imported at module level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exported = _dunder_all(tree)
+    if path.name != "__init__.py":
+        used = _used(tree) | set(exported)
+        unused = {name: line for name, line in _imported(tree).items() if name not in used}
+        assert not unused, f"{path.name}: unused imports {unused}"
+    missing = set(exported) - _defined(tree)
+    assert not missing, f"{path.name}: __all__ lists undefined {sorted(missing)}"

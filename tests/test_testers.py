@@ -13,6 +13,7 @@ import qdtest
 from qdtest import experiments as exp
 from qdtest import oracles as orc
 from qdtest import reference as ref
+from qdtest import statevec as sv
 from qdtest import testers
 from qdtest.amplitude import phase_distribution
 from qdtest.distributions import (BITSTRING, Distribution, point_mass, random_distribution,
@@ -274,6 +275,31 @@ def test_kwise_budget_doubles_when_eps_halves():
     cost_b = testers.kwise_uniformity_test(oracle, 2, 0.4, rng).queries["p"]
     ratio = sum(cost_b.values()) / sum(cost_a.values())
     assert abs(ratio - 2.0) <= 0.2
+
+
+def test_run_queries_hold_oracle_labels_only():
+    """A run's ledger holds the oracle labels and nothing else, {p, q} for
+    the closeness encodings and {p} for the k-wise one, so a report's query
+    columns add up every count in it."""
+    op, oq = make_pair(*ref.gen_l2_pair(8, 0.3))
+    spike = orc.make_purified_oracle(ref.gen_fourier_spike(4, 0b1100, 0.6), label="p")
+    cases = [(testers.closeness_plan(op, oq, 0.2, 0.5), {"p", "q"}),
+             (testers.estimator_plan(op, oq, 0.2), {"p", "q"}),
+             (testers.kwise_plan(spike, 2, 0.3), {"p"})]
+    for plan, labels in cases:
+        trials = exp.run_trials(plan, 4, seed=1)
+        ledger = trials[0].queries
+        assert set(ledger) == labels
+        by_kind = {kind: sum(per[kind] for per in ledger.values()) for kind in sv.KINDS}
+        expected = {"queries_forward": by_kind["forward"],
+                    "queries_inverse": by_kind["inverse"],
+                    "queries_ctrl": by_kind["ctrl_forward"] + by_kind["ctrl_inverse"]}
+        assert sum(expected.values()) == sum(sum(per.values()) for per in ledger.values())
+        report = exp.verdict_report("test", {}, trials)
+        for row in report["rows"]:
+            assert {c: row[c] for c in exp.ORACLE_QUERY_COLUMNS} == expected
+        for column in exp.ORACLE_QUERY_COLUMNS:
+            assert report["summary"][f"mean_{column}"] == expected[column]
 
 
 def test_l1_budget_scales_with_sqrt_n():
