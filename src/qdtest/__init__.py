@@ -6,10 +6,9 @@ from .amplitude import (AEDistribution, grover_iterate, phase_distribution,
 from .distributions import (BITSTRING, RANGE, Distribution, DistributionError,
                             load, point_mass, random_distribution, uniform)
 from .oracles import (GARBAGE_STYLES, PurifiedOracle, closeness_instance,
-                      closeness_unitary, encoder_layout, from_discrete_oracle,
-                      from_pure_state_oracle, haar_unitary, kwise_encoder,
-                      kwise_instance, make_purified_oracle, probability_encoder,
-                      subset_superposition)
+                      closeness_unitary, encoder_layout, haar_unitary,
+                      kwise_encoder, kwise_instance, make_purified_oracle,
+                      probability_encoder, subset_superposition)
 from .statevec import (ControlledOp, MatrixOp, PhaseFlipOp, QuantumOp,
                        QueryLedger, ReflectionOp, RegisterError,
                        RegisterLayout, SequenceOp, StateVector, XorOp, apply,

@@ -9,15 +9,17 @@ Two sample-space kinds are supported:
 File formats (shared by the CLI and library loaders):
 
 * JSON: ``{"kind": "range"|"bitstring", "n": int, "weights": [floats]}``
-  where ``n`` is the number of elements for ``range`` and the number of bits
-  for ``bitstring``;
-* CSV: lines ``index,weight`` with 0-based indices covering 0..n-1
-  (loaded as a ``range`` distribution).
+  where ``n`` is the number of elements for ``range`` (n >= 0) and the
+  number of bits for ``bitstring`` (0 <= n <= MAX_BITS), checked before the
+  weight count 2^n is computed;
+* CSV: lines ``index,weight`` with distinct 0-based indices covering 0..n-1
+  (loaded as a ``range`` distribution): the least index must be 0 and the
+  greatest the row count minus one, so no range up to a huge index is built.
 
-Loaders renormalize weight sums within 1e-6 of one and reject anything
-further off; the constructor itself requires finite weights normalized within
-1e-9, so a NaN or infinite weight is rejected wherever a distribution is
-built.
+Loaders reject a non-finite weight first, naming the file, then
+renormalize weight sums within 1e-6 of one and reject anything further off;
+the constructor itself requires finite weights normalized within 1e-9, so a
+NaN or infinite weight is rejected wherever a distribution is built.
 """
 from __future__ import annotations
 
@@ -117,6 +119,9 @@ def random_distribution(size: int, rng: np.random.Generator, kind: str = RANGE) 
 
 
 def _normalize_loaded(weights: np.ndarray, source: str) -> np.ndarray:
+    if not np.all(np.isfinite(weights)):
+        raise DistributionError(
+            f"{source}: non-finite weight {weights[~np.isfinite(weights)][0]}")
     if np.any(weights < 0):
         raise DistributionError(f"{source}: negative weight")
     total = float(weights.sum())
@@ -136,8 +141,12 @@ def from_json(text: str, source: str = "<json>") -> Distribution:
         kind = obj["kind"]
         n = int(obj["n"])
         weights = np.asarray(obj["weights"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DistributionError(f"{source}: need keys kind, n, weights ({exc})") from exc
+    if n < 0:
+        raise DistributionError(f"{source}: negative n={n}")
+    if kind == BITSTRING and n > MAX_BITS:
+        raise DistributionError(f"{source}: bitstring n={n} exceeds {MAX_BITS} bits")
     expected = 2 ** n if kind == BITSTRING else n
     if weights.size != expected:
         raise DistributionError(
@@ -161,9 +170,9 @@ def from_csv(text: str, source: str = "<csv>") -> Distribution:
         raise DistributionError(f"{source}: malformed CSV row ({exc})") from exc
     if not rows:
         raise DistributionError(f"{source}: no data rows")
-    n = max(rows) + 1
-    if sorted(rows) != list(range(n)):
-        raise DistributionError(f"{source}: indices must cover 0..{n - 1}")
+    n = len(rows)  # distinct indices, so these two checks mean exactly 0..n-1
+    if min(rows) < 0 or max(rows) != n - 1:
+        raise DistributionError(f"{source}: indices must cover 0..{max(rows)}")
     weights = np.array([rows[i] for i in range(n)], dtype=np.float64)
     return Distribution(_normalize_loaded(weights, source), RANGE)
 

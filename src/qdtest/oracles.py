@@ -5,9 +5,10 @@ A purified oracle for a distribution p is a unitary U_p with
     U_p |0>_A |0>_B = sum_i sqrt(p_i) |phi_i>_A |i>_B,
 
 where the garbage states {|phi_i>} are orthonormal but otherwise arbitrary;
-algorithms built on the oracle must not depend on their choice, so two styles
-are provided ("basis": |phi_i> = |i>; "haar": columns of a random unitary
-drawn from the seeded uniforms of :mod:`qdtest.seeding`, :func:`haar_unitary`).
+algorithms built on the oracle must not depend on their choice.  Purified
+access is built only by :func:`make_purified_oracle`, with one of two garbage
+styles ("basis": |phi_i> = |i>; "haar": columns of a random unitary drawn
+from the seeded uniforms of :mod:`qdtest.seeding`, :func:`haar_unitary`).
 Every oracle application — forward, inverse, controlled — is counted in a
 :class:`~qdtest.statevec.QueryLedger` under the oracle's label; those counts
 are the measured query complexity of every experiment.  The encoding
@@ -27,10 +28,8 @@ Derived unitaries:
 Sample spaces are zero-padded to the next power of two so the XOR copy
 unitary is well defined; padding elements carry zero probability and do not
 affect any encoded quantity.  Every copy (B into the workspace A inside the
-oracle, B into C in the probability encoder) and the discrete query of
-:func:`from_discrete_oracle` is one :class:`~qdtest.statevec.XorOp`: a copy
-has the table arange(d), the query the function table, and each applies as
-one gather per source value, so no op keeps a table over the joint space.
+oracle, B into C in the probability encoder) is one XOR copy,
+:class:`~qdtest.statevec.XorOp`.
 
 Register names are fixed.  A layout lists, in this order: the subset qubits
 S1..Sn (k-wise tests only), the workspace A, the sample register B (one
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import BITSTRING, RANGE, Distribution, next_pow2, padded_weights
+from .distributions import BITSTRING, Distribution, next_pow2, padded_weights
 from .reference import subset_sizes
 from .seeding import trial_uniforms
 from .statevec import (ControlledOp, MatrixOp, QuantumOp, QueryLedger,
@@ -53,10 +52,9 @@ from .statevec import (ControlledOp, MatrixOp, QuantumOp, QueryLedger,
 
 __all__ = [
     "GARBAGE_STYLES", "PurifiedOracle", "QueryLedger", "make_purified_oracle",
-    "from_pure_state_oracle", "from_discrete_oracle", "probability_encoder",
-    "encoder_layout", "purified_registers", "closeness_unitary", "closeness_layout",
-    "closeness_instance", "subset_superposition", "kwise_encoder", "kwise_layout",
-    "kwise_instance", "haar_unitary", "reflection_parts",
+    "probability_encoder", "encoder_layout", "purified_registers", "closeness_unitary",
+    "closeness_layout", "closeness_instance", "subset_superposition", "kwise_encoder",
+    "kwise_layout", "kwise_instance", "haar_unitary", "reflection_parts",
 ]
 
 GARBAGE_STYLES = ("basis", "haar")
@@ -140,26 +138,6 @@ def purified_registers(kind: str, size: int) -> tuple[tuple[str, int], ...]:
     return (("A", math.prod(d for _, d in b_regs)),) + b_regs
 
 
-def _assemble(dist: Distribution, prep: QuantumOp | None, garbage: str,
-              seed: int | None, label: str) -> PurifiedOracle:
-    (_, dim), *b_regs = purified_registers(dist.kind, dist.size)
-    steps: list[QuantumOp] = [] if prep is None else [prep]
-    steps.append(XorOp(tuple(n for n, _ in b_regs), ("A",), np.arange(dim)))
-    if garbage == "haar":
-        if seed is None:
-            raise ValueError("haar garbage needs a seed")
-        steps.append(MatrixOp(("A",), haar_unitary(dim, seed)))
-    elif garbage != "basis":
-        raise ValueError(f"unknown garbage style {garbage!r}")
-    return PurifiedOracle(distribution=dist, garbage=garbage, label=label,
-                          a_reg=("A", dim), b_regs=tuple(b_regs),
-                          op=SequenceOp(steps, label=label))
-
-
-def _sample_names(dist: Distribution) -> tuple[str, ...]:
-    return tuple(n for n, _ in purified_registers(dist.kind, dist.size)[1:])
-
-
 def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
                          seed: int | None = None, label: str = "p") -> PurifiedOracle:
     """Purified oracle for a distribution with the chosen garbage style.
@@ -168,67 +146,19 @@ def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
     the workspace, and (for haar garbage) scrambles the workspace with
     ``haar_unitary(dim, seed)``, so haar garbage needs a seed.
     """
-    prep = _prep_op(_sample_names(dist), np.sqrt(padded_weights(dist)))
-    return _assemble(dist, prep, garbage, seed, label)
-
-
-def from_pure_state_oracle(v: np.ndarray | MatrixOp, *, kind: str = RANGE,
-                           label: str = "p") -> PurifiedOracle:
-    """Purified oracle from a state-preparation unitary v|0> = sum sqrt(p_i)|i>.
-
-    One application of the result costs one underlying preparation query; the
-    garbage states are the basis states themselves.
-    """
-    mat = v.matrix if isinstance(v, MatrixOp) else np.asarray(v, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"state-preparation unitary must be square, got {mat.shape}")
-    err = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-    if err > 1e-10:
-        raise ValueError(f"state preparation is not norm-preserving (deviation {err:.2e})")
-    column = mat[:, 0]
-    if np.abs(column.imag).max() > 1e-12 or column.real.min() < -1e-12:
-        raise ValueError("state preparation must produce real non-negative amplitudes")
-    size = mat.shape[0]
-    dim = next_pow2(size)
-    if dim != size:
-        padded = np.eye(dim, dtype=np.complex128)
-        padded[:size, :size] = mat
-        mat = padded
-    weights = np.clip(column.real, 0.0, None) ** 2
-    dist = Distribution(weights / weights.sum(), kind)
-    return _assemble(dist, MatrixOp(_sample_names(dist), mat), "basis", None, label)
-
-
-def from_discrete_oracle(table, *, omega: int | None = None,
-                         label: str = "p") -> PurifiedOracle:
-    """Purified oracle from a function table f: [n] -> omega.
-
-    Encodes p_i = |{j : f(j) = i}| / n by querying |j>|y> -> |j>|y xor f(j)>
-    on the uniform superposition over inputs; the garbage state for element i
-    is the uniform superposition over its preimage.
-    """
-    f = np.asarray(table, dtype=np.int64)
-    if f.ndim != 1 or f.size < 1:
-        raise ValueError("function table must be a non-empty 1-d sequence")
-    if f.min() < 0:
-        raise ValueError("function values must be non-negative")
-    omega = int(f.max()) + 1 if omega is None else int(omega)
-    if f.max() >= omega:
-        raise ValueError(f"function value {f.max()} outside sample space [{omega}]")
-    n_in = f.size
-    d_a, d_b = next_pow2(n_in), next_pow2(omega)
-
-    prep = _prep_op(("A",), np.concatenate(
-        [np.full(n_in, 1.0 / math.sqrt(n_in)), np.zeros(d_a - n_in)]))
-    f_padded = np.zeros(d_a, dtype=np.int64)
-    f_padded[:n_in] = f
-    query = XorOp(("A",), ("B",), f_padded)
-
-    counts = np.bincount(f, minlength=omega).astype(np.float64)
-    dist = Distribution(counts / n_in, RANGE)
-    steps = [query] if prep is None else [prep, query]
-    return PurifiedOracle(distribution=dist, garbage="preimage", label=label,
-                          a_reg=("A", d_a), b_regs=(("B", d_b),),
+    (_, dim), *b_regs = purified_registers(dist.kind, dist.size)
+    samples = tuple(n for n, _ in b_regs)
+    prep = _prep_op(samples, np.sqrt(padded_weights(dist)))
+    steps: list[QuantumOp] = [] if prep is None else [prep]
+    steps.append(XorOp(samples, ("A",)))
+    if garbage == "haar":
+        if seed is None:
+            raise ValueError("haar garbage needs a seed")
+        steps.append(MatrixOp(("A",), haar_unitary(dim, seed)))
+    elif garbage != "basis":
+        raise ValueError(f"unknown garbage style {garbage!r}")
+    return PurifiedOracle(distribution=dist, garbage=garbage, label=label,
+                          a_reg=("A", dim), b_regs=tuple(b_regs),
                           op=SequenceOp(steps, label=label))
 
 
@@ -245,8 +175,7 @@ def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
     """
     samples = tuple(n for n, _ in oracle.b_regs)
     copies = tuple(n for n, _ in _copy_regs(oracle.b_regs))
-    copy = XorOp(samples, copies, np.arange(oracle.sample_dim))
-    return SequenceOp([oracle.op, copy, inverse(oracle.op)])
+    return SequenceOp([oracle.op, XorOp(samples, copies), inverse(oracle.op)])
 
 
 def encoder_layout(oracle: PurifiedOracle) -> RegisterLayout:

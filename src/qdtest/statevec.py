@@ -21,8 +21,8 @@ application views the amplitudes as ``amps.reshape(layout.dims)``, one axis
 per register: a control fixes its axis to a one-element slice, which is a
 view; a projector or phase pattern is such a slice too; and an operator on a
 register tuple moves the target axes last and acts on the blocks along
-them.  The XOR query gathers the destination block of each source value
-by an XOR of its index, one exact permutation per block.  One kernel rule
+them.  The XOR copy gathers the destination block of each source value b
+by the index XOR b, one exact permutation per block.  One kernel rule
 is exact: a matrix on a two-column block (a qubit gate such as a Hadamard)
 combines its two slices with separate elementwise multiplies and adds,
 never BLAS, whose fused multiply-add leaves rounding residue where
@@ -329,43 +329,37 @@ class ReflectionOp(QuantumOp):
 
 
 class XorOp(QuantumOp):
-    """XOR query |b>|c> -> |b>|c xor table[b]> from one register tuple to another.
+    """XOR copy |b>|c> -> |b>|c xor b> from one register tuple into another.
 
     ``b`` and ``c`` are the joint values of ``src`` and ``dst`` (first
-    register most significant); the destination's joint dimension must be a
-    power of two and ``table`` holds one entry in [0, d_dst) per source
-    value.  With ``table = arange(d)`` this is the copy U_copy; with a
-    function table it is the discrete query |i>|b> -> |i>|b xor f(i)>.  Each
-    destination block with a non-zero entry is gathered in one exact
-    permutation, so the temporaries are per block, never state-sized.
-    Self-inverse.
+    register most significant), whose joint dimensions must be equal and a
+    power of two; this is the copy U_copy of the oracles and encoders.  Each
+    destination block with b != 0 is gathered in one exact permutation, so
+    the temporaries are per block, never state-sized.  Self-inverse.
     """
 
-    def __init__(self, src: Sequence[str], dst: Sequence[str], table: np.ndarray,
-                 label: str | None = None):
+    def __init__(self, src: Sequence[str], dst: Sequence[str], label: str | None = None):
         self.src, self.dst = tuple(src), tuple(dst)
         if set(self.src) & set(self.dst):
             raise RegisterError(f"XOR source {self.src} overlaps destination {self.dst}")
-        self.table = np.asarray(table, dtype=np.int64).reshape(-1)
         super().__init__(self.src + self.dst, label)
 
     def _apply(self, state, inverse, controls, ledger):
         src_shape = tuple(state.layout.dim_of(r) for r in self.src)
+        d = math.prod(src_shape)
         d_dst = math.prod(state.layout.dim_of(r) for r in self.dst)
-        if d_dst & (d_dst - 1):
-            raise RegisterError(f"XOR destination {self.dst} has joint dimension "
-                                f"{d_dst}, not a power of two")
-        if self.table.size != math.prod(src_shape):
-            raise RegisterError(f"XOR table has {self.table.size} entries but source "
-                                f"{self.src} has joint dimension {math.prod(src_shape)}")
-        if self.table.min() < 0 or self.table.max() >= d_dst:
-            raise RegisterError(f"XOR table entries must lie in [0, {d_dst})")
+        if d != d_dst:
+            raise RegisterError(f"XOR copy from {self.src} (joint dimension {d}) into "
+                                f"{self.dst} (joint dimension {d_dst}): sizes differ")
+        if d & (d - 1):
+            raise RegisterError(f"XOR copy registers have joint dimension {d}, "
+                                f"not a power of two")
         view = self._target_view(state, controls)
         tail = (slice(None),) * len(self.dst)
-        for t, b in zip(self.table, np.ndindex(*src_shape)):
-            if t:
-                block = view[(..., *b, *tail)]
-                block[...] = np.take(block.reshape(-1, d_dst), np.arange(d_dst) ^ t,
+        for b, index in enumerate(np.ndindex(*src_shape)):
+            if b:
+                block = view[(..., *index, *tail)]
+                block[...] = np.take(block.reshape(-1, d), np.arange(d) ^ b,
                                      axis=1).reshape(block.shape)
 
 

@@ -66,7 +66,8 @@ def test_closeness_malformed_json_exits_2(tmp_path, capsys):
 ])
 def test_nan_weight_file_exits_2(tmp_path, capsys, name, text):
     """A NaN weight passes a sum test (NaN compares false), so it must be
-    rejected as non-finite: no CLOSE verdicts with l2_distance=nan."""
+    rejected as non-finite, in a message that names the file: no CLOSE
+    verdicts with l2_distance=nan."""
     bad, ok = tmp_path / name, tmp_path / "ok.csv"
     bad.write_text(text, encoding="utf-8")
     ok.write_text("0,0.5\n1,0.5\n", encoding="utf-8")
@@ -74,7 +75,7 @@ def test_nan_weight_file_exits_2(tmp_path, capsys, name, text):
         code, out, err = run(capsys, command, "--dist", str(bad), "--dist2", str(ok),
                              "--trials", "3")
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "non-finite" in err
+        assert err.startswith(f"error: {bad}: ") and "non-finite" in err
 
 
 def test_closeness_missing_instance_exits_2(capsys):
@@ -303,6 +304,37 @@ def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name,text,command", [
+    ("huge-index.csv", "0,0.5\n1000000000000,0.5\n", "test-closeness"),
+    ("huge-n.json", '{"kind": "bitstring", "n": 1000000000000, "weights": [1.0]}',
+     "test-kwise"),
+    ("negative-n.json", '{"kind": "bitstring", "n": -3, "weights": [1.0]}', "test-kwise"),
+    ("infinite-n.json", '{"kind": "range", "n": Infinity, "weights": [1.0]}', "estimate"),
+], ids=["huge-csv-index", "huge-bitstring-n", "negative-bitstring-n", "infinite-n"])
+def test_bad_distribution_file_exits_2_naming_it(tmp_path, capsys, name, text, command):
+    """A CSV index or a bitstring n whose range or 2^n alone would take TiBs
+    is refused from the row count and the bit bound before either is built,
+    and an n that is negative or infinite is refused too, each with a message
+    that names the file."""
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    argv = [command, "--dist", str(bad)]
+    if command != "test-kwise":
+        (tmp_path / "ok.csv").write_text("0,0.5\n1,0.5\n", encoding="utf-8")
+        argv += ["--dist2", str(tmp_path / "ok.csv")]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv, "--trials", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2 ** 20
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("test-closeness", "--gen", "l2-pair", "--n", "8", "--eps", "1e-12"),
     ("test-kwise", "--gen", "uniform", "--n", "4", "--eps", "1e-12"),
@@ -404,6 +436,29 @@ def test_benchmarked_runs_never_import_numpy_random(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
     assert out_file.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv", [
+    "test-closeness --tester l2 --n 4 --eps 0.5 --garbage haar --gen l2-pair",
+    "test-kwise --n 3 --k 2 --eps 0.5 --gen spike:1,2:0.6",
+    "estimate --gen l2-pair --n 4 --eps 0.5 --format json",
+], ids=["closeness", "kwise", "estimate"])
+def test_benchmark_setup_probe_builds_plans(tmp_path, argv):
+    """The benchmark's set-up child, perfbench/probe.py, builds each plan
+    through cli._closeness_pair, _oracle_pair, _kwise_dist, closeness_plan,
+    kwise_plan and cli.orc.make_purified_oracle / closeness_instance; a
+    rename of any of them fails every benchmark run, so run it on tiny
+    invocations."""
+    src = Path(qdtest.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out_file = tmp_path / "setup.json"
+    proc = subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / "probe.py"), "setup",
+         str(out_file), "--", *argv.split(), "--trials", "2", "--seed", "1",
+         "--out", str(tmp_path / "report")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert isinstance(json.loads(out_file.read_text())["setup_s"], float)
 
 
 def _cli_child(*argv):

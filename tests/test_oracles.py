@@ -1,5 +1,5 @@
-"""Oracle construction tests: the purified-access definition, access-model
-reductions, the encoding unitaries, garbage independence, and query counting."""
+"""Oracle construction tests: the purified-access definition, the copy
+unitary, the encoding unitaries, garbage independence, and query counting."""
 import math
 
 import numpy as np
@@ -82,80 +82,18 @@ def test_haar_garbage_needs_a_seed():
     assert orc.make_purified_oracle(uniform(4), "haar", seed=0).garbage == "haar"
 
 
-# --- reductions from the other access models ----------------------------------------
-
-def test_from_pure_state_hadamard():
-    oracle = orc.from_pure_state_oracle(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-    assert np.allclose(oracle.distribution.weights, [0.5, 0.5])
-    table = oracle_columns(oracle)
-    gram = table.conj().T @ table
-    assert np.abs(gram - np.diag([0.5, 0.5])).max() < 1e-10
-
-
-def test_from_pure_state_identity_is_point_mass():
-    oracle = orc.from_pure_state_oracle(np.eye(4))
-    assert np.allclose(oracle.distribution.weights, [1, 0, 0, 0])
-
-
-def test_from_pure_state_random_prep_satisfies_definition():
-    rng = np.random.default_rng(23)
-    weights = random_distribution(8, rng).weights
-    prep = sv.ReflectionOp(("B",), *orc.reflection_parts(np.sqrt(weights))).matrix
-    oracle = orc.from_pure_state_oracle(prep)
-    table = oracle_columns(oracle)
-    gram = table.conj().T @ table
-    assert np.abs(gram - np.diag(weights)).max() < 1e-10
-
-
-def test_from_pure_state_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        orc.from_pure_state_oracle(np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
-def test_from_discrete_identity_table():
-    oracle = orc.from_discrete_oracle([0, 1, 2, 3])
-    assert np.allclose(oracle.distribution.weights, 0.25)
-
-
-def test_from_discrete_constant_table():
-    oracle = orc.from_discrete_oracle([1, 1, 1, 1], omega=4)
-    assert np.allclose(oracle.distribution.weights, [0, 1, 0, 0])
-
-
-def test_from_discrete_two_to_one():
-    table = [0, 0, 1, 1, 2, 2, 3, 3]
-    oracle = orc.from_discrete_oracle(table)
-    assert np.allclose(oracle.distribution.weights, 0.25)
-    cols = oracle_columns(oracle)  # A is 8-dim (inputs), B is 4-dim (outputs)
-    gram = cols.conj().T @ cols
-    assert np.abs(gram - np.diag([0.25] * 4)).max() < 1e-10
-    # garbage states are uniform superpositions over the preimages
-    phi0 = cols[:, 0] / math.sqrt(0.25)
-    assert np.allclose(np.abs(phi0[:2]), math.sqrt(0.5), atol=1e-12)
-    assert np.abs(phi0[2:]).max() < 1e-12
-
-
-def test_discrete_oracle_works_in_encoder():
-    oracle = orc.from_discrete_oracle([0, 0, 1, 2, 2, 2, 3, 3])
-    enc = orc.probability_encoder(oracle)
-    state = sv.new_basis_state(orc.encoder_layout(oracle))
-    sv.apply(enc, state)
-    assert np.abs(state.amplitudes[:8][:4] - oracle.distribution.weights).max() < 1e-10
-
-
 # --- copy unitary --------------------------------------------------------------------
 
-def u_copy(dim: int) -> sv.XorOp:
-    """U_copy |b>|c> -> |b>|c xor b> from B into C, as the encoders build it."""
-    return sv.XorOp(("B",), ("C",), np.arange(dim))
+# U_copy |b>|c> -> |b>|c xor b> from B into C, as the encoders build it
+U_COPY = sv.XorOp(("B",), ("C",))
 
 
 def test_u_copy_action():
     lay = sv.RegisterLayout([("B", 4), ("C", 4)])
     state = sv.new_basis_state(lay, {"B": 3})
-    sv.apply(u_copy(4), state)
+    sv.apply(U_COPY, state)
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 3})] == 1.0
-    sv.apply(u_copy(4), state)  # XOR is an involution
+    sv.apply(U_COPY, state)  # XOR is an involution
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 0})] == 1.0
 
 
@@ -165,15 +103,15 @@ def test_u_copy_self_inverse_on_random_state():
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     state = sv.StateVector(lay, amps / np.linalg.norm(amps))
     before = state.amplitudes.copy()
-    sv.apply(u_copy(8), state)
-    sv.apply(u_copy(8), state)
+    sv.apply(U_COPY, state)
+    sv.apply(U_COPY, state)
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_u_copy_rejects_non_pow2():
     lay = sv.RegisterLayout([("B", 6), ("C", 6)])
     with pytest.raises(sv.RegisterError, match="not a power of two"):
-        sv.apply(u_copy(6), sv.new_basis_state(lay))
+        sv.apply(U_COPY, sv.new_basis_state(lay))
 
 
 # --- probability encoder -------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_apply_register_mismatch():
     with pytest.raises(sv.RegisterError):
         sv.apply(sv.ReflectionOp(("A",), np.ones(3), 1.5), sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError):
-        sv.apply(sv.XorOp(("A",), ("B",), np.arange(2)), sv.new_basis_state(lay))
+        sv.apply(sv.XorOp(("A",), ("B",)), sv.new_basis_state(lay))
 
 
 # --- operator algebra: norm, inverse, dense, controlled ---------------------------
@@ -172,7 +172,7 @@ def test_dense_hadamard_matrix():
 
 def test_dense_copy_is_cnot():
     lay = sv.RegisterLayout([("B", 2), ("C", 2)])
-    dense = sv.dense_matrix_of(sv.XorOp(("B",), ("C",), np.arange(2)), lay)
+    dense = sv.dense_matrix_of(sv.XorOp(("B",), ("C",)), lay)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert np.allclose(dense, cnot, atol=1e-12)
 
@@ -184,7 +184,8 @@ def test_dense_cap():
 
 
 def leaf_op(kind, rng):
-    """One of the four leaf operators on the joint space of A (dim 3) and B (dim 2)."""
+    """One of the four leaf operators on A (dim 3), B (dim 2) and C (dim 2): the
+    XOR copy from B into C, the others on the joint space of A and B."""
     if kind == "matrix":
         return sv.MatrixOp(("A", "B"), haar_unitary(6, int(rng.integers(2 ** 63))))
     if kind == "reflection":
@@ -194,7 +195,7 @@ def leaf_op(kind, rng):
         w[0] -= 1.0
         return sv.ReflectionOp(("A", "B"), w, 1.0 - v[0])
     if kind == "permutation":
-        return sv.XorOp(("A",), ("B",), [1, 0, 1])
+        return sv.XorOp(("B",), ("C",))
     return sv.PhaseFlipOp({"A": 1, "B": 0})
 
 
@@ -202,12 +203,12 @@ def leaf_op(kind, rng):
 def test_controlled_block_structure(kind):
     """The controlled plan acts as the op on the D=1 block, the identity on D=0."""
     rng = np.random.default_rng(45)
-    layout = sv.RegisterLayout([("D", 2), ("A", 3), ("B", 2)])
+    layout = sv.RegisterLayout([("D", 2), ("A", 3), ("B", 2), ("C", 2)])
     op = leaf_op(kind, rng)
-    dense_op = sv.dense_matrix_of(op, sv.RegisterLayout([("A", 3), ("B", 2)]))
+    dense_op = sv.dense_matrix_of(op, sv.RegisterLayout([("A", 3), ("B", 2), ("C", 2)]))
     dense_ctrl = sv.dense_matrix_of(sv.ControlledOp(op, "D", 1), layout)
-    expected = np.block([[np.eye(6), np.zeros((6, 6))],
-                         [np.zeros((6, 6)), dense_op]])
+    expected = np.block([[np.eye(12), np.zeros((12, 12))],
+                         [np.zeros((12, 12)), dense_op]])
     assert np.abs(dense_ctrl - expected).max() < 1e-10
 
 
@@ -248,15 +249,14 @@ def test_sequence_and_inverse_ops():
 
 def test_xor_op_action_and_inverse():
     rng = np.random.default_rng(49)
-    layout = sv.RegisterLayout([("A", 3), ("B", 4)])
-    table = np.array([3, 0, 2])
-    op = sv.XorOp(("A",), ("B",), table)
+    layout = sv.RegisterLayout([("A", 4), ("B", 4)])
+    op = sv.XorOp(("A",), ("B",))
     dense = sv.dense_matrix_of(op, layout)
-    a, b = np.divmod(np.arange(12), 4)
-    expected = np.zeros((12, 12))
-    expected[a * 4 + (b ^ table[a]), np.arange(12)] = 1.0  # |a>|b> -> |a>|b xor f(a)>
+    a, b = np.divmod(np.arange(16), 4)
+    expected = np.zeros((16, 16))
+    expected[a * 4 + (b ^ a), np.arange(16)] = 1.0  # |a>|b> -> |a>|b xor a>
     assert np.abs(dense - expected).max() == 0.0
-    state = sv.StateVector(layout, haar_state(12, rng))
+    state = sv.StateVector(layout, haar_state(16, rng))
     before = state.amplitudes.copy()
     sv.apply(op, state)
     sv.apply(op, state, inverse=True)
@@ -265,19 +265,18 @@ def test_xor_op_action_and_inverse():
 
 def test_xor_op_rejects_overlapping_registers():
     with pytest.raises(sv.RegisterError, match="overlaps"):
-        sv.XorOp(("A", "B"), ("B",), np.arange(4))
+        sv.XorOp(("A", "B"), ("B",))
 
 
-@pytest.mark.parametrize("dst,table,match", [
-    ("B", np.zeros(4), "not a power of two"),
-    ("C", np.arange(3), "has 3 entries"),
-    ("C", [0, 1, 2, 4], r"must lie in \[0, 4\)"),
-    ("C", [0, -1, 2, 3], r"must lie in \[0, 4\)"),
+@pytest.mark.parametrize("src,dst,match", [
+    (("B",), ("E",), "not a power of two"),
+    (("A",), ("C",), "sizes differ"),
+    (("A", "C"), ("B", "E"), "sizes differ"),
 ])
-def test_xor_op_checks_at_apply(dst, table, match):
-    lay = sv.RegisterLayout([("A", 4), ("B", 3), ("C", 4)])
+def test_xor_op_checks_at_apply(src, dst, match):
+    lay = sv.RegisterLayout([("A", 4), ("B", 3), ("C", 2), ("E", 3)])
     with pytest.raises(sv.RegisterError, match=match):
-        sv.apply(sv.XorOp(("A",), (dst,), table), sv.new_basis_state(lay))
+        sv.apply(sv.XorOp(src, dst), sv.new_basis_state(lay))
 
 
 def test_reflection_op_matches_matrix():
