@@ -15,7 +15,7 @@ from .statevec import (ControlledOp, MatrixOp, PhaseFlipOp, QuantumOp,
                        controlled_z, dense_matrix_of, hadamard, inverse,
                        new_basis_state, pauli_x, projector_norm_sq,
                        register_marginal)
-from .testers import (TestVerdict, estimate_l2_distance, kwise_uniformity_test,
-                      l1_closeness, l2_closeness, tolerant_l2_closeness)
+from .testers import (AEPlan, TestVerdict, closeness_plan, estimator_plan,
+                      kwise_plan, l1_plan, run_plan)
 
 __version__ = "0.1.0"

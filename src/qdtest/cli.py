@@ -16,7 +16,7 @@ formats in :mod:`qdtest.distributions`) or named generators (``--gen``):
 * closeness pairs: ``l2-pair[:d]`` (two-point pair at l2 distance d/sqrt(2),
   default d = sqrt(2) * eps so the pair sits exactly at distance eps),
   ``l1-pair[:d]`` (alternating pair at l1 distance d, default eps),
-  ``identical`` (uniform twice), ``disjoint`` (two disjoint point masses);
+  ``identical`` (uniform twice), ``disjoint`` (point masses on 0 and 1);
 * k-wise instances: ``uniform``, ``spike:COORDS:delta`` (density
   1 + delta*chi_T, COORDS like ``1,2``), ``multiset:Q`` (uniform over Q
   random strings, drawn from the run seed).
@@ -146,7 +146,9 @@ def _closeness_pair(args) -> tuple[Distribution, Distribution]:
             u = dists.uniform(n)
             return u, u
         if name == "disjoint":
-            return dists.point_mass(n, 0), dists.point_mass(n, 1 % n)
+            if n < 2:
+                raise DistributionError(f"disjoint generator needs --n >= 2, got {n}")
+            return dists.point_mass(n, 0), dists.point_mass(n, 1)
         raise DistributionError(f"unknown closeness generator {args.gen!r}")
     if not args.dist or not args.dist2:
         raise DistributionError("need --dist and --dist2, or --gen")
@@ -193,12 +195,15 @@ def _kwise_oracle(dist, args):
     return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
 
 
+def _tester_nu(tester: str, nu: float) -> float:
+    """The nu a closeness tester runs at: ``nu``, or 1/2 for plain l2."""
+    return 0.5 if tester == "l2" else nu
+
+
 def _closeness_tester_plan(tester: str, op, oq, eps: float, nu: float):
-    """The plan of a closeness tester: l1 and tolerant-l2 at ``nu``, plain l2
-    at nu = 1/2."""
-    if tester == "l1":
-        return l1_plan(op, oq, eps, nu)
-    return closeness_plan(op, oq, eps, nu if tester == "tolerant-l2" else 0.5)
+    """The plan of a closeness tester, at :func:`_tester_nu`."""
+    build = l1_plan if tester == "l1" else closeness_plan
+    return build(op, oq, eps, _tester_nu(tester, nu))
 
 
 def _check_k(k: int, n: int) -> None:
@@ -223,8 +228,10 @@ def _emit(report: dict, args) -> int:
 
 def _at_least(value: float, bound: float) -> bool:
     """``value >= bound``, up to rounding: a generator that places an
-    instance at distance eps may compute that distance an ulp short of it."""
-    return value >= bound or math.isclose(value, bound)
+    instance at distance eps may compute that distance a little short of it.
+    Weights lie in [0, 1], so their differences carry an absolute rounding
+    error of a few machine epsilons, which the slack covers at any eps."""
+    return value >= bound or math.isclose(value, bound, abs_tol=4 * sys.float_info.epsilon)
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -233,7 +240,7 @@ def cmd_test_closeness(args) -> int:
     _check_repeats(args.repeats)
     p, q = _closeness_pair(args)
     plan = _closeness_tester_plan(args.tester, *_oracle_pair(p, q, args), args.eps, args.nu)
-    nu = plan.params["nu"]
+    nu = _tester_nu(args.tester, args.nu)
 
     l2 = ref.lp_distance(p, q, 2)
     norm, distance = "l2", l2

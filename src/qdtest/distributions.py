@@ -9,12 +9,15 @@ Two sample-space kinds are supported:
 File formats (shared by the CLI and library loaders):
 
 * JSON: ``{"kind": "range"|"bitstring", "n": int, "weights": [floats]}``
-  where ``n`` is the number of elements for ``range`` (n >= 0) and the
-  number of bits for ``bitstring`` (0 <= n <= MAX_BITS), checked before the
-  weight count 2^n is computed;
+  where ``n`` is a JSON integer (not a float, bool or string): the number of
+  elements for ``range`` (n >= 0) and the number of bits for ``bitstring``
+  (0 <= n <= MAX_BITS), checked before the weight count 2^n is computed;
 * CSV: lines ``index,weight`` with distinct 0-based indices covering 0..n-1
   (loaded as a ``range`` distribution): the least index must be 0 and the
   greatest the row count minus one, so no range up to a huge index is built.
+
+The generators :func:`uniform` and :func:`point_mass` need a size of at
+least 1, and a point mass an element in 0..size-1.
 
 Loaders reject a non-finite weight first, naming the file, then
 renormalize weight sums within 1e-6 of one and reject anything further off;
@@ -104,10 +107,14 @@ def padded_weights(dist: Distribution) -> np.ndarray:
 
 
 def uniform(size: int, kind: str = RANGE) -> Distribution:
+    if size < 1:
+        raise DistributionError(f"need a size of at least 1, got {size}")
     return Distribution(np.full(size, 1.0 / size), kind)
 
 
 def point_mass(size: int, element: int, kind: str = RANGE) -> Distribution:
+    if not 0 <= element < size:
+        raise DistributionError(f"need 0 <= element < size, got element {element}, size {size}")
     w = np.zeros(size)
     w[element] = 1.0
     return Distribution(w, kind)
@@ -138,11 +145,12 @@ def from_json(text: str, source: str = "<json>") -> Distribution:
     if not isinstance(obj, dict):
         raise DistributionError(f"{source}: expected a JSON object")
     try:
-        kind = obj["kind"]
-        n = int(obj["n"])
+        kind, n = obj["kind"], obj["n"]
         weights = np.asarray(obj["weights"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DistributionError(f"{source}: need keys kind, n, weights ({exc})") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DistributionError(f"{source}: n must be an integer, got {n!r}")
     if n < 0:
         raise DistributionError(f"{source}: negative n={n}")
     if kind == BITSTRING and n > MAX_BITS:

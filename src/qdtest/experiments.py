@@ -7,11 +7,11 @@ measures that phase from one uniform draw, the first ``random()`` of
 ``default_rng([seed, i])`` (:func:`qdtest.seeding.trial_rng`).
 :func:`qdtest.seeding.trial_uniforms` computes those draws in bulk, bit for
 bit, with numpy arrays and no ``numpy.random``, and
-:func:`qdtest.testers.sample_plan`, the sampling core the single-call testers
-use too, turns them into a :class:`~qdtest.testers.Trials` in one pass: one
-verdict per measured phase plus an index array that gives each trial's
-verdict.  Trial i therefore reproduces a single-call run with
-``trial_rng(seed, i)`` exactly, verdict, statistic and per-run query cost
+:func:`qdtest.testers.sample_plan`, the sampling core that
+:func:`~qdtest.testers.run_plan` uses too, turns them into a
+:class:`~qdtest.testers.Trials` in one pass: one verdict per measured phase
+plus an index array that gives each trial's verdict.  Trial i therefore
+reproduces ``run_plan(plan, trial_rng(seed, i))`` exactly, verdict, statistic and per-run query cost
 alike.  Verdict and estimator reports are both built from the Trials, and
 never from one Python object per trial.
 

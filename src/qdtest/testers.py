@@ -1,28 +1,27 @@
 """The distribution testers: tolerant/plain l2 closeness, l1 closeness,
 l2-distance estimation, and k-wise uniformity.
 
-Every tester is one recipe.  An :class:`AEPlan` fixes the encoding unitary,
-the projector (a ``{register: value}`` map), the amplitude-estimation budget
-t and a threshold;
-:func:`sample_plan` builds the plan's exact phase distribution once, turns
-each uniform draw into one phase measurement by inverting its CDF, and
-thresholds each estimate into a :class:`TestVerdict`.  The estimator is the
-same plan with no threshold (:func:`estimator_plan`).  The single-call
-testers go through :func:`run_plan`, which passes one ``rng.random()``; the
-seeded trial harness passes trial i the uniform
-``default_rng([seed, i]).random()``, computed in bulk
-(:func:`qdtest.seeding.trial_uniforms`).  So trial i reproduces a single
-call with that rng exactly, and a verdict's ``queries`` is always the
-deterministic cost of one run, keyed by oracle label only.  The runs come
-back as one :class:`Trials`, a read-only sequence of verdicts kept as
-arrays: one verdict per measured phase, plus an intp index that gives each
-run's verdict.
-:meth:`Trials.vote` takes the :func:`majority` of consecutive groups of
-runs on that index, and the reports of :mod:`qdtest.experiments` read it
-directly.
+Every tester is one amplitude-estimation plan.  An :class:`AEPlan` fixes the
+encoding unitary, the projector (a ``{register: value}`` map), the
+amplitude-estimation budget t and a threshold; the builders
+:func:`closeness_plan`, :func:`l1_plan`, :func:`kwise_plan` and
+:func:`estimator_plan` make one per tester, and the estimator is the plan
+with no threshold.  :func:`sample_plan` builds the plan's exact phase
+distribution once, turns each uniform draw into one phase measurement by
+inverting its CDF, and thresholds each estimate into a :class:`TestVerdict`.
+:func:`run_plan` is one run on one ``rng.random()``; the seeded trial
+harness passes trial i the uniform ``default_rng([seed, i]).random()``,
+computed in bulk (:func:`qdtest.seeding.trial_uniforms`).  So trial i
+reproduces :func:`run_plan` with that rng exactly, and a verdict's
+``queries`` is always the deterministic cost of one run, keyed by oracle
+label only.  The runs come back as one :class:`Trials`, a read-only
+sequence of verdicts kept as arrays: one verdict per measured phase, plus an
+intp index that gives each run's verdict.  :meth:`Trials.vote` takes the
+:func:`majority` of consecutive groups of runs on that index, and the
+reports of :mod:`qdtest.experiments` read it directly.
 
 Success guarantees hold under the respective promises with probability at
-least 8/pi^2 per call; the promise itself is not (and cannot be) checked
+least 8/pi^2 per run; the promise itself is not (and cannot be) checked
 here, so a verdict on a promise-violating input is simply whatever the
 threshold rule gives.
 """
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +41,8 @@ from .statevec import QuantumOp, RegisterLayout
 
 __all__ = [
     "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
-    "estimator_plan", "sample_plan", "run_plan", "tolerant_l2_closeness",
-    "l2_closeness", "l1_closeness", "estimate_l2_distance", "estimator_budget",
-    "kwise_uniformity_test", "majority", "Trials",
+    "estimator_plan", "estimator_budget", "sample_plan", "run_plan",
+    "majority", "Trials",
 ]
 
 
@@ -56,7 +54,6 @@ class TestVerdict:
     statistic: float
     t: int
     threshold: float | None
-    params: dict = field(default_factory=dict)
     queries: dict = field(default_factory=dict)
 
 
@@ -76,7 +73,6 @@ class AEPlan:
     t: int
     threshold: float | None
     labels: tuple[str, str]
-    params: dict
 
 
 def _check_eps(eps: float) -> None:
@@ -86,7 +82,10 @@ def _check_eps(eps: float) -> None:
 
 def closeness_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
                    nu: float) -> AEPlan:
-    """Plan for the tolerant l2 closeness tester.
+    """Plan for the tolerant l2 closeness tester: CLOSE if
+    ||p - q||_2 <= (1 - nu) eps, FAR if ||p - q||_2 >= eps, using
+    O(1/(nu eps)) oracle queries.  Plain l2 closeness (CLOSE if p = q) is
+    this plan at nu = 1/2, using O(1/eps) queries.
 
     Budget t = ceil(20 pi / (nu eps)); verdict CLOSE iff the estimated
     projected mass is below (1/4 - nu/8) eps^2.
@@ -97,34 +96,32 @@ def closeness_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
     layout, unitary, projector = closeness_instance(op, oq)
     t = math.ceil(20.0 * math.pi / (nu * eps))
     threshold = (0.25 - nu / 8.0) * eps ** 2
-    return AEPlan(layout, unitary, projector, t, threshold, ("CLOSE", "FAR"),
-                  {"eps": eps, "nu": nu})
+    return AEPlan(layout, unitary, projector, t, threshold, ("CLOSE", "FAR"))
 
 
 def l1_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
             nu: float = 0.5) -> AEPlan:
-    """Plan for the l1 closeness tester: the l2 plan at eps / sqrt(n), by the
-    norm inequality ||.||_2 >= ||.||_1 / sqrt(n), so O(sqrt(n)/eps) queries."""
-    n = op.distribution.size
-    plan = closeness_plan(op, oq, eps / math.sqrt(n), nu)
-    return replace(plan, params={**plan.params, "eps_l1": eps, "n": n})
+    """Plan for the l1 closeness tester: CLOSE if p = q, FAR if
+    ||p - q||_1 >= eps.  It is the l2 plan at eps / sqrt(n), by the norm
+    inequality ||.||_2 >= ||.||_1 / sqrt(n), so O(sqrt(n)/eps) queries."""
+    return closeness_plan(op, oq, eps / math.sqrt(op.distribution.size), nu)
 
 
 def kwise_plan(oracle: PurifiedOracle, k: int, eps: float) -> AEPlan:
-    """Plan for the k-wise uniformity tester.
+    """Plan for the k-wise uniformity tester: YES (with certainty) if p is
+    k-wise uniform, NO (with probability at least 8/pi^2) if p is eps-far in
+    total variation from every k-wise uniform distribution, using
+    O(sqrt(n^k)/eps) queries.
 
     The inner zero test runs at threshold eps^2 / (e^{2k} M) with
     M = binom_sum(n, k), so the budget is ceil(10 pi e^k sqrt(M) / eps) and
     the verdict is YES iff the estimate falls below half the threshold.
     """
     _check_eps(eps)
-    n = oracle.distribution.n_bits
     layout, unitary, projector = kwise_instance(oracle, k)
-    m_count = binom_sum(n, k)
-    amp_threshold = eps ** 2 / (math.exp(2 * k) * m_count)
-    t = zero_budget(amp_threshold)
-    return AEPlan(layout, unitary, projector, t, amp_threshold / 2.0, ("YES", "NO"),
-                  {"eps": eps, "k": k, "n": n, "amp_threshold": amp_threshold})
+    amp_threshold = eps ** 2 / (math.exp(2 * k) * binom_sum(oracle.distribution.n_bits, k))
+    return AEPlan(layout, unitary, projector, zero_budget(amp_threshold),
+                  amp_threshold / 2.0, ("YES", "NO"))
 
 
 def estimator_budget(eps: float) -> int:
@@ -136,11 +133,11 @@ def estimator_budget(eps: float) -> int:
 def estimator_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float) -> AEPlan:
     """Plan for the l2-distance estimator: the closeness encoding at budget
     :func:`estimator_budget`, with no threshold.  A verdict's statistic s
-    gives the estimate 2 sqrt(s)."""
+    gives the estimate 2 sqrt(s) of ||p - q||_2, within additive eps with
+    probability at least 8/pi^2."""
     t = estimator_budget(eps)
     layout, unitary, projector = closeness_instance(op, oq)
-    return AEPlan(layout, unitary, projector, t, None, ("ESTIMATE", "ESTIMATE"),
-                  {"eps": eps})
+    return AEPlan(layout, unitary, projector, t, None, ("ESTIMATE", "ESTIMATE"))
 
 
 class Trials(Sequence):
@@ -207,7 +204,6 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray) -> Trials:
     """
     dist = phase_distribution(plan.unitary, plan.layout, plan.projector, plan.t)
     cost = dist.ledger_cost.snapshot()
-    params = dict(plan.params)
     threshold = math.inf if plan.threshold is None else plan.threshold
     below, above = plan.labels
     phases = dist.phases(uniforms)
@@ -218,7 +214,7 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray) -> Trials:
     for y in measured.tolist():
         statistic = estimate_from_phase(y, dist.points)
         verdicts.append(TestVerdict(below if statistic < threshold else above,
-                                    statistic, plan.t, plan.threshold, params, cost))
+                                    statistic, plan.t, plan.threshold, cost))
     return Trials(tuple(verdicts), lookup[phases])
 
 
@@ -226,42 +222,6 @@ def run_plan(plan: AEPlan, rng: np.random.Generator) -> TestVerdict:
     """Execute a plan once: one estimation run on ``rng.random()``, one
     threshold comparison."""
     return sample_plan(plan, [rng.random()])[0]
-
-
-def tolerant_l2_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                          nu: float, rng: np.random.Generator) -> TestVerdict:
-    """CLOSE if ||p - q||_2 <= (1 - nu) eps, FAR if ||p - q||_2 >= eps, using
-    O(1/(nu eps)) oracle queries."""
-    return run_plan(closeness_plan(op, oq, eps, nu), rng)
-
-
-def l2_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                 rng: np.random.Generator) -> TestVerdict:
-    """CLOSE if p = q, FAR if ||p - q||_2 >= eps; the tolerant tester at
-    nu = 1/2, using O(1/eps) queries."""
-    return tolerant_l2_closeness(op, oq, eps, 0.5, rng)
-
-
-def l1_closeness(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                 rng: np.random.Generator) -> TestVerdict:
-    """CLOSE if p = q, FAR if ||p - q||_1 >= eps, using O(sqrt(n)/eps)
-    queries (:func:`l1_plan`)."""
-    return run_plan(l1_plan(op, oq, eps), rng)
-
-
-def estimate_l2_distance(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
-                         rng: np.random.Generator) -> float:
-    """Estimate ||p - q||_2 to within additive eps (with probability at least
-    8/pi^2) as twice the square root of the estimated projected mass."""
-    return 2.0 * math.sqrt(run_plan(estimator_plan(op, oq, eps), rng).statistic)
-
-
-def kwise_uniformity_test(oracle: PurifiedOracle, k: int, eps: float,
-                          rng: np.random.Generator) -> TestVerdict:
-    """YES (with certainty) if p is k-wise uniform, NO (with probability at
-    least 8/pi^2) if p is eps-far in total variation from every k-wise uniform
-    distribution, using O(sqrt(n^k)/eps) queries."""
-    return run_plan(kwise_plan(oracle, k, eps), rng)
 
 
 def majority(runs: Sequence[TestVerdict]) -> TestVerdict:

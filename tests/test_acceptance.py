@@ -220,8 +220,8 @@ def test_criterion_7_query_scaling_laws():
         rng = np.random.default_rng(1007)
         p, q = ref.gen_l2_pair(8, 0.4)
         op, oq = pair_oracles(p, q)
-        cost_a = testers.l2_closeness(op, oq, 0.4, rng).queries
-        cost_b = testers.l2_closeness(op, oq, 0.2, rng).queries
+        cost_a = testers.run_plan(testers.closeness_plan(op, oq, 0.4, 0.5), rng).queries
+        cost_b = testers.run_plan(testers.closeness_plan(op, oq, 0.2, 0.5), rng).queries
         for label in ("p", "q"):
             ratio = sum(cost_b[label].values()) / sum(cost_a[label].values())
             assert abs(ratio - 2.0) <= 0.2
@@ -230,7 +230,7 @@ def test_criterion_7_query_scaling_laws():
         for n in (4, 8, 16):
             pn, qn = ref.gen_l1_pair(n, 0.4)
             opn, oqn = pair_oracles(pn, qn)
-            budgets[n] = testers.l1_closeness(opn, oqn, 0.4, rng).t
+            budgets[n] = testers.run_plan(testers.l1_plan(opn, oqn, 0.4), rng).t
         for n in (4, 8):
             assert 1.3 <= budgets[2 * n] / budgets[n] <= 1.55
 
@@ -238,7 +238,7 @@ def test_criterion_7_query_scaling_laws():
         for n in (3, 4, 5):
             spike = ref.gen_fourier_spike(n, ref.mask_from_coords(n, (1, 2)), 0.6)
             oracle = orc.make_purified_oracle(spike, label="p")
-            verdict = testers.kwise_uniformity_test(oracle, k, eps, rng)
+            verdict = testers.run_plan(testers.kwise_plan(oracle, k, eps), rng)
             formula = math.ceil(10 * math.pi * math.exp(k)
                                 * math.sqrt(ref.binom_sum(n, k)) / eps)
             assert abs(verdict.t - formula) / formula <= 0.15

@@ -228,6 +228,31 @@ def test_promise_warning_only_off_promise(capsys, tester, gen, eps, off_promise)
     assert out.rstrip().endswith(f"promise_ok={not off_promise}")
 
 
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "identical", "--n", "0"),
+    ("estimate", "--gen", "identical", "--n", "0"),
+    ("test-closeness", "--gen", "identical", "--n", "-1"),
+    ("test-closeness", "--gen", "disjoint", "--n", "0"),
+    ("test-closeness", "--gen", "disjoint", "--n", "1"),
+    ("estimate", "--gen", "disjoint", "--n", "1"),
+])
+def test_closeness_generator_refuses_sizes_it_cannot_build(capsys, argv):
+    """identical needs --n >= 1 and disjoint --n >= 2 (at n = 1 its two point
+    masses would coincide), refused with an error, not a traceback."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--trials", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_identical_generator_builds_one_point_space(capsys):
+    code, out, _ = run(capsys, "test-closeness", "--gen", "identical", "--n", "1",
+                       "--trials", "2")
+    assert code == 0
+    assert "frequencies.CLOSE=1.0" in out
+
+
 def test_estimate_rejects_repeats(capsys):
     code, out, err = run(capsys, "estimate", "--gen", "l2-pair", "--n", "4",
                          "--trials", "2", "--repeats", "4")
@@ -310,12 +335,17 @@ def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
      "test-kwise"),
     ("negative-n.json", '{"kind": "bitstring", "n": -3, "weights": [1.0]}', "test-kwise"),
     ("infinite-n.json", '{"kind": "range", "n": Infinity, "weights": [1.0]}', "estimate"),
-], ids=["huge-csv-index", "huge-bitstring-n", "negative-bitstring-n", "infinite-n"])
+    ("float-n.json", '{"kind": "range", "n": 2.7, "weights": [0.5, 0.5]}', "estimate"),
+    ("bool-n.json", '{"kind": "range", "n": true, "weights": [1.0]}', "estimate"),
+    ("string-n.json", '{"kind": "range", "n": "2", "weights": [0.5, 0.5]}', "estimate"),
+], ids=["huge-csv-index", "huge-bitstring-n", "negative-bitstring-n", "infinite-n",
+        "float-n", "bool-n", "string-n"])
 def test_bad_distribution_file_exits_2_naming_it(tmp_path, capsys, name, text, command):
     """A CSV index or a bitstring n whose range or 2^n alone would take TiBs
     is refused from the row count and the bit bound before either is built,
-    and an n that is negative or infinite is refused too, each with a message
-    that names the file."""
+    and an n that is negative, infinite or not an integer (not read as
+    int(n), which would take 2.7 as 2 and true as 1) is refused too, each
+    with a message that names the file."""
     bad = tmp_path / name
     bad.write_text(text, encoding="utf-8")
     argv = [command, "--dist", str(bad)]
@@ -332,7 +362,7 @@ def test_bad_distribution_file_exits_2_naming_it(tmp_path, capsys, name, text, c
     assert time.perf_counter() - start < 1.0
     assert peak < 2 ** 20
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {bad}: ")
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,8 +383,8 @@ def test_oversized_phase_register_exits_2_before_allocating(capsys, monkeypatch,
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert code == 2 and out == ""
-    *_, last = err.splitlines()  # a promise warning may come first
-    assert last.startswith("error: a phase register of ") and "available" in last
+    assert "violates" not in err  # the l2 pair sits at eps up to rounding
+    assert err.startswith("error: a phase register of ") and "available" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -104,6 +104,28 @@ def test_load_json_file(tmp_path):
 def test_generator_helpers():
     pm = dists.point_mass(4, 2)
     assert pm.weights[2] == 1.0
+    assert dists.uniform(1) == dists.point_mass(1, 0) == Distribution(np.array([1.0]))
     rng = np.random.default_rng(0)
     rd = dists.random_distribution(6, rng)
     assert rd.size == 6 and abs(rd.weights.sum() - 1) < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dists.uniform(0), lambda: dists.uniform(-1),
+    lambda: dists.point_mass(0, 0), lambda: dists.point_mass(4, 4),
+    lambda: dists.point_mass(4, -1), lambda: dists.point_mass(-2, 0),
+], ids=["uniform-0", "uniform-negative", "point-mass-0", "point-mass-past-end",
+        "point-mass-negative-element", "point-mass-negative-size"])
+def test_generators_reject_sizes_and_elements_out_of_range(build):
+    with pytest.raises(DistributionError):
+        build()
+
+
+@pytest.mark.parametrize("n,weights", [("2.7", "[0.5, 0.5]"), ("2.0", "[0.5, 0.5]"),
+                                       ("true", "[1.0]"), ('"2"', "[0.5, 0.5]"),
+                                       ("null", "[0.5, 0.5]"), ("[2]", "[0.5, 0.5]")])
+def test_json_n_must_be_an_integer(n, weights):
+    """n is not read as int(n), which would truncate 2.7 and read true as 1."""
+    text = f'{{"kind": "range", "n": {n}, "weights": {weights}}}'
+    with pytest.raises(DistributionError, match=r"^src\.json: "):
+        dists.from_json(text, source="src.json")

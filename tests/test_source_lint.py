@@ -1,6 +1,7 @@
 """Static checks of the package source with ``ast``, in place of a linter:
-every module-level import is used, and every ``__all__`` entry names
-something the module defines or imports."""
+every module-level import is used, every ``__all__`` entry names
+something the module defines or imports, and the package exports only
+names their module lists in its ``__all__``."""
 import ast
 from pathlib import Path
 
@@ -78,3 +79,17 @@ def test_imports_used_and_exports_defined(path):
         assert not unused, f"{path.name}: unused imports {unused}"
     missing = set(exported) - _defined(tree)
     assert not missing, f"{path.name}: __all__ lists undefined {sorted(missing)}"
+
+
+def test_package_exports_are_listed_in_module_all():
+    """Every name the package ``__init__`` imports from a module that has an
+    ``__all__`` is listed there, so the package exports only public names."""
+    package = Path(qdtest.__file__).parent
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = package / f"{node.module}.py"
+            listed = _dunder_all(ast.parse(source.read_text(encoding="utf-8")))
+            unlisted = {alias.name for alias in node.names} - set(listed)
+            assert not listed or not unlisted, \
+                f"__init__.py imports {sorted(unlisted)} missing from {source.name} __all__"

@@ -64,23 +64,21 @@ def test_kwise_plan_formulas():
 
 def test_parameter_validation():
     op, oq = make_pair(uniform(4), uniform(4))
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        testers.tolerant_l2_closeness(op, oq, 1.5, 0.5, rng)
+        testers.closeness_plan(op, oq, 1.5, 0.5)
     with pytest.raises(ValueError):
-        testers.tolerant_l2_closeness(op, oq, 0.2, 0.0, rng)
+        testers.closeness_plan(op, oq, 0.2, 0.0)
     with pytest.raises(ValueError):
-        testers.estimate_l2_distance(op, oq, 0.0, rng)
+        testers.estimator_plan(op, oq, 0.0)
     oracle = orc.make_purified_oracle(uniform(8, BITSTRING), label="p")
     with pytest.raises(ValueError):
-        testers.kwise_uniformity_test(oracle, 9, 0.2, rng)
+        testers.kwise_plan(oracle, 9, 0.2)
 
 
 def test_verdict_echoes_parameters_and_queries():
     op, oq = make_pair(*ref.gen_l2_pair(4, 0.4))
     rng = np.random.default_rng(1)
-    verdict = testers.tolerant_l2_closeness(op, oq, 0.3, 0.5, rng)
-    assert verdict.params["eps"] == 0.3 and verdict.params["nu"] == 0.5
+    verdict = testers.run_plan(testers.closeness_plan(op, oq, 0.3, 0.5), rng)
     assert verdict.t == math.ceil(20 * math.pi / 0.15)
     assert 0.0 <= verdict.statistic <= 1.0
     assert verdict.queries["p"]["ctrl_forward"] > 0
@@ -101,7 +99,7 @@ def test_l1_identical_always_close():
     op, oq = make_pair(u, u)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        assert testers.l1_closeness(op, oq, 0.4, rng).verdict == "CLOSE"
+        assert testers.run_plan(testers.l1_plan(op, oq, 0.4), rng).verdict == "CLOSE"
 
 
 def test_kwise_uniform_always_yes():
@@ -146,9 +144,10 @@ def test_near_side_measures_zero_with_certainty():
 def test_estimator_zero_distance_exact():
     u = uniform(8)
     op, oq = make_pair(u, u)
+    plan = testers.estimator_plan(op, oq, 0.1)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        assert testers.estimate_l2_distance(op, oq, 0.1, rng) == 0.0
+        assert testers.run_plan(plan, rng).statistic == 0.0
 
 
 # --- far-side success frequencies --------------------------------------------------------
@@ -210,36 +209,26 @@ def test_estimator_accuracy_frequencies():
 
 
 def test_trials_reproduce_single_calls():
-    """Trial i of run_trials is the single-call run with trial_rng(seed, i)."""
+    """Trial i of run_trials is run_plan with trial_rng(seed, i)."""
     op, oq = make_pair(*ref.gen_l2_pair(8, 0.3))
     for plan in (testers.closeness_plan(op, oq, 0.2, 0.5),
                  testers.estimator_plan(op, oq, 0.2)):
         trials = exp.run_trials(plan, 5, seed=3)
         assert list(trials) == [testers.run_plan(plan, trial_rng(3, i)) for i in range(5)]
-    estimate = testers.estimate_l2_distance(op, oq, 0.2, trial_rng(3, 4))
-    assert estimate == 2 * math.sqrt(trials[4].statistic)
+    estimate = exp.estimate_report("estimate", {}, trials, None)["rows"][4]["estimate"]
+    assert estimate == 2 * math.sqrt(testers.run_plan(plan, trial_rng(3, 4)).statistic)
 
 
 def test_single_call_queries_are_per_run_cost():
     """Each verdict carries one run's cost."""
     op, oq = make_pair(*ref.gen_l2_pair(8, 0.4))
+    plan = testers.closeness_plan(op, oq, 0.4, 0.5)
     rng = np.random.default_rng(12)
-    first = testers.l2_closeness(op, oq, 0.4, rng)
-    second = testers.l2_closeness(op, oq, 0.4, rng)
-    per_run = exp.run_trials(testers.closeness_plan(op, oq, 0.4, 0.5), 1, 0)[0].queries
+    first = testers.run_plan(plan, rng)
+    second = testers.run_plan(plan, rng)
+    per_run = exp.run_trials(plan, 1, 0)[0].queries
     assert first.queries == second.queries == per_run
     assert per_run["p"]["ctrl_forward"] == 1023
-
-
-def test_single_call_testers_agree_with_plans():
-    rng = np.random.default_rng(77)
-    p, q = ref.gen_l2_pair(4, 0.6)
-    op, oq = make_pair(p, q)
-    verdict = testers.l2_closeness(op, oq, 0.3, rng)
-    assert verdict.verdict in ("CLOSE", "FAR")
-    oracle = orc.make_purified_oracle(uniform(8, BITSTRING), label="p")
-    kv = testers.kwise_uniformity_test(oracle, 2, 0.4, rng)
-    assert kv.verdict == "YES"
 
 
 # --- garbage invariance -------------------------------------------------------------------
@@ -261,8 +250,8 @@ def test_l2_budget_doubles_when_eps_halves():
     p, q = ref.gen_l2_pair(8, 0.4)
     op, oq = make_pair(p, q)
     rng = np.random.default_rng(6)
-    cost_a = testers.l2_closeness(op, oq, 0.4, rng).queries["p"]
-    cost_b = testers.l2_closeness(op, oq, 0.2, rng).queries["p"]
+    cost_a = testers.run_plan(testers.closeness_plan(op, oq, 0.4, 0.5), rng).queries["p"]
+    cost_b = testers.run_plan(testers.closeness_plan(op, oq, 0.2, 0.5), rng).queries["p"]
     ratio = sum(cost_b.values()) / sum(cost_a.values())
     assert abs(ratio - 2.0) <= 0.2
 
@@ -271,8 +260,8 @@ def test_kwise_budget_doubles_when_eps_halves():
     dist = ref.gen_fourier_spike(4, 0b1100, 0.6)
     oracle = orc.make_purified_oracle(dist, label="p")
     rng = np.random.default_rng(7)
-    cost_a = testers.kwise_uniformity_test(oracle, 2, 0.8, rng).queries["p"]
-    cost_b = testers.kwise_uniformity_test(oracle, 2, 0.4, rng).queries["p"]
+    cost_a = testers.run_plan(testers.kwise_plan(oracle, 2, 0.8), rng).queries["p"]
+    cost_b = testers.run_plan(testers.kwise_plan(oracle, 2, 0.4), rng).queries["p"]
     ratio = sum(cost_b.values()) / sum(cost_a.values())
     assert abs(ratio - 2.0) <= 0.2
 
@@ -309,7 +298,7 @@ def test_l1_budget_scales_with_sqrt_n():
     for n in (4, 8, 16):
         p, q = ref.gen_l1_pair(n, 0.4)
         op, oq = make_pair(p, q)
-        budgets[n] = testers.l1_closeness(op, oq, 0.4, rng).t
+        budgets[n] = testers.run_plan(testers.l1_plan(op, oq, 0.4), rng).t
         assert budgets[n] == math.ceil(20 * math.pi * math.sqrt(n) / (0.5 * 0.4))
     for n in (4, 8):
         ratio = budgets[2 * n] / budgets[n]
