@@ -51,7 +51,8 @@ from . import reference as ref
 from .distributions import Distribution, DistributionError
 from .selfcheck import run_selfcheck
 from .statevec import require_bytes, require_memory
-from .testers import Trials, closeness_plan, estimator_plan, kwise_plan, l1_plan
+from .testers import (Trials, check_eps, closeness_plan, estimator_plan, kwise_plan,
+                      l1_plan)
 
 _CLOSENESS_TESTERS = ("l2", "tolerant-l2", "l1")
 
@@ -125,17 +126,17 @@ def _gen_args(spec: str) -> tuple[str, list[str]]:
     return name, rest.split(":") if rest else []
 
 
-def _require_closeness_memory(kind: str, size: int) -> None:
-    """The memory pre-flight of a closeness run on a sample space of this
-    kind and ``size`` elements."""
-    require_memory(orc.closeness_layout(orc.purified_registers(kind, size)))
+def _require_closeness_memory(size: int) -> None:
+    """The memory pre-flight of a closeness run on a sample space of
+    ``size`` elements."""
+    require_memory(orc.closeness_layout(orc.purified_registers(size)))
 
 
 def _closeness_pair(args) -> tuple[Distribution, Distribution]:
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
-        _require_closeness_memory(dists.RANGE, n)  # before a generator allocates n weights
+        _require_closeness_memory(n)  # before a generator allocates n weights
         if name == "l2-pair":
             d = float(extra[0]) if extra else min(1.0, math.sqrt(2.0) * args.eps)
             return ref.gen_l2_pair(n, d)
@@ -184,14 +185,14 @@ def _kwise_dist(args) -> Distribution:
 
 def _oracle_pair(p, q, args):
     for dist in (p, q):
-        _require_closeness_memory(dist.kind, dist.size)
+        _require_closeness_memory(dist.size)
     op = orc.make_purified_oracle(p, args.garbage, seed=args.seed * 2 + 1, label="p")
     oq = orc.make_purified_oracle(q, args.garbage, seed=args.seed * 2 + 2, label="q")
     return op, oq
 
 
 def _kwise_oracle(dist, args):
-    require_memory(orc.kwise_layout(orc.purified_registers(dist.kind, dist.size)))
+    require_memory(orc.kwise_layout(orc.purified_registers(dist.size), args.k))
     return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
 
 
@@ -238,6 +239,7 @@ def _at_least(value: float, bound: float) -> bool:
 
 def cmd_test_closeness(args) -> int:
     _check_repeats(args.repeats)
+    check_eps(args.eps)  # before a generator places a pair at a distance from it
     p, q = _closeness_pair(args)
     plan = _closeness_tester_plan(args.tester, *_oracle_pair(p, q, args), args.eps, args.nu)
     nu = _tester_nu(args.tester, args.nu)
@@ -266,6 +268,7 @@ def cmd_test_closeness(args) -> int:
 
 def cmd_test_kwise(args) -> int:
     _check_repeats(args.repeats)
+    check_eps(args.eps)
     dist = _kwise_dist(args)
     n = dist.n_bits
     _check_k(args.k, n)
@@ -287,6 +290,7 @@ def cmd_test_kwise(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    check_eps(args.eps)
     p, q = _closeness_pair(args)
     plan = estimator_plan(*_oracle_pair(p, q, args), args.eps)
     trials = exp.run_trials(plan, args.trials, args.seed)
@@ -303,6 +307,8 @@ def _sweep_grid(args) -> list[dict]:
               if args.n_grid is not None else [args.n])
     if not eps_grid or not n_grid:
         raise DistributionError("empty sweep grid")
+    for eps in eps_grid:
+        check_eps(eps)
     return [{"eps": e, "n": n} for n in n_grid for e in eps_grid]
 
 

@@ -98,14 +98,6 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-def padded_weights(dist: Distribution) -> np.ndarray:
-    """Weights zero-padded to the next power of two (used by the oracles)."""
-    d = next_pow2(dist.size)
-    out = np.zeros(d, dtype=np.float64)
-    out[: dist.size] = dist.weights
-    return out
-
-
 def uniform(size: int, kind: str = RANGE) -> Distribution:
     if size < 1:
         raise DistributionError(f"need a size of at least 1, got {size}")

@@ -25,16 +25,18 @@ Derived unitaries:
   whose projected amplitudes are the density Fourier coefficients of p scaled
   by 1/sqrt(M), M = binom_sum(n, k).
 
-Sample spaces are zero-padded to the next power of two so the XOR copy
-unitary is well defined; padding elements carry zero probability and do not
-affect any encoded quantity.  Every copy (B into the workspace A inside the
-oracle, B into C in the probability encoder) is one XOR copy,
-:class:`~qdtest.statevec.XorOp`.
+Every copy (B into the workspace A inside the oracle, B into C in the
+probability encoder) is one copy by addition modulo the sample-space size,
+:class:`~qdtest.statevec.CopyOp`, which is defined for any size, so no
+sample space is padded.
 
-Register names are fixed.  A layout lists, in this order: the subset qubits
-S1..Sn (k-wise tests only), the workspace A, the sample register B (one
-qubit B1..Bn per coordinate on a bitstring space), the copy register C that
-mirrors B (C or C1..Cn), and the closeness ancilla qubit D.
+Register names are fixed, one register per role.  A layout lists, in this
+order: the subset register S (k-wise tests only), the workspace A, the
+sample register B, the copy register C that mirrors B, and the closeness
+ancilla qubit D.  A, B and C all have the sample-space size d (2^n on a
+bitstring space).  S has one value per subset of size at most k: index 0
+is the empty set, then the masks of
+:func:`~qdtest.reference.subset_masks` in increasing order.
 """
 from __future__ import annotations
 
@@ -43,12 +45,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import BITSTRING, Distribution, next_pow2, padded_weights
-from .reference import subset_sizes
+from .distributions import BITSTRING, Distribution
+from .reference import binom_sum, subset_masks, subset_sizes
 from .seeding import trial_uniforms
-from .statevec import (ControlledOp, MatrixOp, QuantumOp, QueryLedger,
-                       RegisterLayout, ReflectionOp, SequenceOp, XorOp,
-                       controlled_z, hadamard, inverse, pauli_x)
+from .statevec import (ControlledOp, CopyOp, MatrixOp, QuantumOp, QueryLedger,
+                       RegisterLayout, ReflectionOp, SequenceOp, SignOp,
+                       hadamard, inverse, pauli_x)
 
 __all__ = [
     "GARBAGE_STYLES", "PurifiedOracle", "QueryLedger", "make_purified_oracle",
@@ -101,41 +103,32 @@ def _prep_op(regs, column: np.ndarray) -> QuantumOp | None:
 
 @dataclass(frozen=True)
 class PurifiedOracle:
-    """A labelled purified query-access unitary together with its distribution.
-
-    ``a_reg`` is the garbage workspace, ``b_regs`` the sample register(s):
-    a single register of (padded) sample-space dimension for range spaces, or
-    one qubit register per coordinate for bitstring spaces.
-    """
+    """A labelled purified query-access unitary together with its
+    distribution.  It acts on the workspace A and the sample register B of
+    :func:`purified_registers`."""
 
     distribution: Distribution
     garbage: str
     label: str
-    a_reg: tuple[str, int]
-    b_regs: tuple[tuple[str, int], ...]
     op: QuantumOp = field(compare=False, repr=False)
 
     @property
     def sample_dim(self) -> int:
-        return int(np.prod([d for _, d in self.b_regs]))
+        return self.distribution.size
 
     @property
     def registers(self) -> tuple[tuple[str, int], ...]:
-        return (self.a_reg,) + self.b_regs
+        return purified_registers(self.sample_dim)
 
     def workspace_layout(self) -> RegisterLayout:
         return RegisterLayout(self.registers)
 
 
-def purified_registers(kind: str, size: int) -> tuple[tuple[str, int], ...]:
-    """Workspace register A, then sample register(s) B, of the purified
-    oracle that :func:`make_purified_oracle` builds for a distribution of
-    this kind on ``size`` elements."""
-    if kind == BITSTRING:
-        b_regs = tuple((f"B{i}", 2) for i in range(1, (size - 1).bit_length() + 1))
-    else:
-        b_regs = (("B", next_pow2(size)),)
-    return (("A", math.prod(d for _, d in b_regs)),) + b_regs
+def purified_registers(size: int) -> tuple[tuple[str, int], ...]:
+    """Workspace register A, then sample register B, of the purified oracle
+    that :func:`make_purified_oracle` builds for a distribution on ``size``
+    elements."""
+    return ("A", size), ("B", size)
 
 
 def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
@@ -144,27 +137,19 @@ def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
 
     The construction prepares sqrt(p) on the sample register, copies it into
     the workspace, and (for haar garbage) scrambles the workspace with
-    ``haar_unitary(dim, seed)``, so haar garbage needs a seed.
+    ``haar_unitary(size, seed)``, so haar garbage needs a seed.
     """
-    (_, dim), *b_regs = purified_registers(dist.kind, dist.size)
-    samples = tuple(n for n, _ in b_regs)
-    prep = _prep_op(samples, np.sqrt(padded_weights(dist)))
+    prep = _prep_op(("B",), np.sqrt(dist.weights))
     steps: list[QuantumOp] = [] if prep is None else [prep]
-    steps.append(XorOp(samples, ("A",)))
+    steps.append(CopyOp("B", "A"))
     if garbage == "haar":
         if seed is None:
             raise ValueError("haar garbage needs a seed")
-        steps.append(MatrixOp(("A",), haar_unitary(dim, seed)))
+        steps.append(MatrixOp(("A",), haar_unitary(dist.size, seed)))
     elif garbage != "basis":
         raise ValueError(f"unknown garbage style {garbage!r}")
     return PurifiedOracle(distribution=dist, garbage=garbage, label=label,
-                          a_reg=("A", dim), b_regs=tuple(b_regs),
                           op=SequenceOp(steps, label=label))
-
-
-def _copy_regs(b_regs) -> tuple[tuple[str, int], ...]:
-    """The copy register C, or C1..Cn, mirroring the sample register(s)."""
-    return tuple(("C" + name[1:], d) for name, d in b_regs)
 
 
 def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
@@ -173,13 +158,11 @@ def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
     On |0>_A |0>_B |0>_C the (A=0, B=0, C=k) amplitude equals p_k for every k;
     each application costs one forward and one inverse oracle query.
     """
-    samples = tuple(n for n, _ in oracle.b_regs)
-    copies = tuple(n for n, _ in _copy_regs(oracle.b_regs))
-    return SequenceOp([oracle.op, XorOp(samples, copies), inverse(oracle.op)])
+    return SequenceOp([oracle.op, CopyOp("B", "C"), inverse(oracle.op)])
 
 
 def encoder_layout(oracle: PurifiedOracle) -> RegisterLayout:
-    return RegisterLayout(oracle.registers + _copy_regs(oracle.b_regs))
+    return RegisterLayout(oracle.registers + (("C", oracle.sample_dim),))
 
 
 def _require_same_space(op: PurifiedOracle, oq: PurifiedOracle) -> None:
@@ -189,8 +172,6 @@ def _require_same_space(op: PurifiedOracle, oq: PurifiedOracle) -> None:
         raise ValueError(
             f"oracles have different sample spaces "
             f"({op.distribution.size} vs {oq.distribution.size})")
-    if op.registers != oq.registers:
-        raise ValueError("oracles must share workspace and sample registers")
     if op.label == oq.label:
         raise ValueError("oracles need distinct ledger labels")
 
@@ -215,58 +196,58 @@ def closeness_unitary(op: PurifiedOracle, oq: PurifiedOracle) -> QuantumOp:
 
 
 def closeness_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
-    """Layout of a closeness test on oracles with the given (A, B...) registers."""
-    return RegisterLayout(registers + _copy_regs(registers[1:]) + (("D", 2),))
+    """Layout of a closeness test on oracles with the given (A, B) registers."""
+    (_, size), _ = registers
+    return RegisterLayout(registers + (("C", size), ("D", 2)))
 
 
 def closeness_instance(op: PurifiedOracle, oq: PurifiedOracle
                        ) -> tuple[RegisterLayout, QuantumOp, dict[str, int]]:
     """Layout, unitary, and projector map for a closeness test of two oracles."""
-    fixed = {"A": 0, "D": 0, **{name: 0 for name, _ in op.b_regs}}
+    fixed = {"A": 0, "B": 0, "D": 0}
     return closeness_layout(op.registers), closeness_unitary(op, oq), fixed
 
 
 def subset_superposition(n: int, k: int) -> QuantumOp:
-    """Unitary sending |0...0> to the uniform superposition over the n-bit
-    indicators of all non-empty subsets of size at most k."""
+    """Unitary on the subset register S sending |0> (the empty set) to the
+    uniform superposition over the non-empty subsets of size at most k."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    column = np.zeros(2 ** n)
-    sizes = subset_sizes(n)
-    support = (sizes >= 1) & (sizes <= k)
-    column[support] = 1.0 / math.sqrt(int(support.sum()))
-    return _prep_op(tuple(f"S{i}" for i in range(1, n + 1)), column)
+    count = binom_sum(n, k)
+    column = np.full(1 + count, 1.0 / math.sqrt(count))
+    column[0] = 0.0
+    return _prep_op(("S",), column)
 
 
 def kwise_encoder(oracle: PurifiedOracle, k: int) -> QuantumOp:
     """Subset-phase circuit whose projected amplitudes are density Fourier
     coefficients.
 
-    Prepares the subset superposition next to U_p, applies a controlled-Z
-    between subset qubit i and sample qubit i for every coordinate (a
-    character phase), and uncomputes the oracle.  The amplitude on
-    (S, A=0, B=0) is phi_hat(S)/sqrt(M) for 1 <= |S| <= k and zero for every
-    other subset, with M the number of subsets counted by binom_sum(n, k).
-    Each application costs one forward and one inverse oracle query.
+    Prepares the subset superposition next to U_p, multiplies each (S, B)
+    block by the character chi_S(x) = (-1)^popcount(S & x) (one sign
+    table), and uncomputes the oracle.  The amplitude on (S, A=0, B=0) is
+    phi_hat(S)/sqrt(M) for 1 <= |S| <= k and zero on the empty set, with M
+    the number of subsets counted by binom_sum(n, k).  Each application
+    costs one forward and one inverse oracle query.
     """
     if oracle.distribution.kind != BITSTRING:
         raise ValueError("k-wise encoding needs a bitstring sample space")
     n = oracle.distribution.n_bits
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    phases = [controlled_z(f"S{i}", f"B{i}") for i in range(1, n + 1)]
-    return SequenceOp([subset_superposition(n, k), oracle.op, *phases,
-                       inverse(oracle.op)])
+    prep = subset_superposition(n, k)  # checks 1 <= k <= n
+    masks = subset_masks(n, k)
+    chi = 1.0 - 2.0 * (subset_sizes(n)[masks[:, None] & np.arange(2 ** n)] & 1)
+    return SequenceOp([prep, oracle.op, SignOp(("S", "B"), chi), inverse(oracle.op)])
 
 
-def kwise_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
-    """Layout of a k-wise test on an oracle with (A, B1..Bn) registers."""
-    s_regs = tuple((f"S{i}", 2) for i in range(1, len(registers)))
-    return RegisterLayout(s_regs + registers)
+def kwise_layout(registers: tuple[tuple[str, int], ...], k: int) -> RegisterLayout:
+    """Layout of a k-wise test at ``k`` on an oracle with the given (A, B)
+    registers, B of dimension 2^n."""
+    (_, size), _ = registers
+    n = (size - 1).bit_length()
+    return RegisterLayout((("S", 1 + binom_sum(n, k)),) + registers)
 
 
 def kwise_instance(oracle: PurifiedOracle, k: int
                    ) -> tuple[RegisterLayout, QuantumOp, dict[str, int]]:
     """Layout, unitary, and projector map for a k-wise uniformity test."""
-    fixed = {name: 0 for name, _ in oracle.registers}
-    return kwise_layout(oracle.registers), kwise_encoder(oracle, k), fixed
+    return kwise_layout(oracle.registers, k), kwise_encoder(oracle, k), {"A": 0, "B": 0}

@@ -21,8 +21,8 @@ from .distributions import BITSTRING, Distribution
 __all__ = [
     "lp_distance", "tv_distance", "hellinger_distance", "character_values",
     "fourier_spectrum", "fourier_weight", "is_kwise_uniform", "binom_sum",
-    "subset_sizes", "mask_from_coords", "gen_l2_pair", "gen_l1_pair", "gen_fourier_spike",
-    "gen_random_multiset_uniform",
+    "subset_sizes", "subset_masks", "mask_from_coords", "gen_l2_pair", "gen_l1_pair",
+    "gen_fourier_spike", "gen_random_multiset_uniform",
 ]
 
 
@@ -69,6 +69,12 @@ def subset_sizes(n: int) -> np.ndarray:
     return sizes
 
 
+def subset_masks(n: int, k: int) -> np.ndarray:
+    """The masks of the subsets of size at most k, increasing: the empty set
+    (mask 0) first, then the binom_sum(n, k) non-empty ones."""
+    return np.flatnonzero(subset_sizes(n) <= k)
+
+
 def character_values(n: int, mask: int) -> np.ndarray:
     """chi_S(x) = (-1)^popcount(S & x) for all x, as a +/-1 vector."""
     if not 0 <= mask < 2 ** n:
@@ -105,8 +111,7 @@ def _low_degree(p: Distribution, k: int) -> np.ndarray:
     n = _check_bitstring(p)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    sizes = subset_sizes(n)
-    return fourier_spectrum(p)[(sizes >= 1) & (sizes <= k)]
+    return fourier_spectrum(p)[subset_masks(n, k)[1:]]
 
 
 def fourier_weight(p: Distribution, k: int) -> float:
@@ -129,31 +134,34 @@ def binom_sum(n: int, k: int) -> int:
 
 # --- instance generators --------------------------------------------------------
 
-def gen_l2_pair(n: int, eps: float) -> tuple[Distribution, Distribution]:
-    """Pair over [n] supported on two elements with ||p - q||_2 = eps / sqrt(2)
-    (and ||p - q||_1 = eps): p = (1/2, 1/2, 0, ...),
-    q = ((1-eps)/2, (1+eps)/2, 0, ...)."""
+def gen_l2_pair(n: int, d: float) -> tuple[Distribution, Distribution]:
+    """Pair over [n] supported on two elements with ||p - q||_2 = d / sqrt(2)
+    (and ||p - q||_1 = d): p = (1/2, 1/2, 0, ...),
+    q = ((1-d)/2, (1+d)/2, 0, ...)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if not 0 <= eps <= 1:
-        raise ValueError(f"need eps in [0, 1], got {eps}")
+    _check_distance(d)
     p = np.zeros(n)
     q = np.zeros(n)
     p[0] = p[1] = 0.5
-    q[0], q[1] = (1 - eps) / 2, (1 + eps) / 2
+    q[0], q[1] = (1 - d) / 2, (1 + d) / 2
     return Distribution(p), Distribution(q)
 
 
-def gen_l1_pair(n: int, eps: float) -> tuple[Distribution, Distribution]:
-    """Pair over even [n] with ||p - q||_1 = eps: p uniform,
-    q_i = (1 + (-1)^i eps) / n with elements counted from 1."""
+def gen_l1_pair(n: int, d: float) -> tuple[Distribution, Distribution]:
+    """Pair over even [n] with ||p - q||_1 = d: p uniform,
+    q_i = (1 + (-1)^i d) / n with elements counted from 1."""
     if n < 2 or n % 2:
         raise ValueError("need even n >= 2")
-    if not 0 <= eps <= 1:
-        raise ValueError(f"need eps in [0, 1], got {eps}")
+    _check_distance(d)
     p = np.full(n, 1.0 / n)
     signs = np.array([(-1) ** (j + 1) for j in range(n)], dtype=np.float64)
-    return Distribution(p), Distribution((1.0 + signs * eps) / n)
+    return Distribution(p), Distribution((1.0 + signs * d) / n)
+
+
+def _check_distance(d: float) -> None:
+    if not 0 <= d <= 1:
+        raise ValueError(f"need the pair's l1 distance d in [0, 1], got {d}")
 
 
 def gen_fourier_spike(n: int, mask: int, delta: float) -> Distribution:

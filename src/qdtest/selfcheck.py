@@ -74,15 +74,13 @@ def check_oracle_definition() -> None:
             oracle = orc.make_purified_oracle(dist, style, seed=seed)
             state = sv.new_basis_state(oracle.workspace_layout())
             sv.apply(oracle.op, state)
-            d = oracle.sample_dim
-            table = state.amplitudes.reshape(d, d)  # (A, B)
+            table = state.amplitudes.reshape(n, n)  # (A, B)
             for i in range(n):
                 phi = table[:, i]
                 scale = np.linalg.norm(phi)
                 assert abs(scale - math.sqrt(dist.weights[i])) < _TOL
             gram = table.conj().T @ table
-            assert np.abs(gram - np.diag(np.concatenate(
-                [dist.weights, np.zeros(d - n)]))).max() < _TOL, "garbage not orthonormal"
+            assert np.abs(gram - np.diag(dist.weights)).max() < _TOL, "garbage not orthonormal"
 
 
 def check_probability_readout() -> None:
@@ -93,8 +91,7 @@ def check_probability_readout() -> None:
             oracle = orc.make_purified_oracle(dist, style, seed=seed)
             state = sv.new_basis_state(orc.encoder_layout(oracle))
             sv.apply(orc.probability_encoder(oracle), state)
-            d = oracle.sample_dim
-            readout = state.amplitudes[:d][: n]
+            readout = state.amplitudes[:n]  # (A=0, B=0, C=k)
             assert np.abs(readout - dist.weights).max() < _TOL, "probability readout off"
 
 
@@ -122,10 +119,10 @@ def check_subset_phases() -> None:
         layout, unitary, _ = orc.kwise_instance(oracle, k)
         state = sv.new_basis_state(layout)
         sv.apply(unitary, state)
-        amps = state.amplitudes[::layout.total_dim // 2 ** n]
-        sizes = ref.subset_sizes(n)
-        want = np.where((sizes >= 1) & (sizes <= k),
-                        ref.fourier_spectrum(dist) / math.sqrt(ref.binom_sum(n, k)), 0.0)
+        amps = state.amplitudes[::layout.total_dim // layout.dim_of("S")]  # (S, A=0, B=0)
+        scale = math.sqrt(ref.binom_sum(n, k))
+        want = ref.fourier_spectrum(dist)[ref.subset_masks(n, k)] / scale
+        want[0] = 0.0  # the empty set carries no amplitude
         assert np.abs(amps - want).max() < _TOL, "subset-phase amplitude off"
 
 

@@ -21,14 +21,17 @@ application views the amplitudes as ``amps.reshape(layout.dims)``, one axis
 per register: a control fixes its axis to a one-element slice, which is a
 view; a projector or phase pattern is such a slice too; and an operator on a
 register tuple moves the target axes last and acts on the blocks along
-them.  The XOR copy gathers the destination block of each source value b
-by the index XOR b, one exact permutation per block.  One kernel rule
-is exact: a matrix on a two-column block (a qubit gate such as a Hadamard)
-combines its two slices with separate elementwise multiplies and adds,
-never BLAS, whose fused multiply-add leaves rounding residue where
-``x*h + (-x)*h`` must cancel to exactly 0.  The testers' one-sided error
-rests on this: for p = q the closeness encoder's final Hadamard meets
-exactly opposite blocks, and the projected amplitude must come out 0.0.
+them.  The copy (:class:`CopyOp`) adds its source value b to the
+destination modulo their common dimension d: it rolls the destination block
+of each b by b (by -b when inverse), one exact permutation per block, so
+any d will do.  A sign table (:class:`SignOp`) multiplies its target blocks
+by +/-1, which is exact too.  One kernel rule is exact: a matrix on a
+two-column block (a qubit gate such as a Hadamard) combines its two slices
+with separate elementwise multiplies and adds, never BLAS, whose fused
+multiply-add leaves rounding residue where ``x*h + (-x)*h`` must cancel to
+exactly 0.  The testers' one-sided error rests on this: for p = q the
+closeness encoder's final Hadamard meets exactly opposite blocks, and the
+projected amplitude must come out 0.0.
 """
 from __future__ import annotations
 
@@ -54,9 +57,9 @@ class MemoryLimitError(ValueError):
 
 # Peak bytes per amplitude of a run on one layout: the 16-byte state plus the
 # temporaries of one operator application (a copy of the target blocks and
-# their product).  Peak RSS above the interpreter measured 33-53 with
-# --trials 1 (closeness n = 128 and k-wise n = 7, basis and Haar garbage,
-# dims 2^21-2^22).
+# their product).  Peak RSS above the interpreter measured 32-51 with
+# --trials 1 (closeness n = 128 and n = 129, k-wise n = 8 at k = 2, basis
+# and Haar garbage, dims 2.4M-4.3M).
 _PEAK_BYTES_PER_AMPLITUDE = 64
 
 
@@ -328,39 +331,46 @@ class ReflectionOp(QuantumOp):
         view -= np.outer(coef, self.w / self.denom).reshape(view.shape)
 
 
-class XorOp(QuantumOp):
-    """XOR copy |b>|c> -> |b>|c xor b> from one register tuple into another.
-
-    ``b`` and ``c`` are the joint values of ``src`` and ``dst`` (first
-    register most significant), whose joint dimensions must be equal and a
-    power of two; this is the copy U_copy of the oracles and encoders.  Each
-    destination block with b != 0 is gathered in one exact permutation, so
-    the temporaries are per block, never state-sized.  Self-inverse.
+class CopyOp(QuantumOp):
+    """Copy by addition mod d, |b>|c> -> |b>|c + b mod d>, from register
+    ``src`` into register ``dst`` of the same dimension d; the inverse
+    subtracts.  This is the copy U_copy of the oracles and encoders: on
+    c = 0 it gives |b>|b> for any d.  Each destination block is rolled by
+    its source value in one exact permutation, so the temporaries are per
+    block, never state-sized.
     """
 
-    def __init__(self, src: Sequence[str], dst: Sequence[str], label: str | None = None):
-        self.src, self.dst = tuple(src), tuple(dst)
-        if set(self.src) & set(self.dst):
-            raise RegisterError(f"XOR source {self.src} overlaps destination {self.dst}")
-        super().__init__(self.src + self.dst, label)
+    def __init__(self, src: str, dst: str, label: str | None = None):
+        if src == dst:
+            raise RegisterError(f"copy source {src!r} is also its destination")
+        super().__init__((src, dst), label)
 
     def _apply(self, state, inverse, controls, ledger):
-        src_shape = tuple(state.layout.dim_of(r) for r in self.src)
-        d = math.prod(src_shape)
-        d_dst = math.prod(state.layout.dim_of(r) for r in self.dst)
+        d, d_dst = (state.layout.dim_of(r) for r in self.regs)
         if d != d_dst:
-            raise RegisterError(f"XOR copy from {self.src} (joint dimension {d}) into "
-                                f"{self.dst} (joint dimension {d_dst}): sizes differ")
-        if d & (d - 1):
-            raise RegisterError(f"XOR copy registers have joint dimension {d}, "
-                                f"not a power of two")
+            raise RegisterError(f"copy from {self.regs[0]!r} (dimension {d}) into "
+                                f"{self.regs[1]!r} (dimension {d_dst}): sizes differ")
         view = self._target_view(state, controls)
-        tail = (slice(None),) * len(self.dst)
-        for b, index in enumerate(np.ndindex(*src_shape)):
-            if b:
-                block = view[(..., *index, *tail)]
-                block[...] = np.take(block.reshape(-1, d), np.arange(d) ^ b,
-                                     axis=1).reshape(block.shape)
+        for b in range(1, d):
+            block = view[..., b, :]
+            block[...] = np.roll(block, -b if inverse else b, axis=-1)
+
+
+class SignOp(QuantumOp):
+    """Multiplies each amplitude by the +/-1 entry of ``signs`` at the joint
+    value of ``regs`` (first register most significant).  Exact and
+    self-inverse."""
+
+    def __init__(self, regs: Sequence[str] | str, signs: np.ndarray, label: str | None = None):
+        super().__init__(regs, label)
+        self.signs = np.asarray(signs, dtype=np.float64)
+        if not np.all(np.abs(self.signs) == 1.0):
+            raise RegisterError("sign table entries must be +1 or -1")
+        self.size = self.signs.size
+
+    def _apply(self, state, inverse, controls, ledger):
+        view = self._target_view(state, controls)
+        view *= self.signs.reshape(view.shape[view.ndim - len(self.regs):])
 
 
 class PhaseFlipOp(QuantumOp):
@@ -371,22 +381,16 @@ class PhaseFlipOp(QuantumOp):
     """
 
     def __init__(self, fixed: Mapping[str, int], complement: bool = False,
-                 label: str | None = None, require_qubits: bool = False):
+                 label: str | None = None):
         self.fixed = tuple(dict(fixed).items())
         super().__init__([n for n, _ in self.fixed], label)
         self.complement = complement
-        self._require_qubits = require_qubits
 
     def _apply(self, state, inverse, controls, ledger):
-        layout = state.layout
-        if self._require_qubits:
-            for name in self.regs:
-                if layout.dim_of(name) != 2:
-                    raise RegisterError(f"register {name!r} is not a qubit")
         scope = _scope(state, self.regs, controls)
         if self.complement:
             scope *= -1.0
-        scope[_fix(layout, self.fixed)] *= -1.0
+        scope[_fix(state.layout, self.fixed)] *= -1.0
 
 
 class SequenceOp(QuantumOp):
@@ -443,11 +447,6 @@ def hadamard(reg: str) -> MatrixOp:
 
 def pauli_x(reg: str) -> MatrixOp:
     return MatrixOp((reg,), _X)
-
-
-def controlled_z(control: str, target: str) -> PhaseFlipOp:
-    """diag(1,1,1,-1) on a pair of qubit registers (symmetric in its arguments)."""
-    return PhaseFlipOp({control: 1, target: 1}, require_qubits=True)
 
 
 # --- application, marginals, dense cross-check ---------------------------------

@@ -42,7 +42,7 @@ from .statevec import QuantumOp, RegisterLayout
 __all__ = [
     "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
     "estimator_plan", "estimator_budget", "sample_plan", "run_plan",
-    "majority", "Trials",
+    "majority", "Trials", "check_eps",
 ]
 
 
@@ -75,7 +75,8 @@ class AEPlan:
     labels: tuple[str, str]
 
 
-def _check_eps(eps: float) -> None:
+def check_eps(eps: float) -> None:
+    """The accuracy check every plan builder makes: eps must lie in (0, 1)."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
@@ -90,7 +91,7 @@ def closeness_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
     Budget t = ceil(20 pi / (nu eps)); verdict CLOSE iff the estimated
     projected mass is below (1/4 - nu/8) eps^2.
     """
-    _check_eps(eps)
+    check_eps(eps)
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
     layout, unitary, projector = closeness_instance(op, oq)
@@ -117,7 +118,7 @@ def kwise_plan(oracle: PurifiedOracle, k: int, eps: float) -> AEPlan:
     M = binom_sum(n, k), so the budget is ceil(10 pi e^k sqrt(M) / eps) and
     the verdict is YES iff the estimate falls below half the threshold.
     """
-    _check_eps(eps)
+    check_eps(eps)
     layout, unitary, projector = kwise_instance(oracle, k)
     amp_threshold = eps ** 2 / (math.exp(2 * k) * binom_sum(oracle.distribution.n_bits, k))
     return AEPlan(layout, unitary, projector, zero_budget(amp_threshold),
@@ -126,7 +127,7 @@ def kwise_plan(oracle: PurifiedOracle, k: int, eps: float) -> AEPlan:
 
 def estimator_budget(eps: float) -> int:
     """Budget t = ceil(8 pi / eps) of the l2-distance estimator."""
-    _check_eps(eps)
+    check_eps(eps)
     return math.ceil(8.0 * math.pi / eps)
 
 

@@ -246,6 +246,37 @@ def test_closeness_generator_refuses_sizes_it_cannot_build(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (("test-closeness", "--gen", "l2-pair", "--n", "8", "--eps", "-0.5"), -0.5),
+    (("test-closeness", "--tester", "l1", "--gen", "l1-pair", "--n", "8", "--eps", "1.5"),
+     1.5),
+    (("estimate", "--gen", "l2-pair", "--n", "8", "--eps", "-0.5"), -0.5),
+    (("test-kwise", "--gen", "uniform", "--n", "3", "--eps", "-0.5"), -0.5),
+    (("sweep", "--eps-grid", "0.2,-0.5", "--n", "8"), -0.5),
+    (("sweep", "--tester", "kwise", "--eps-grid", "0.3,1.5", "--n", "3"), 1.5),
+])
+def test_eps_is_checked_as_typed_before_any_instance(capsys, monkeypatch, argv, bad):
+    """--eps, and each --eps-grid value, is checked with the testers' own
+    check before any instance is built, so the message shows the number the
+    user typed, not the distance a generator derives from it."""
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was built before eps was checked")
+
+    monkeypatch.setattr(cli, "_closeness_pair", no_instance)
+    monkeypatch.setattr(cli, "_kwise_dist", no_instance)
+    code, out, err = run(capsys, *argv, "--trials", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: eps must lie in (0, 1), got {bad}\n"
+
+
+@pytest.mark.parametrize("gen,d", [("l2-pair", "-0.5"), ("l1-pair", "1.5")])
+def test_pair_generator_error_names_the_distance(capsys, gen, d):
+    code, out, err = run(capsys, "test-closeness", "--gen", f"{gen}:{d}", "--n", "8",
+                         "--trials", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: need the pair's l1 distance d in [0, 1], got {float(d)}\n"
+
+
 def test_identical_generator_builds_one_point_space(capsys):
     code, out, _ = run(capsys, "test-closeness", "--gen", "identical", "--n", "1",
                        "--trials", "2")
@@ -312,7 +343,7 @@ def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
     """An --n or a multiset count whose weights or draws alone would take
     TiBs is refused (k-wise: more than MAX_BITS bits, or the count checked
     against free memory; closeness and estimate: the state pre-flight on the
-    padded size) before any generator allocates them."""
+    size) before any generator allocates them."""
     def no_oracle(*args, **kwargs):
         raise AssertionError("an oracle was built for an oversized --n")
 
@@ -327,6 +358,29 @@ def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
     assert peak < 2 ** 20
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def test_kwise_preflight_sizes_the_subset_register(capsys, monkeypatch):
+    """test-kwise --n 9 --k 2 asks for its state of 46 subsets x 2^18 (A, B)
+    amplitudes at 64 bytes each, about 736 MiB, not 2^27 x 64 bytes: it
+    passes the pre-flight with exactly that much memory and is refused with
+    one byte less."""
+    class Built(Exception):
+        pass
+
+    def stub_oracle(*args, **kwargs):
+        raise Built
+
+    need = 46 * 2 ** 18 * 64
+    monkeypatch.setattr(cli.orc, "make_purified_oracle", stub_oracle)
+    monkeypatch.setattr(sv, "available_memory_bytes", lambda: need)
+    with pytest.raises(Built):
+        cli.main(["test-kwise", "--gen", "uniform", "--n", "9", "--k", "2", "--trials", "1"])
+    monkeypatch.setattr(sv, "available_memory_bytes", lambda: need - 1)
+    code, out, err = run(capsys, "test-kwise", "--gen", "uniform", "--n", "9", "--k", "2",
+                         "--trials", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: a state of dimension {46 * 2 ** 18} needs about 0.72 GiB")
 
 
 @pytest.mark.parametrize("name,text,command", [

@@ -51,13 +51,6 @@ def test_weights_are_frozen():
         d.weights[0] = 1.0
 
 
-def test_padding():
-    d = Distribution(np.array([0.2, 0.3, 0.5]))
-    padded = dists.padded_weights(d)
-    assert padded.size == 4 and padded[3] == 0.0 and abs(padded.sum() - 1) < 1e-12
-    assert dists.next_pow2(1) == 1 and dists.next_pow2(5) == 8
-
-
 def test_json_round_trip():
     d = dists.uniform(8, BITSTRING)
     again = dists.from_json(dists.to_json(d))

@@ -1,8 +1,8 @@
-"""Property tests of the state-vector engine: every leaf operator, the XOR
-copy included, against an independent flat-index reference, on drawn
-layouts, target orders, controls and directions; U^dagger U = I; the
-linearity of the phase-distribution ledger in M; and the memory of a run and
-of one XOR copy."""
+"""Property tests of the state-vector engine: every leaf operator, the copy
+by addition mod d and the sign table included, against an independent
+flat-index reference, on drawn layouts, target orders, controls and
+directions; U^dagger U = I; the linearity of the phase-distribution ledger
+in M; and the memory of a run and of one copy."""
 import math
 import tracemalloc
 
@@ -18,12 +18,12 @@ from qdtest import statevec as sv
 
 from helpers import haar_state, random_bitstring_distribution, reference_apply
 
-LEAF_KINDS = ("matrix", "reflection", "xor", "phase_flip")
+LEAF_KINDS = ("matrix", "reflection", "copy", "sign", "phase_flip")
 # register dimensions 1-6, weighted towards qubits (the exact two-slice path)
 # and dimension 1 (targets that add no axis length)
 DIMS = st.one_of(st.just(1), st.just(2), st.integers(1, 6))
 # ops whose reference action is a signed permutation: compared bit for bit
-EXACT_KINDS = ("xor", "phase_flip")
+EXACT_KINDS = ("copy", "sign", "phase_flip")
 
 
 @st.composite
@@ -41,8 +41,10 @@ def leaf_cases(draw):
     """(layout, op, regs, local, controls, inverse, seed, kind) for one leaf op;
     ``local`` is the op's forward matrix over the joint value of ``regs``."""
     kind = draw(st.sampled_from(LEAF_KINDS))
-    if kind == "xor":
-        return draw(xor_cases())
+    if kind == "copy":
+        return draw(copy_cases())
+    if kind == "sign":
+        return draw(sign_cases())
     dims = draw(st.lists(DIMS, min_size=1, max_size=4))
     names = [f"R{i}" for i in range(len(dims))]
     controls, layout = draw(controls_and_layout(zip(names, dims)))
@@ -69,34 +71,32 @@ def leaf_cases(draw):
     return layout, op, regs, local, controls, draw(st.booleans()), seed, kind
 
 
-def _bit_split(draw, nbits: int) -> list[int]:
-    """Bit counts of 1-2 registers of dimension 1, 2 or 4 holding ``nbits``."""
-    if nbits <= 2 and draw(st.booleans()):
-        return [nbits]
-    first = draw(st.integers(max(0, nbits - 2), min(2, nbits)))
-    return [first, nbits - first]
+@st.composite
+def copy_cases(draw):
+    """The same tuple for the copy |b>|c> -> |b>|c + b mod d> from one source
+    register into one destination register of the same dimension d in 1..9."""
+    d = draw(st.integers(1, 9))
+    others = [(f"R{i}", draw(DIMS)) for i in range(draw(st.integers(0, 2)))]
+    controls, layout = draw(controls_and_layout([("S", d), ("T", d)] + others))
+    b, c = np.divmod(np.arange(d * d), d)
+    local = np.zeros((d * d, d * d))
+    local[b * d + (c + b) % d, b * d + c] = 1.0
+    return (layout, sv.CopyOp("S", "T"), ("S", "T"), local, controls, draw(st.booleans()),
+            draw(st.integers(0, 2 ** 32 - 1)), "copy")
 
 
 @st.composite
-def xor_cases(draw):
-    """The same tuple for the XOR copy |b>|c> -> |b>|c xor b> from 1-2 source
-    registers to 1-2 destination registers of the same power-of-two joint
-    dimension."""
-    nbits = draw(st.integers(0, 4))
-    dst = [(f"T{i}", 2 ** b) for i, b in enumerate(_bit_split(draw, nbits))]
-    src = [(f"S{i}", 2 ** b) for i, b in enumerate(_bit_split(draw, nbits))]
-    others = [(f"R{i}", draw(DIMS))
-              for i in range(draw(st.integers(0, 4 - len(src) - len(dst))))]
-    controls, layout = draw(controls_and_layout(src + dst + others))
-    src_names = tuple(draw(st.permutations([n for n, _ in src])))
-    dst_names = tuple(draw(st.permutations([n for n, _ in dst])))
-    d = 2 ** nbits
-    b, c = np.divmod(np.arange(d * d), d)
-    local = np.zeros((d * d, d * d))
-    local[b * d + (c ^ b), b * d + c] = 1.0
-    op = sv.XorOp(src_names, dst_names)
-    return (layout, op, src_names + dst_names, local, controls, draw(st.booleans()),
-            draw(st.integers(0, 2 ** 32 - 1)), "xor")
+def sign_cases(draw):
+    """The same tuple for a random +/-1 table over 1-2 registers."""
+    dims = draw(st.lists(DIMS, min_size=1, max_size=3))
+    names = [f"R{i}" for i in range(len(dims))]
+    controls, layout = draw(controls_and_layout(zip(names, dims)))
+    regs = tuple(draw(st.permutations(names))[:draw(st.integers(1, min(2, len(names))))])
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    shape = [layout.dim_of(r) for r in regs]
+    signs = 1.0 - 2.0 * np.random.default_rng(seed).integers(0, 2, size=shape)
+    return (layout, sv.SignOp(regs, signs), regs, np.diag(signs.ravel()), controls,
+            draw(st.booleans()), seed, "sign")
 
 
 def check_against_reference(case):
@@ -127,9 +127,9 @@ def test_leaf_ops_match_reference(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(xor_cases())
-def test_xor_copy_matches_reference(case):
-    """|b>|c> -> |b>|c xor b>, on more draws than the mixed leaf test gives it."""
+@given(copy_cases())
+def test_copy_matches_reference(case):
+    """|b>|c> -> |b>|c + b mod d>, on more draws than the mixed leaf test gives it."""
     check_against_reference(case)
 
 
@@ -189,16 +189,16 @@ def test_phase_distribution_memory(name):
     assert retained <= layout.total_dim
 
 
-def test_xor_copy_memory():
-    """One copy of B(256) into C(256) keeps its temporaries to a few blocks
-    of 256 amplitudes: at most 4 x state bytes / 256."""
-    layout = sv.RegisterLayout([("B", 256), ("C", 256)])
+def test_copy_memory():
+    """One copy of B(257) into C(257) keeps its temporaries to a few blocks
+    of 257 amplitudes: at most 4 x state bytes / 257."""
+    layout = sv.RegisterLayout([("B", 257), ("C", 257)])
     state = sv.StateVector(layout, haar_state(layout.total_dim, np.random.default_rng(7)))
-    op = sv.XorOp(("B",), ("C",))
+    op = sv.CopyOp("B", "C")
     tracemalloc.start()
     try:
         sv.apply(op, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * state.amplitudes.nbytes // 256
+    assert peak <= 4 * state.amplitudes.nbytes // 257

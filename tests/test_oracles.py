@@ -1,5 +1,6 @@
 """Oracle construction tests: the purified-access definition, the copy
-unitary, the encoding unitaries, garbage independence, and query counting."""
+unitary, the encoding unitaries, garbage independence, query counting, the
+layouts (one register per role) and the near side's rounding residue."""
 import math
 
 import numpy as np
@@ -20,8 +21,7 @@ def oracle_columns(oracle):
     """(A, B) amplitude table of the oracle on the all-zeros input."""
     state = sv.new_basis_state(oracle.workspace_layout())
     sv.apply(oracle.op, state)
-    d_a = oracle.a_reg[1]
-    return state.amplitudes.reshape(d_a, -1)
+    return state.amplitudes.reshape(oracle.sample_dim, -1)
 
 
 # --- the purified-access definition ------------------------------------------------
@@ -49,10 +49,9 @@ def test_definition_invariant(style, seed, n):
     dist = random_distribution(n, rng)
     oracle = orc.make_purified_oracle(dist, style, seed=seed)
     table = oracle_columns(oracle)
+    assert table.shape == (n, n)
     gram = table.conj().T @ table
-    padded = np.zeros(oracle.sample_dim)
-    padded[:n] = dist.weights
-    assert np.abs(gram - np.diag(padded)).max() < 1e-10
+    assert np.abs(gram - np.diag(dist.weights)).max() < 1e-10
 
 
 def test_haar_measurement_reproduces_distribution():
@@ -84,34 +83,33 @@ def test_haar_garbage_needs_a_seed():
 
 # --- copy unitary --------------------------------------------------------------------
 
-# U_copy |b>|c> -> |b>|c xor b> from B into C, as the encoders build it
-U_COPY = sv.XorOp(("B",), ("C",))
+# U_copy |b>|c> -> |b>|c + b mod d> from B into C, as the encoders build it
+U_COPY = sv.CopyOp("B", "C")
 
 
 def test_u_copy_action():
-    lay = sv.RegisterLayout([("B", 4), ("C", 4)])
+    """On any d, not only a power of two, the copy sends |b>|0> to |b>|b>
+    and |b>|c> to |b>|c + b mod d>; its inverse sends |b>|b> back to |b>|0>."""
+    lay = sv.RegisterLayout([("B", 5), ("C", 5)])
     state = sv.new_basis_state(lay, {"B": 3})
     sv.apply(U_COPY, state)
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 3})] == 1.0
-    sv.apply(U_COPY, state)  # XOR is an involution
+    sv.apply(U_COPY, state)
+    assert state.amplitudes[lay.basis_index({"B": 3, "C": 1})] == 1.0
+    sv.apply(U_COPY, state, inverse=True)
+    sv.apply(U_COPY, state, inverse=True)
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 0})] == 1.0
 
 
-def test_u_copy_self_inverse_on_random_state():
+def test_u_copy_inverse_on_random_state():
     rng = np.random.default_rng(3)
-    lay = sv.RegisterLayout([("B", 8), ("C", 8)])
-    amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    lay = sv.RegisterLayout([("B", 6), ("C", 6)])
+    amps = rng.standard_normal(36) + 1j * rng.standard_normal(36)
     state = sv.StateVector(lay, amps / np.linalg.norm(amps))
     before = state.amplitudes.copy()
     sv.apply(U_COPY, state)
-    sv.apply(U_COPY, state)
+    sv.apply(U_COPY, state, inverse=True)
     assert np.array_equal(state.amplitudes, before)
-
-
-def test_u_copy_rejects_non_pow2():
-    lay = sv.RegisterLayout([("B", 6), ("C", 6)])
-    with pytest.raises(sv.RegisterError, match="not a power of two"):
-        sv.apply(U_COPY, sv.new_basis_state(lay))
 
 
 # --- probability encoder -------------------------------------------------------------
@@ -139,15 +137,16 @@ def test_probability_readout_point_mass():
     assert abs(sv.projector_norm_sq(state, {"A": 0, "B": 0}) - 1.0) < 1e-12
 
 
-def test_probability_readout_padded_space():
+def test_probability_readout_non_power_of_two_space():
+    """A six-element space is read out on registers of dimension 6."""
     rng = np.random.default_rng(9)
-    dist = random_distribution(6, rng)  # pads to 8
+    dist = random_distribution(6, rng)
     oracle = orc.make_purified_oracle(dist, "haar", seed=2)
-    state = sv.new_basis_state(orc.encoder_layout(oracle))
+    layout = orc.encoder_layout(oracle)
+    assert layout.registers == (("A", 6), ("B", 6), ("C", 6))
+    state = sv.new_basis_state(layout)
     sv.apply(orc.probability_encoder(oracle), state)
-    readout = state.amplitudes[:8]
-    assert np.abs(readout[:6] - dist.weights).max() < 1e-10
-    assert np.abs(readout[6:]).max() < 1e-12
+    assert np.abs(state.amplitudes[:6] - dist.weights).max() < 1e-10
 
 
 # --- closeness unitary ---------------------------------------------------------------
@@ -229,8 +228,7 @@ def test_garbage_independence_of_encoded_quantities():
         layout, unitary, _ = orc.kwise_instance(oracle, 2)
         state = sv.new_basis_state(layout)
         sv.apply(unitary, state)
-        stride = layout.total_dim // 8
-        amplitudes.append(np.array([state.amplitudes[s * stride] for s in range(8)]))
+        amplitudes.append(state.amplitudes[::layout.total_dim // layout.dim_of("S")])
     assert np.abs(amplitudes[0] - amplitudes[1]).max() < 1e-10
 
 
@@ -238,25 +236,29 @@ def test_garbage_independence_of_encoded_quantities():
 
 def test_subset_superposition_n2_k1():
     op = orc.subset_superposition(2, 1)
-    lay = sv.RegisterLayout([("S1", 2), ("S2", 2)])
+    lay = sv.RegisterLayout([("S", 3)])
     state = sv.new_basis_state(lay)
     sv.apply(op, state)
-    # |10> and |01> each at 1/sqrt(2)
-    expected = np.array([0, 1, 1, 0]) / math.sqrt(2)
+    # the empty set at 0, then {2} (mask 01) and {1} (mask 10) each at 1/sqrt(2)
+    expected = np.array([0, 1, 1]) / math.sqrt(2)
     assert np.abs(state.amplitudes - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,k,count", [(4, 2, 10), (3, 3, 7), (5, 1, 5)])
 def test_subset_superposition_support(n, k, count):
+    """S holds the empty set and the ``count`` non-empty subsets of size at
+    most k; the superposition is uniform over the non-empty ones."""
+    masks = ref.subset_masks(n, k)
+    assert len(masks) == 1 + count == 1 + ref.binom_sum(n, k)
     op = orc.subset_superposition(n, k)
-    lay = sv.RegisterLayout([(f"S{i}", 2) for i in range(1, n + 1)])
+    lay = sv.RegisterLayout([("S", len(masks))])
     state = sv.new_basis_state(lay)
     sv.apply(op, state)
     amps = state.amplitudes
     support = np.flatnonzero(np.abs(amps) > 1e-12)
-    assert len(support) == count == ref.binom_sum(n, k)
+    assert support.tolist() == list(range(1, count + 1))
     assert np.abs(amps[support] - 1 / math.sqrt(count)).max() < 1e-12
-    sizes = [bin(x).count("1") for x in support]
+    sizes = [bin(x).count("1") for x in masks[support]]
     assert min(sizes) >= 1 and max(sizes) <= k
 
 
@@ -268,14 +270,18 @@ def test_subset_superposition_range_check():
 
 
 def kwise_amplitudes(dist, k, style="basis", seed=None):
+    """The (S, A=0, B=0) amplitudes indexed by subset mask (0 for a subset
+    of size above k, which S does not hold), the projected mass, and the
+    ledger counts."""
     oracle = orc.make_purified_oracle(dist, style, seed=seed)
     layout, unitary, proj = orc.kwise_instance(oracle, k)
     state = sv.new_basis_state(layout)
     ledger = sv.QueryLedger()
     sv.apply(unitary, state, ledger=ledger)
-    n = dist.n_bits
-    stride = layout.total_dim // 2 ** n
-    amps = np.array([state.amplitudes[s * stride] for s in range(2 ** n)])
+    masks = ref.subset_masks(dist.n_bits, k)
+    assert layout.registers[0] == ("S", len(masks))
+    amps = np.zeros(dist.size, dtype=complex)
+    amps[masks] = state.amplitudes[::layout.total_dim // len(masks)]
     return amps, sv.projector_norm_sq(state, proj), ledger.get(oracle.label)
 
 
@@ -339,6 +345,45 @@ def test_kwise_encoder_k_range():
         orc.kwise_encoder(oracle, 0)
     with pytest.raises(ValueError):
         orc.kwise_encoder(oracle, 4)
+
+
+# --- layouts ----------------------------------------------------------------------------
+
+def test_layouts_have_one_register_per_role():
+    """A, B and C have the sample-space size, unpadded, and S one value per
+    subset of size at most k: 1 + 8 + 28 = 37 at n = 8, k = 2."""
+    assert orc.purified_registers(129) == (("A", 129), ("B", 129))
+    closeness = orc.closeness_layout(orc.purified_registers(129))
+    assert closeness.registers == (("A", 129), ("B", 129), ("C", 129), ("D", 2))
+    assert closeness.total_dim == 2 * 129 ** 3
+    kwise = orc.kwise_layout(orc.purified_registers(2 ** 8), 2)
+    assert kwise.names == ("S", "A", "B")
+    assert kwise.total_dim == 37 * 2 ** 16
+
+
+# --- near-side residue ------------------------------------------------------------------
+
+# The near side's projected mass: the encoders' rounding residue where the
+# exact value is 0.  The testers' one-sided error needs it far below any
+# threshold; with basis garbage the closeness encoder cancels exactly.
+NEAR_SIDE_RESIDUE = 1e-31
+
+
+@pytest.mark.parametrize("style,seeds", [("basis", (None, None)), ("haar", (1, 2))])
+@pytest.mark.parametrize("n", [3, 5, 12, 16, 100, 129])
+def test_closeness_near_side_residue(style, seeds, n):
+    p = random_distribution(n, np.random.default_rng(n))
+    mass, _ = closeness_mass(p, p, style, seeds)
+    assert mass <= NEAR_SIDE_RESIDUE
+    if style == "basis":
+        assert mass == 0.0
+
+
+@pytest.mark.parametrize("style,seed", STYLES)
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_kwise_near_side_residue(style, seed, n):
+    _, mass, _ = kwise_amplitudes(uniform(2 ** n, BITSTRING), 2, style, seed)
+    assert mass <= NEAR_SIDE_RESIDUE
 
 
 # --- completion helpers ----------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Static checks of the package source with ``ast``, in place of a linter:
 every module-level import is used, every ``__all__`` entry names
-something the module defines or imports, and the package exports only
-names their module lists in its ``__all__``."""
+something the module defines or imports, the package exports only
+names their module lists in its ``__all__``; and, on the imported
+modules, every docstring cross-reference names something that exists."""
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +97,38 @@ def test_package_exports_are_listed_in_module_all():
             unlisted = {alias.name for alias in node.names} - set(listed)
             assert not listed or not unlisted, \
                 f"__init__.py imports {sorted(unlisted)} missing from {source.name} __all__"
+
+
+# a Sphinx cross-reference such as :func:`name` or :class:`~qdtest.module.Name`
+XREF = re.compile(r":(?:func|class|mod|meth|attr):`~?([\w.]+)`")
+
+
+def _module_name(path: Path) -> str:
+    return "qdtest" if path.stem == "__init__" else f"qdtest.{path.stem}"
+
+
+def _has(obj, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_docstring_cross_references_resolve(path):
+    """Every :func:, :class:, :mod:, :meth: and :attr: target in the module
+    resolves: relative to the module, as an absolute ``qdtest.*`` name, or
+    as a member of a class the module defines.  A rename that leaves a
+    reference stale fails here."""
+    for source in SOURCES:  # so that qdtest.<module> is an attribute of qdtest
+        importlib.import_module(_module_name(source))
+    name = _module_name(path)
+    module = importlib.import_module(name)
+    classes = [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == name]
+    stale = [target for target in XREF.findall(path.read_text(encoding="utf-8"))
+             if not (_has(module, target)
+                     or (target.startswith("qdtest.") and _has(qdtest, target[7:]))
+                     or any(_has(cls, target) for cls in classes))]
+    assert not stale, f"{path.name}: unresolved cross-references {stale}"

@@ -100,8 +100,9 @@ def test_hadamard_cancels_opposite_blocks_exactly(controlled):
 
 
 def test_controlled_z_signs():
+    """A controlled-Z is the sign table diag(1, 1, 1, -1) on two qubits."""
     lay = sv.RegisterLayout([("C", 2), ("T", 2)])
-    cz = sv.controlled_z("C", "T")
+    cz = sv.SignOp(("C", "T"), [[1, 1], [1, -1]])
     s11 = sv.new_basis_state(lay, {"C": 1, "T": 1})
     sv.apply(cz, s11)
     assert s11.amplitudes[lay.basis_index({"C": 1, "T": 1})] == -1.0
@@ -111,9 +112,13 @@ def test_controlled_z_signs():
 
 
 def test_controlled_z_needs_qubits():
+    """A two-qubit sign table is refused on registers of another joint
+    dimension, and a table with an entry other than +/-1 is refused."""
     lay = sv.RegisterLayout([("C", 3), ("T", 2)])
-    with pytest.raises(sv.RegisterError):
-        sv.apply(sv.controlled_z("C", "T"), sv.new_basis_state(lay))
+    with pytest.raises(sv.RegisterError, match="joint dimension"):
+        sv.apply(sv.SignOp(("C", "T"), [[1, 1], [1, -1]]), sv.new_basis_state(lay))
+    with pytest.raises(sv.RegisterError, match="entries"):
+        sv.SignOp(("C", "T"), [[1, 1], [1, 0.5]])
 
 
 def test_apply_register_mismatch():
@@ -125,7 +130,7 @@ def test_apply_register_mismatch():
     with pytest.raises(sv.RegisterError):
         sv.apply(sv.ReflectionOp(("A",), np.ones(3), 1.5), sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError):
-        sv.apply(sv.XorOp(("A",), ("B",)), sv.new_basis_state(lay))
+        sv.apply(sv.CopyOp("A", "B"), sv.new_basis_state(lay))
 
 
 # --- operator algebra: norm, inverse, dense, controlled ---------------------------
@@ -172,7 +177,7 @@ def test_dense_hadamard_matrix():
 
 def test_dense_copy_is_cnot():
     lay = sv.RegisterLayout([("B", 2), ("C", 2)])
-    dense = sv.dense_matrix_of(sv.XorOp(("B",), ("C",)), lay)
+    dense = sv.dense_matrix_of(sv.CopyOp("B", "C"), lay)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert np.allclose(dense, cnot, atol=1e-12)
 
@@ -185,7 +190,7 @@ def test_dense_cap():
 
 def leaf_op(kind, rng):
     """One of the four leaf operators on A (dim 3), B (dim 2) and C (dim 2): the
-    XOR copy from B into C, the others on the joint space of A and B."""
+    copy from B into C, the others on the joint space of A and B."""
     if kind == "matrix":
         return sv.MatrixOp(("A", "B"), haar_unitary(6, int(rng.integers(2 ** 63))))
     if kind == "reflection":
@@ -195,7 +200,7 @@ def leaf_op(kind, rng):
         w[0] -= 1.0
         return sv.ReflectionOp(("A", "B"), w, 1.0 - v[0])
     if kind == "permutation":
-        return sv.XorOp(("B",), ("C",))
+        return sv.CopyOp("B", "C")
     return sv.PhaseFlipOp({"A": 1, "B": 0})
 
 
@@ -247,36 +252,33 @@ def test_sequence_and_inverse_ops():
     assert sv.inverse(sv.inverse(seq)) is seq
 
 
-def test_xor_op_action_and_inverse():
+def test_copy_op_action_and_inverse():
+    """|a>|b> -> |a>|b + a mod 3>, and the inverse subtracts, exactly."""
     rng = np.random.default_rng(49)
-    layout = sv.RegisterLayout([("A", 4), ("B", 4)])
-    op = sv.XorOp(("A",), ("B",))
+    layout = sv.RegisterLayout([("A", 3), ("B", 3)])
+    op = sv.CopyOp("A", "B")
     dense = sv.dense_matrix_of(op, layout)
-    a, b = np.divmod(np.arange(16), 4)
-    expected = np.zeros((16, 16))
-    expected[a * 4 + (b ^ a), np.arange(16)] = 1.0  # |a>|b> -> |a>|b xor a>
+    a, b = np.divmod(np.arange(9), 3)
+    expected = np.zeros((9, 9))
+    expected[a * 3 + (b + a) % 3, np.arange(9)] = 1.0
     assert np.abs(dense - expected).max() == 0.0
-    state = sv.StateVector(layout, haar_state(16, rng))
+    state = sv.StateVector(layout, haar_state(9, rng))
     before = state.amplitudes.copy()
     sv.apply(op, state)
+    assert not np.array_equal(state.amplitudes, before)
     sv.apply(op, state, inverse=True)
     assert np.array_equal(state.amplitudes, before)
 
 
-def test_xor_op_rejects_overlapping_registers():
-    with pytest.raises(sv.RegisterError, match="overlaps"):
-        sv.XorOp(("A", "B"), ("B",))
+def test_copy_op_rejects_overlapping_registers():
+    with pytest.raises(sv.RegisterError, match="also its destination"):
+        sv.CopyOp("B", "B")
 
 
-@pytest.mark.parametrize("src,dst,match", [
-    (("B",), ("E",), "not a power of two"),
-    (("A",), ("C",), "sizes differ"),
-    (("A", "C"), ("B", "E"), "sizes differ"),
-])
-def test_xor_op_checks_at_apply(src, dst, match):
-    lay = sv.RegisterLayout([("A", 4), ("B", 3), ("C", 2), ("E", 3)])
-    with pytest.raises(sv.RegisterError, match=match):
-        sv.apply(sv.XorOp(src, dst), sv.new_basis_state(lay))
+def test_copy_op_checks_at_apply():
+    lay = sv.RegisterLayout([("A", 4), ("C", 2)])
+    with pytest.raises(sv.RegisterError, match="sizes differ"):
+        sv.apply(sv.CopyOp("A", "C"), sv.new_basis_state(lay))
 
 
 def test_reflection_op_matches_matrix():
