@@ -34,8 +34,8 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import next_pow2
-from .statevec import (MatrixOp, PhaseFlipOp, QuantumOp, QueryLedger,
-                       RegisterLayout, SequenceOp, StateVector, apply, inverse,
+from .statevec import (MatrixOp, QuantumOp, QueryLedger, RegisterLayout,
+                       SequenceOp, SignOp, StateVector, apply, inverse,
                        new_basis_state, projector_norm_sq, require_bytes)
 
 # Peak bytes per phase point of one estimation setup and its sampling: the
@@ -43,6 +43,9 @@ from .statevec import (MatrixOp, PhaseFlipOp, QuantumOp, QueryLedger,
 # and lookup.  tracemalloc measured 65.0 for testers.sample_plan on one
 # uniform at M = 2^16..2^22; 80 leaves some headroom.
 _PEAK_BYTES_PER_POINT = 80
+
+# A simulated p at or below this floor is exactly 0 (see phase_distribution).
+_ZERO_FLOOR = 1e-26
 
 
 def phase_points(t: int) -> int:
@@ -85,14 +88,21 @@ def grover_iterate(unitary: QuantumOp, layout: RegisterLayout,
                    projector: Mapping[str, int]) -> QuantumOp:
     """The reflection product Q = -U S0 U^dagger S_Pi.
 
-    S_Pi = I - 2 Pi and S0 = I - 2|0...0><0...0| over the full layout; the
-    global minus sign is folded into the middle reflection so the iterate's
-    eigenphases are exactly +/- 2 theta with sin^2(theta) = ||Pi U|0>||^2.
-    One application costs one forward and one inverse application of U.
+    Both reflections are sign tables (:class:`~qdtest.statevec.SignOp`):
+    S_Pi = I - 2 Pi is -1 at the projector's values over its registers, and
+    -S0 = 2|0...0><0...0| - I is -1 everywhere but index 0 of the full
+    layout.  Folding the global minus sign into the middle reflection makes
+    the iterate's eigenphases exactly +/- 2 theta with sin^2(theta) =
+    ||Pi U|0>||^2.  One application costs one forward and one inverse
+    application of U.
     """
-    s_pi = PhaseFlipOp(projector)
-    neg_s0 = PhaseFlipOp({name: 0 for name in layout.names}, complement=True)
-    return SequenceOp([s_pi, inverse(unitary), neg_s0, unitary])
+    fixed = RegisterLayout((r, layout.dim_of(r)) for r in projector)
+    s_pi = np.ones(fixed.total_dim)
+    s_pi[fixed.basis_index(projector)] = -1.0
+    neg_s0 = np.full(layout.total_dim, -1.0)
+    neg_s0[0] = 1.0
+    return SequenceOp([SignOp(fixed.names, s_pi), inverse(unitary),
+                       SignOp(layout.names, neg_s0), unitary])
 
 
 def _power_table(unitary: QuantumOp, layout: RegisterLayout,
@@ -149,6 +159,14 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     mirror of U's.  The returned object's ``ledger_cost`` holds the query
     counts of the single run it represents.  Checks first that the M-point
     phase register fits in the available memory.
+
+    A p at or below ``_ZERO_FLOOR`` (1e-26) is taken as exactly 0, so the
+    near side measures y = 0 with certainty at every M, not only where
+    rounding makes the pmf a point mass.  Both margins are wide.  The floor
+    is over 1000 times the rounding residue that U leaves for p = q or a
+    k-wise uniform p (at most 3.0e-32).  It is under 1e-3 times (10 pi / M)^2,
+    a lower bound on every far-side projected mass (t <= M), at M = 2^33,
+    the largest phase register the pre-flight admits with 1 TiB free.
     """
     m = phase_points(t)
     require_bytes(m * _PEAK_BYTES_PER_POINT, f"a phase register of {m} points")
@@ -156,6 +174,8 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     forward = QueryLedger()
     apply(unitary, state, ledger=forward)
     p = projector_norm_sq(state, projector)
+    if p <= _ZERO_FLOOR:
+        p = 0.0
     cost = QueryLedger()
     cost.merge(forward, times=m)
     cost.merge(forward, times=m - 1, inverse=True)

@@ -126,17 +126,11 @@ def _gen_args(spec: str) -> tuple[str, list[str]]:
     return name, rest.split(":") if rest else []
 
 
-def _require_closeness_memory(size: int) -> None:
-    """The memory pre-flight of a closeness run on a sample space of
-    ``size`` elements."""
-    require_memory(orc.closeness_layout(orc.purified_registers(size)))
-
-
 def _closeness_pair(args) -> tuple[Distribution, Distribution]:
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
-        _require_closeness_memory(n)  # before a generator allocates n weights
+        require_memory(orc.closeness_layout(n))  # before a generator allocates n weights
         if name == "l2-pair":
             d = float(extra[0]) if extra else min(1.0, math.sqrt(2.0) * args.eps)
             return ref.gen_l2_pair(n, d)
@@ -185,14 +179,14 @@ def _kwise_dist(args) -> Distribution:
 
 def _oracle_pair(p, q, args):
     for dist in (p, q):
-        _require_closeness_memory(dist.size)
+        require_memory(orc.closeness_layout(dist.size))
     op = orc.make_purified_oracle(p, args.garbage, seed=args.seed * 2 + 1, label="p")
     oq = orc.make_purified_oracle(q, args.garbage, seed=args.seed * 2 + 2, label="q")
     return op, oq
 
 
 def _kwise_oracle(dist, args):
-    require_memory(orc.kwise_layout(orc.purified_registers(dist.size), args.k))
+    require_memory(orc.kwise_layout(dist.n_bits, args.k))
     return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
 
 

@@ -30,7 +30,9 @@ probability encoder) is one copy by addition modulo the sample-space size,
 :class:`~qdtest.statevec.CopyOp`, which is defined for any size, so no
 sample space is padded.
 
-Register names are fixed, one register per role.  A layout lists, in this
+Register names are fixed, one register per role, and every layout is
+built from sizes alone (:func:`oracle_layout`, :func:`encoder_layout`,
+:func:`closeness_layout`, :func:`kwise_layout`).  A layout lists, in this
 order: the subset register S (k-wise tests only), the workspace A, the
 sample register B, the copy register C that mirrors B, and the closeness
 ancilla qubit D.  A, B and C all have the sample-space size d (2^n on a
@@ -54,7 +56,7 @@ from .statevec import (ControlledOp, CopyOp, MatrixOp, QuantumOp, QueryLedger,
 
 __all__ = [
     "GARBAGE_STYLES", "PurifiedOracle", "QueryLedger", "make_purified_oracle",
-    "probability_encoder", "encoder_layout", "purified_registers", "closeness_unitary",
+    "probability_encoder", "oracle_layout", "encoder_layout", "closeness_unitary",
     "closeness_layout", "closeness_instance", "subset_superposition", "kwise_encoder",
     "kwise_layout", "kwise_instance", "haar_unitary", "reflection_parts",
 ]
@@ -105,30 +107,17 @@ def _prep_op(regs, column: np.ndarray) -> QuantumOp | None:
 class PurifiedOracle:
     """A labelled purified query-access unitary together with its
     distribution.  It acts on the workspace A and the sample register B of
-    :func:`purified_registers`."""
+    :func:`oracle_layout`."""
 
     distribution: Distribution
-    garbage: str
     label: str
     op: QuantumOp = field(compare=False, repr=False)
 
-    @property
-    def sample_dim(self) -> int:
-        return self.distribution.size
 
-    @property
-    def registers(self) -> tuple[tuple[str, int], ...]:
-        return purified_registers(self.sample_dim)
-
-    def workspace_layout(self) -> RegisterLayout:
-        return RegisterLayout(self.registers)
-
-
-def purified_registers(size: int) -> tuple[tuple[str, int], ...]:
-    """Workspace register A, then sample register B, of the purified oracle
-    that :func:`make_purified_oracle` builds for a distribution on ``size``
-    elements."""
-    return ("A", size), ("B", size)
+def oracle_layout(size: int) -> RegisterLayout:
+    """Workspace A, then sample register B, of the purified oracle of a
+    distribution on ``size`` elements."""
+    return RegisterLayout((("A", size), ("B", size)))
 
 
 def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
@@ -148,8 +137,7 @@ def make_purified_oracle(dist: Distribution, garbage: str = "basis", *,
         steps.append(MatrixOp(("A",), haar_unitary(dist.size, seed)))
     elif garbage != "basis":
         raise ValueError(f"unknown garbage style {garbage!r}")
-    return PurifiedOracle(distribution=dist, garbage=garbage, label=label,
-                          op=SequenceOp(steps, label=label))
+    return PurifiedOracle(distribution=dist, label=label, op=SequenceOp(steps, label=label))
 
 
 def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
@@ -161,8 +149,9 @@ def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
     return SequenceOp([oracle.op, CopyOp("B", "C"), inverse(oracle.op)])
 
 
-def encoder_layout(oracle: PurifiedOracle) -> RegisterLayout:
-    return RegisterLayout(oracle.registers + (("C", oracle.sample_dim),))
+def encoder_layout(size: int) -> RegisterLayout:
+    """Layout of the probability encoder on a sample space of ``size`` elements."""
+    return RegisterLayout((("A", size), ("B", size), ("C", size)))
 
 
 def _require_same_space(op: PurifiedOracle, oq: PurifiedOracle) -> None:
@@ -195,17 +184,16 @@ def closeness_unitary(op: PurifiedOracle, oq: PurifiedOracle) -> QuantumOp:
     ])
 
 
-def closeness_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
-    """Layout of a closeness test on oracles with the given (A, B) registers."""
-    (_, size), _ = registers
-    return RegisterLayout(registers + (("C", size), ("D", 2)))
+def closeness_layout(size: int) -> RegisterLayout:
+    """Layout of a closeness test on a sample space of ``size`` elements."""
+    return RegisterLayout((("A", size), ("B", size), ("C", size), ("D", 2)))
 
 
 def closeness_instance(op: PurifiedOracle, oq: PurifiedOracle
                        ) -> tuple[RegisterLayout, QuantumOp, dict[str, int]]:
     """Layout, unitary, and projector map for a closeness test of two oracles."""
     fixed = {"A": 0, "B": 0, "D": 0}
-    return closeness_layout(op.registers), closeness_unitary(op, oq), fixed
+    return closeness_layout(op.distribution.size), closeness_unitary(op, oq), fixed
 
 
 def subset_superposition(n: int, k: int) -> QuantumOp:
@@ -239,15 +227,13 @@ def kwise_encoder(oracle: PurifiedOracle, k: int) -> QuantumOp:
     return SequenceOp([prep, oracle.op, SignOp(("S", "B"), chi), inverse(oracle.op)])
 
 
-def kwise_layout(registers: tuple[tuple[str, int], ...], k: int) -> RegisterLayout:
-    """Layout of a k-wise test at ``k`` on an oracle with the given (A, B)
-    registers, B of dimension 2^n."""
-    (_, size), _ = registers
-    n = (size - 1).bit_length()
-    return RegisterLayout((("S", 1 + binom_sum(n, k)),) + registers)
+def kwise_layout(n: int, k: int) -> RegisterLayout:
+    """Layout of a k-wise test at ``k`` on n-bit strings."""
+    return RegisterLayout((("S", 1 + binom_sum(n, k)), ("A", 2 ** n), ("B", 2 ** n)))
 
 
 def kwise_instance(oracle: PurifiedOracle, k: int
                    ) -> tuple[RegisterLayout, QuantumOp, dict[str, int]]:
     """Layout, unitary, and projector map for a k-wise uniformity test."""
-    return kwise_layout(oracle.registers, k), kwise_encoder(oracle, k), {"A": 0, "B": 0}
+    encoder = kwise_encoder(oracle, k)  # checks the sample space and k
+    return kwise_layout(oracle.distribution.n_bits, k), encoder, {"A": 0, "B": 0}

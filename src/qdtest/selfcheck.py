@@ -72,7 +72,7 @@ def check_oracle_definition() -> None:
         dist = random_distribution(n, rng)
         for style, seed in (("basis", None), ("haar", 7)):
             oracle = orc.make_purified_oracle(dist, style, seed=seed)
-            state = sv.new_basis_state(oracle.workspace_layout())
+            state = sv.new_basis_state(orc.oracle_layout(n))
             sv.apply(oracle.op, state)
             table = state.amplitudes.reshape(n, n)  # (A, B)
             for i in range(n):
@@ -89,7 +89,7 @@ def check_probability_readout() -> None:
         dist = random_distribution(n, rng)
         for style, seed in (("basis", None), ("haar", 11)):
             oracle = orc.make_purified_oracle(dist, style, seed=seed)
-            state = sv.new_basis_state(orc.encoder_layout(oracle))
+            state = sv.new_basis_state(orc.encoder_layout(n))
             sv.apply(orc.probability_encoder(oracle), state)
             readout = state.amplitudes[:n]  # (A=0, B=0, C=k)
             assert np.abs(readout - dist.weights).max() < _TOL, "probability readout off"
@@ -134,7 +134,7 @@ def check_estimation() -> None:
     def system(p):
         th = math.asin(math.sqrt(p))
         mat = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        return sv.MatrixOp(("Q",), mat, label="U")
+        return sv.SequenceOp([sv.MatrixOp(("Q",), mat)], label="U")
 
     zero = ae.phase_distribution(system(0.0), layout, proj, 64)
     assert not zero.phases(rng.random(200)).any(), "estimate at zero amplitude not 0"

@@ -13,25 +13,25 @@ matrices of operators exist only as a cross-check path for small systems
 (:func:`dense_matrix_of`).
 
 A projector is a plain ``{register: value}`` map: it fixes those registers to
-basis values and leaves every other register free
-(:func:`projector_norm_sq`, :class:`PhaseFlipOp`).
+basis values and leaves every other register free (:func:`projector_norm_sq`).
 
-Leaf operators keep no index plans or other per-layout state.  Each
-application views the amplitudes as ``amps.reshape(layout.dims)``, one axis
-per register: a control fixes its axis to a one-element slice, which is a
-view; a projector or phase pattern is such a slice too; and an operator on a
-register tuple moves the target axes last and acts on the blocks along
-them.  The copy (:class:`CopyOp`) adds its source value b to the
-destination modulo their common dimension d: it rolls the destination block
-of each b by b (by -b when inverse), one exact permutation per block, so
-any d will do.  A sign table (:class:`SignOp`) multiplies its target blocks
-by +/-1, which is exact too.  One kernel rule is exact: a matrix on a
-two-column block (a qubit gate such as a Hadamard) combines its two slices
-with separate elementwise multiplies and adds, never BLAS, whose fused
-multiply-add leaves rounding residue where ``x*h + (-x)*h`` must cancel to
-exactly 0.  The testers' one-sided error rests on this: for p = q the
-closeness encoder's final Hadamard meets exactly opposite blocks, and the
-projected amplitude must come out 0.0.
+The four leaf operators (:class:`MatrixOp`, :class:`ReflectionOp`,
+:class:`CopyOp`, :class:`SignOp`) keep no index plans or other per-layout
+state.  Each application views the amplitudes as ``amps.reshape(layout.dims)``,
+one axis per register: a control fixes its axis to a one-element slice, which
+is a view, and a leaf moves its target axes last and acts on the blocks along
+them.  The copy adds its source value b to the destination modulo their
+common dimension d: it rolls the destination block of each b by b (by -b
+when inverse), one exact permutation per block, so any d will do.  A sign
+table multiplies its target blocks by +/-1, which is exact too; every
+diagonal +/-1 reflection is one.  Only a :class:`SequenceOp` carries a
+ledger label: a labelled sequence is an oracle.  One kernel rule is exact:
+a matrix on a two-column block (a qubit gate such as a Hadamard) combines
+its two slices with separate elementwise multiplies and adds, never BLAS,
+whose fused multiply-add leaves rounding residue where ``x*h + (-x)*h``
+must cancel to exactly 0.  The testers' one-sided error rests on this: for
+p = q the closeness encoder's final Hadamard meets exactly opposite blocks,
+and the projected amplitude must come out 0.0.
 """
 from __future__ import annotations
 
@@ -222,29 +222,22 @@ def _rows(view: np.ndarray, size: int) -> np.ndarray:
     return np.ascontiguousarray(view.reshape(-1, size))
 
 
-def _scope(state: StateVector, acting: Sequence[str], controls: Controls) -> np.ndarray:
-    """The block of the register grid where every control holds its value."""
-    for name, _ in controls:
-        if name in acting:
-            raise RegisterError(f"control register {name!r} overlaps the operator's targets")
-    return _grid(state)[_fix(state.layout, controls)]
-
-
 class QuantumOp:
     """Composable unitary action on named registers.
 
     Subclasses implement ``_apply``; :meth:`apply_to` adds ledger attribution.
-    A labelled op records one query per application under its label, with the
-    kind determined by the inverse/controlled context it runs in.
+    A leaf names its target registers and carries no label.  A labelled
+    :class:`SequenceOp` (an oracle) records one query per application under
+    its label, with the kind determined by the inverse/controlled context it
+    runs in.
     """
 
     label: str | None = None
     regs: tuple[str, ...] = ()  # a leaf op's target registers
     size: int | None = None  # joint dimension of ``regs`` the op needs; None: any
 
-    def __init__(self, regs: Sequence[str] | str, label: str | None = None):
+    def __init__(self, regs: Sequence[str] | str):
         self.regs = (regs,) if isinstance(regs, str) else tuple(regs)
-        self.label = label
 
     def apply_to(self, state: StateVector, *, inverse: bool = False,
                  controls: Controls = (), ledger: "QueryLedger | None" = None) -> None:
@@ -266,7 +259,10 @@ class QuantumOp:
                 raise RegisterError(
                     f"{type(self).__name__} on {self.regs} has size {self.size} "
                     f"but registers have joint dimension {dim}")
-        view = _scope(state, self.regs, controls)
+        for name, _ in controls:
+            if name in self.regs:
+                raise RegisterError(f"control register {name!r} overlaps the operator's targets")
+        view = _grid(state)[_fix(layout, controls)]
         axes = [layout.axis(r) for r in self.regs]
         return np.moveaxis(view, axes, range(view.ndim - len(axes), view.ndim))
 
@@ -280,8 +276,8 @@ class MatrixOp(QuantumOp):
     blocks go through one BLAS product of (rows x size) by (size x size).
     """
 
-    def __init__(self, regs: Sequence[str] | str, matrix: np.ndarray, label: str | None = None):
-        super().__init__(regs, label)
+    def __init__(self, regs: Sequence[str] | str, matrix: np.ndarray):
+        super().__init__(regs)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise RegisterError(f"operator matrix must be square, got {self.matrix.shape}")
@@ -311,9 +307,8 @@ class ReflectionOp(QuantumOp):
     O(m^2) of a dense matrix.
     """
 
-    def __init__(self, regs: Sequence[str] | str, w: np.ndarray, denom: float,
-                 label: str | None = None):
-        super().__init__(regs, label)
+    def __init__(self, regs: Sequence[str] | str, w: np.ndarray, denom: float):
+        super().__init__(regs)
         self.w = np.ascontiguousarray(w, dtype=np.float64)
         self.denom = float(denom)
         if self.denom <= 0:
@@ -340,10 +335,10 @@ class CopyOp(QuantumOp):
     block, never state-sized.
     """
 
-    def __init__(self, src: str, dst: str, label: str | None = None):
+    def __init__(self, src: str, dst: str):
         if src == dst:
             raise RegisterError(f"copy source {src!r} is also its destination")
-        super().__init__((src, dst), label)
+        super().__init__((src, dst))
 
     def _apply(self, state, inverse, controls, ledger):
         d, d_dst = (state.layout.dim_of(r) for r in self.regs)
@@ -361,8 +356,8 @@ class SignOp(QuantumOp):
     value of ``regs`` (first register most significant).  Exact and
     self-inverse."""
 
-    def __init__(self, regs: Sequence[str] | str, signs: np.ndarray, label: str | None = None):
-        super().__init__(regs, label)
+    def __init__(self, regs: Sequence[str] | str, signs: np.ndarray):
+        super().__init__(regs)
         self.signs = np.asarray(signs, dtype=np.float64)
         if not np.all(np.abs(self.signs) == 1.0):
             raise RegisterError("sign table entries must be +1 or -1")
@@ -371,26 +366,6 @@ class SignOp(QuantumOp):
     def _apply(self, state, inverse, controls, ledger):
         view = self._target_view(state, controls)
         view *= self.signs.reshape(view.shape[view.ndim - len(self.regs):])
-
-
-class PhaseFlipOp(QuantumOp):
-    """Multiplies by -1 the amplitudes matching (or not matching) a pattern.
-
-    With ``complement=False`` this is the reflection I - 2P about the pattern
-    projector P; with ``complement=True`` it is 2P - I.  Self-inverse.
-    """
-
-    def __init__(self, fixed: Mapping[str, int], complement: bool = False,
-                 label: str | None = None):
-        self.fixed = tuple(dict(fixed).items())
-        super().__init__([n for n, _ in self.fixed], label)
-        self.complement = complement
-
-    def _apply(self, state, inverse, controls, ledger):
-        scope = _scope(state, self.regs, controls)
-        if self.complement:
-            scope *= -1.0
-        scope[_fix(state.layout, self.fixed)] *= -1.0
 
 
 class SequenceOp(QuantumOp):

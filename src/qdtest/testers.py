@@ -175,9 +175,10 @@ class Trials(Sequence):
         """Runs ``repeats * j`` to ``repeats * j + repeats - 1`` voted into
         trial j: :func:`majority` of each group, on the index array.
 
-        Each run counts the runs of its group that carry its label, and the
-        first run with the highest count is kept: the first run of the most
-        frequent label, a tie going to the label seen first.
+        Each label ranks in each group by its count of runs there, then by
+        its earliest run, and that run of the top label is kept: the first
+        run of the most frequent label, a tie going to the label seen first.
+        One pass per label keeps the temporaries at a few bytes per run.
         """
         if repeats == 1:
             return self
@@ -185,8 +186,14 @@ class Trials(Sequence):
         label = np.array([names.setdefault(v.verdict, len(names)) for v in self.verdicts])
         groups = self.index.reshape(-1, repeats)
         runs = label[groups]
-        count = (runs[:, :, None] == runs[:, None, :]).sum(axis=2)
-        return Trials(self.verdicts, groups[np.arange(len(groups)), count.argmax(axis=1)])
+        first = np.empty((len(names), len(groups)), dtype=np.intp)
+        rank = np.empty_like(first)
+        for name in range(len(names)):
+            hit = runs == name
+            first[name] = hit.argmax(axis=1)
+            rank[name] = hit.sum(axis=1) * repeats - first[name]  # count, then earliness
+        kept = first[rank.argmax(axis=0), np.arange(len(groups))]
+        return Trials(self.verdicts, groups[np.arange(len(groups)), kept])
 
 
 def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray) -> Trials:

@@ -12,6 +12,11 @@ from qdtest.amplitude import estimate_from_phase
 from qdtest.distributions import BITSTRING, Distribution
 from qdtest.experiments import oracle_query_totals
 
+# The near side's projected mass: the encoders' rounding residue where the
+# exact value is 0.  The testers' one-sided error needs it far below any
+# threshold; with basis garbage the closeness encoder cancels exactly.
+NEAR_SIDE_RESIDUE = 1e-31
+
 
 def rotation_system(p: float):
     """Single-qubit unitary with projected mass exactly p on |1>."""
@@ -19,7 +24,7 @@ def rotation_system(p: float):
     mat = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     layout = sv.RegisterLayout([("Q", 2)])
-    return sv.MatrixOp(("Q",), mat, label="U"), layout, {"Q": 1}
+    return sv.SequenceOp([sv.MatrixOp(("Q",), mat)], label="U"), layout, {"Q": 1}
 
 
 def estimates(dist, uniforms) -> list[float]:

@@ -79,7 +79,7 @@ def test_criterion_1_probability_readout_identity():
             dist = random_distribution(n, rng)
             style = "basis" if case % 2 == 0 else "haar"
             oracle = orc.make_purified_oracle(dist, style, seed=case)
-            state = sv.new_basis_state(orc.encoder_layout(oracle))
+            state = sv.new_basis_state(orc.encoder_layout(n))
             sv.apply(orc.probability_encoder(oracle), state)
             readout = state.amplitudes[:n]
             assert np.abs(readout - dist.weights).max() < ATOL

@@ -16,7 +16,7 @@ from qdtest import reference as ref
 from qdtest import statevec as sv
 from qdtest.distributions import BITSTRING, uniform
 
-from helpers import estimates, rotation_system
+from helpers import NEAR_SIDE_RESIDUE, estimates, rotation_system
 
 
 def bound(p, m):
@@ -91,6 +91,22 @@ def test_iterate_is_unitary():
     unitary, layout, proj = rotation_system(0.25)
     dense = sv.dense_matrix_of(ae.grover_iterate(unitary, layout, proj), layout)
     assert np.abs(dense.conj().T @ dense - np.eye(2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("proj", [{"D": 0, "A": 0, "B": 0}, {"D": 1, "B": 2, "A": 0}])
+def test_iterate_sign_tables_on_closeness_layout(proj):
+    """The iterate's two sign tables are exactly I - 2 Pi and 2|0><0| - I on
+    a closeness layout, where C is free and D comes last, for a projector
+    given out of layout order."""
+    op, oq = (orc.make_purified_oracle(uniform(3), label=label) for label in "pq")
+    layout, unitary, _ = orc.closeness_instance(op, oq)
+    s_pi, _, neg_s0, _ = ae.grover_iterate(unitary, layout, proj).steps
+    values = [layout.register_values(i) for i in range(layout.total_dim)]
+    in_pi = np.array([all(v[r] == x for r, x in proj.items()) for v in values])
+    assert np.array_equal(sv.dense_matrix_of(s_pi, layout), np.diag(1.0 - 2.0 * in_pi))
+    neg_s0_matrix = -np.eye(layout.total_dim)
+    neg_s0_matrix[0, 0] = 1.0
+    assert np.array_equal(sv.dense_matrix_of(neg_s0, layout), neg_s0_matrix)
 
 
 # --- the closed form vs simulated phase estimation ------------------------------------
@@ -181,6 +197,26 @@ def test_exact_phase_case_deterministic():
     for y in dist.phases(rng.random(20)).tolist():
         assert y in (2, 6)
         assert abs(ae.estimate_from_phase(y, dist.points) - 0.5) < 1e-15
+
+
+def test_zero_floor_margins():
+    """The near-side floor sits over 1000 times above the residue the
+    near-side tests pin, and under 1e-3 times (10 pi / M)^2, a lower bound on
+    every far-side projected mass, at the largest M whose phase register the
+    pre-flight admits with 1 TiB free."""
+    largest = 2 ** ((2 ** 40 // ae._PEAK_BYTES_PER_POINT).bit_length() - 1)
+    assert largest == 2 ** 33
+    assert ae._ZERO_FLOOR >= 1000 * NEAR_SIDE_RESIDUE
+    assert ae._ZERO_FLOOR <= 1e-3 * (10 * math.pi / largest) ** 2
+
+
+def test_zero_floor_is_exact_zero():
+    """A p at or below the floor gives the point mass at y = 0; one above it
+    keeps the closed form's tails."""
+    for p, below in ((ae._ZERO_FLOOR / 2, True), (4 * ae._ZERO_FLOOR, False)):
+        unitary, layout, proj = rotation_system(p)
+        dist = ae.phase_distribution(unitary, layout, proj, 64)
+        assert np.array_equal(dist.probs, ae.phase_pmf(0.0, 64)) == below
 
 
 def test_certainty_at_zero_rotation():

@@ -712,9 +712,9 @@ def test_selfcheck_detects_injected_sign_flip(capsys, monkeypatch):
     real = ae.grover_iterate
 
     def corrupted(unitary, layout, projector):
-        flipped = sv.PhaseFlipOp(projector, complement=True)  # wrong sign
-        neg_s0 = sv.PhaseFlipOp({name: 0 for name in layout.names}, complement=True)
-        return sv.SequenceOp([flipped, sv.inverse(unitary), neg_s0, unitary])
+        s_pi, inv_u, neg_s0, u = real(unitary, layout, projector).steps
+        flipped = sv.SignOp(s_pi.regs, -s_pi.signs)  # 2 Pi - I: the wrong sign
+        return sv.SequenceOp([flipped, inv_u, neg_s0, u])
 
     monkeypatch.setattr(ae, "grover_iterate", corrupted)
     assert cli.main(["selfcheck"]) == 1

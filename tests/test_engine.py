@@ -18,12 +18,12 @@ from qdtest import statevec as sv
 
 from helpers import haar_state, random_bitstring_distribution, reference_apply
 
-LEAF_KINDS = ("matrix", "reflection", "copy", "sign", "phase_flip")
+LEAF_KINDS = ("matrix", "reflection", "copy", "sign")
 # register dimensions 1-6, weighted towards qubits (the exact two-slice path)
 # and dimension 1 (targets that add no axis length)
 DIMS = st.one_of(st.just(1), st.just(2), st.integers(1, 6))
 # ops whose reference action is a signed permutation: compared bit for bit
-EXACT_KINDS = ("copy", "sign", "phase_flip")
+EXACT_KINDS = ("copy", "sign")
 
 
 @st.composite
@@ -55,19 +55,11 @@ def leaf_cases(draw):
     if kind == "matrix":
         local = orc.haar_unitary(size, int(rng.integers(2 ** 63)))
         op = sv.MatrixOp(regs, local)
-    elif kind == "reflection":
+    else:
         w = rng.standard_normal(size)
         denom = float(w @ w) / 2.0
         local = np.eye(size) - np.outer(w, w) / denom
         op = sv.ReflectionOp(regs, w, denom)
-    else:
-        fixed = {r: int(rng.integers(layout.dim_of(r))) for r in regs}
-        complement = bool(rng.integers(2))
-        match = np.zeros([layout.dim_of(r) for r in regs], dtype=bool)
-        match[tuple(fixed[r] for r in regs)] = True
-        sign = np.where(match.ravel() != complement, -1.0, 1.0)
-        local = np.diag(sign)
-        op = sv.PhaseFlipOp(fixed, complement=complement)
     return layout, op, regs, local, controls, draw(st.booleans()), seed, kind
 
 

@@ -12,16 +12,16 @@ from qdtest import statevec as sv
 from qdtest.distributions import (BITSTRING, Distribution, point_mass,
                                   random_distribution, uniform)
 
-from helpers import parity_set_distribution, random_bitstring_distribution
+from helpers import NEAR_SIDE_RESIDUE, parity_set_distribution, random_bitstring_distribution
 
 STYLES = (("basis", None), ("haar", 99))
 
 
 def oracle_columns(oracle):
     """(A, B) amplitude table of the oracle on the all-zeros input."""
-    state = sv.new_basis_state(oracle.workspace_layout())
+    state = sv.new_basis_state(orc.oracle_layout(oracle.distribution.size))
     sv.apply(oracle.op, state)
-    return state.amplitudes.reshape(oracle.sample_dim, -1)
+    return state.amplitudes.reshape(oracle.distribution.size, -1)
 
 
 # --- the purified-access definition ------------------------------------------------
@@ -58,7 +58,7 @@ def test_haar_measurement_reproduces_distribution():
     rng = np.random.default_rng(5)
     dist = random_distribution(8, rng)
     oracle = orc.make_purified_oracle(dist, "haar", seed=17)
-    state = sv.new_basis_state(oracle.workspace_layout())
+    state = sv.new_basis_state(orc.oracle_layout(8))
     sv.apply(oracle.op, state)
     marginal = sv.register_marginal(state, "B")
     outcomes = rng.choice(marginal.size, size=100000, p=marginal / marginal.sum())
@@ -78,7 +78,9 @@ def test_haar_garbage_needs_a_seed():
     """Without a seed a Haar oracle could not be rebuilt, so it is refused."""
     with pytest.raises(ValueError, match="haar garbage needs a seed"):
         orc.make_purified_oracle(uniform(4), "haar")
-    assert orc.make_purified_oracle(uniform(4), "haar", seed=0).garbage == "haar"
+    haar = orc.make_purified_oracle(uniform(4), "haar", seed=0)
+    basis = orc.make_purified_oracle(uniform(4))
+    assert not np.allclose(oracle_columns(haar), oracle_columns(basis))
 
 
 # --- copy unitary --------------------------------------------------------------------
@@ -120,7 +122,7 @@ def test_probability_readout(style, seed):
     dist = random_distribution(8, rng)
     oracle = orc.make_purified_oracle(dist, style, seed=seed)
     ledger = sv.QueryLedger()
-    state = sv.new_basis_state(orc.encoder_layout(oracle))
+    state = sv.new_basis_state(orc.encoder_layout(8))
     sv.apply(orc.probability_encoder(oracle), state, ledger=ledger)
     assert np.abs(state.amplitudes[:8] - dist.weights).max() < 1e-10
     assert ledger.get(oracle.label) == {"forward": 1, "inverse": 1,
@@ -129,7 +131,7 @@ def test_probability_readout(style, seed):
 
 def test_probability_readout_point_mass():
     oracle = orc.make_purified_oracle(point_mass(4, 2))
-    state = sv.new_basis_state(orc.encoder_layout(oracle))
+    state = sv.new_basis_state(orc.encoder_layout(4))
     sv.apply(orc.probability_encoder(oracle), state)
     assert abs(state.amplitudes[state.layout.basis_index({"A": 0, "B": 0, "C": 2})]
                - 1.0) < 1e-12
@@ -142,7 +144,7 @@ def test_probability_readout_non_power_of_two_space():
     rng = np.random.default_rng(9)
     dist = random_distribution(6, rng)
     oracle = orc.make_purified_oracle(dist, "haar", seed=2)
-    layout = orc.encoder_layout(oracle)
+    layout = orc.encoder_layout(6)
     assert layout.registers == (("A", 6), ("B", 6), ("C", 6))
     state = sv.new_basis_state(layout)
     sv.apply(orc.probability_encoder(oracle), state)
@@ -352,22 +354,16 @@ def test_kwise_encoder_k_range():
 def test_layouts_have_one_register_per_role():
     """A, B and C have the sample-space size, unpadded, and S one value per
     subset of size at most k: 1 + 8 + 28 = 37 at n = 8, k = 2."""
-    assert orc.purified_registers(129) == (("A", 129), ("B", 129))
-    closeness = orc.closeness_layout(orc.purified_registers(129))
+    assert orc.oracle_layout(129).registers == (("A", 129), ("B", 129))
+    closeness = orc.closeness_layout(129)
     assert closeness.registers == (("A", 129), ("B", 129), ("C", 129), ("D", 2))
     assert closeness.total_dim == 2 * 129 ** 3
-    kwise = orc.kwise_layout(orc.purified_registers(2 ** 8), 2)
+    kwise = orc.kwise_layout(8, 2)
     assert kwise.names == ("S", "A", "B")
     assert kwise.total_dim == 37 * 2 ** 16
 
 
 # --- near-side residue ------------------------------------------------------------------
-
-# The near side's projected mass: the encoders' rounding residue where the
-# exact value is 0.  The testers' one-sided error needs it far below any
-# threshold; with basis garbage the closeness encoder cancels exactly.
-NEAR_SIDE_RESIDUE = 1e-31
-
 
 @pytest.mark.parametrize("style,seeds", [("basis", (None, None)), ("haar", (1, 2))])
 @pytest.mark.parametrize("n", [3, 5, 12, 16, 100, 129])

@@ -1,7 +1,8 @@
 """Static checks of the package source with ``ast``, in place of a linter:
 every module-level import is used, every ``__all__`` entry names
 something the module defines or imports, the package exports only
-names their module lists in its ``__all__``; and, on the imported
+names their module lists in its ``__all__``, every module-level function
+and class is named outside its own definition; and, on the imported
 modules, every docstring cross-reference names something that exists."""
 import ast
 import importlib
@@ -14,6 +15,10 @@ import pytest
 import qdtest
 
 SOURCES = sorted(Path(qdtest.__file__).parent.glob("*.py"))
+# where a definition in the package may be named: the package, its tests
+# and the benchmark
+READERS = sorted(path for top in ("src", "tests", "perfbench")
+                 for path in (Path(__file__).resolve().parents[1] / top).rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -132,3 +137,39 @@ def test_docstring_cross_references_resolve(path):
                      or (target.startswith("qdtest.") and _has(qdtest, target[7:]))
                      or any(_has(cls, target) for cls in classes))]
     assert not stale, f"{path.name}: unresolved cross-references {stale}"
+
+
+def _blank(text: str, spans) -> str:
+    """The text with the lines of each (first, last) span, 1-based, emptied."""
+    lines = text.splitlines()
+    for first, last in spans:
+        lines[first - 1:last] = [""] * (last - first + 1)
+    return "\n".join(lines)
+
+
+def _without_all(path: Path) -> str:
+    """A reader's text without its ``__all__`` assignment: a listing alone is
+    not a use."""
+    text = path.read_text(encoding="utf-8")
+    spans = [(node.lineno, node.end_lineno) for node in ast.parse(text).body
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    return _blank(text, spans)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_definitions_are_named_elsewhere(path):
+    """Every module-level ``def`` and ``class`` is named, as a whole word,
+    outside its own definition and ``__all__`` somewhere in the package,
+    its tests or the benchmark, so no helper outlives its last caller."""
+    others = [_without_all(reader) for reader in READERS
+              if reader.resolve() != path.resolve()]
+    unnamed = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            word = re.compile(rf"\b{node.name}\b")
+            first = node.lineno - len(node.decorator_list)
+            own = _blank(_without_all(path), [(first, node.end_lineno)])
+            if not any(word.search(text) for text in [own, *others]):
+                unnamed.append(node.name)
+    assert not unnamed, f"{path.name}: definitions named nowhere else {unnamed}"

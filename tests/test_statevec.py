@@ -18,12 +18,12 @@ def random_layout(rng):
     return sv.RegisterLayout([(f"R{i}", int(rng.integers(2, 6))) for i in range(count)])
 
 
-def random_op(layout, rng, label=None):
+def random_op(layout, rng):
     names = list(layout.names)
     take = int(rng.integers(1, len(names) + 1))
     regs = tuple(rng.choice(names, size=take, replace=False))
     dim = int(np.prod([layout.dim_of(r) for r in regs]))
-    return sv.MatrixOp(regs, haar_unitary(dim, int(rng.integers(2 ** 63))), label=label)
+    return sv.MatrixOp(regs, haar_unitary(dim, int(rng.integers(2 ** 63))))
 
 
 # --- layout ---------------------------------------------------------------------
@@ -163,8 +163,8 @@ def test_dense_fast_agreement():
 def test_dense_matrix_is_unitary():
     rng = np.random.default_rng(44)
     layout = sv.RegisterLayout([("A", 4), ("B", 3)])
-    for op in (random_op(layout, rng), sv.PhaseFlipOp({"A": 2}),
-               sv.PhaseFlipOp({"B": 0}, complement=True)):
+    for op in (random_op(layout, rng), sv.SignOp("A", [1, 1, -1, 1]),
+               sv.SignOp("B", [1, -1, -1])):
         dense = sv.dense_matrix_of(op, layout)
         assert np.abs(dense.conj().T @ dense - np.eye(12)).max() < 1e-10
 
@@ -201,7 +201,7 @@ def leaf_op(kind, rng):
         return sv.ReflectionOp(("A", "B"), w, 1.0 - v[0])
     if kind == "permutation":
         return sv.CopyOp("B", "C")
-    return sv.PhaseFlipOp({"A": 1, "B": 0})
+    return sv.SignOp(("A", "B"), [1, 1, -1, 1, 1, 1])  # I - 2P at A=1, B=0
 
 
 @pytest.mark.parametrize("kind", ["matrix", "reflection", "permutation", "phase_flip"])
@@ -243,7 +243,7 @@ def test_sequence_and_inverse_ops():
     rng = np.random.default_rng(48)
     layout = sv.RegisterLayout([("A", 3), ("B", 2)])
     seq = sv.SequenceOp([random_op(layout, rng), sv.inverse(random_op(layout, rng)),
-                         sv.PhaseFlipOp({"B": 1})])
+                         sv.SignOp("B", [1, -1])])
     state = sv.StateVector(layout, haar_state(6, rng))
     before = state.amplitudes.copy()
     sv.apply(seq, state)
@@ -313,7 +313,7 @@ def test_projector_norm_full_and_half():
 
 def test_ledger_records_kinds():
     lay = sv.RegisterLayout([("D", 2), ("A", 2)])
-    op = sv.MatrixOp(("A",), np.eye(2), label="p")
+    op = sv.SequenceOp([sv.MatrixOp(("A",), np.eye(2))], label="p")
     led = sv.QueryLedger()
     state = sv.new_basis_state(lay)
     sv.apply(op, state, ledger=led)

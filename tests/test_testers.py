@@ -3,6 +3,7 @@ frequencies, garbage invariance, and the query-budget laws."""
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,23 @@ def test_vote_is_majority_of_each_group(case):
     expected = [testers.majority(runs[i:i + repeats]) for i in range(0, len(runs), repeats)]
     assert len(voted) == len(expected)
     assert all(got is want for got, want in zip(voted, expected))
+
+
+def test_vote_memory_is_linear_in_runs():
+    """Voting 30 groups of 10001 runs peaks within the trial pre-flight's
+    bytes per run (``_PEAK_BYTES_PER_TRIAL``), not at a trials x repeats^2
+    comparison table."""
+    trials, repeats = 30, 10001
+    verdicts = (testers.TestVerdict("YES", 0.0, 1, 0.5), testers.TestVerdict("NO", 0.5, 1, 0.5))
+    index = np.random.default_rng(7).integers(0, 2, size=trials * repeats).astype(np.intp)
+    runs = testers.Trials(verdicts, index)
+    tracemalloc.start()
+    voted = runs.vote(repeats)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(voted) == trials
+    assert voted[0] is testers.majority(list(runs[:repeats]))
+    assert peak <= exp._PEAK_BYTES_PER_TRIAL * trials * repeats, peak / (trials * repeats)
 
 
 @settings(max_examples=150, deadline=None)
