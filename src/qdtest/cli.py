@@ -6,12 +6,15 @@ Subcommands:
   distributions for a number of seeded trials;
 * ``test-kwise``     — run the k-wise uniformity tester;
 * ``estimate``       — run the l2-distance estimator;
-* ``sweep``          — grid over eps and/or n, reporting mean queries and
-  success frequency per point, with an optional SVG plot;
+* ``sweep``          — grid over eps and/or n, with an optional SVG plot;
+  each point is one run of ``test-closeness`` (l2, l1) or ``test-kwise``
+  (spike instance) at ``--repeats 1``, and its row of budget, success
+  frequency and mean queries is read from that run's summary;
 * ``selfcheck``      — run the built-in invariant suites.
 
 Instances come from distribution files (``--dist`` / ``--dist2``; JSON or CSV,
-formats in :mod:`qdtest.distributions`) or named generators (``--gen``):
+formats in :mod:`qdtest.distributions`) or named generators (``--gen``), not
+both:
 
 * closeness pairs: ``l2-pair[:d]`` (two-point pair at l2 distance d/sqrt(2),
   default d = sqrt(2) * eps so the pair sits exactly at distance eps),
@@ -127,6 +130,8 @@ def _gen_args(spec: str) -> tuple[str, list[str]]:
 
 
 def _closeness_pair(args) -> tuple[Distribution, Distribution]:
+    if args.gen and (args.dist or args.dist2):
+        raise DistributionError("--gen and --dist/--dist2 exclude each other")
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
@@ -151,6 +156,8 @@ def _closeness_pair(args) -> tuple[Distribution, Distribution]:
 
 
 def _kwise_dist(args) -> Distribution:
+    if args.gen and args.dist:
+        raise DistributionError("--gen and --dist exclude each other")
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
@@ -190,17 +197,6 @@ def _kwise_oracle(dist, args):
     return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
 
 
-def _tester_nu(tester: str, nu: float) -> float:
-    """The nu a closeness tester runs at: ``nu``, or 1/2 for plain l2."""
-    return 0.5 if tester == "l2" else nu
-
-
-def _closeness_tester_plan(tester: str, op, oq, eps: float, nu: float):
-    """The plan of a closeness tester, at :func:`_tester_nu`."""
-    build = l1_plan if tester == "l1" else closeness_plan
-    return build(op, oq, eps, _tester_nu(tester, nu))
-
-
 def _check_k(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise DistributionError(f"k={k} out of range for n={n}")
@@ -231,12 +227,15 @@ def _at_least(value: float, bound: float) -> bool:
 
 # --- subcommands -----------------------------------------------------------------
 
-def cmd_test_closeness(args) -> int:
+def _closeness_report(args) -> dict:
+    """One test-closeness run, from checks to verdict report; plain l2 runs
+    at nu = 1/2, tolerant-l2 and l1 at ``args.nu``."""
     _check_repeats(args.repeats)
     check_eps(args.eps)  # before a generator places a pair at a distance from it
     p, q = _closeness_pair(args)
-    plan = _closeness_tester_plan(args.tester, *_oracle_pair(p, q, args), args.eps, args.nu)
-    nu = _tester_nu(args.tester, args.nu)
+    nu = 0.5 if args.tester == "l2" else args.nu
+    build = l1_plan if args.tester == "l1" else closeness_plan
+    plan = build(*_oracle_pair(p, q, args), args.eps, nu)
 
     l2 = ref.lp_distance(p, q, 2)
     norm, distance = "l2", l2
@@ -255,12 +254,12 @@ def cmd_test_closeness(args) -> int:
     params = {"tester": args.tester, "eps": args.eps, "nu": nu, "n": p.size,
               "garbage": args.garbage, "seed": args.seed, "trials": args.trials,
               "repeats": args.repeats}
-    report = exp.verdict_report("test-closeness", params, trials,
-                                {"l2_distance": l2, "promise_ok": promise_ok})
-    return _emit(report, args)
+    return exp.verdict_report("test-closeness", params, trials,
+                              {"l2_distance": l2, "promise_ok": promise_ok})
 
 
-def cmd_test_kwise(args) -> int:
+def _kwise_report(args) -> dict:
+    """One test-kwise run, from checks to verdict report."""
     _check_repeats(args.repeats)
     check_eps(args.eps)
     dist = _kwise_dist(args)
@@ -277,10 +276,16 @@ def cmd_test_kwise(args) -> int:
     trials = _voted_trials(plan, args)
     params = {"eps": args.eps, "k": args.k, "n": n, "garbage": args.garbage,
               "seed": args.seed, "trials": args.trials, "repeats": args.repeats}
-    report = exp.verdict_report("test-kwise", params, trials,
-                                {"fourier_weight": weight,
-                                 "kwise_uniform": uniform_side})
-    return _emit(report, args)
+    return exp.verdict_report("test-kwise", params, trials,
+                              {"fourier_weight": weight, "kwise_uniform": uniform_side})
+
+
+def cmd_test_closeness(args) -> int:
+    return _emit(_closeness_report(args), args)
+
+
+def cmd_test_kwise(args) -> int:
+    return _emit(_kwise_report(args), args)
 
 
 def cmd_estimate(args) -> int:
@@ -294,7 +299,7 @@ def cmd_estimate(args) -> int:
                                      ref.lp_distance(p, q, 2)), args)
 
 
-def _sweep_grid(args) -> list[dict]:
+def _sweep_grid(args) -> list[tuple[float, int]]:
     eps_grid = ([float(v) for v in args.eps_grid.split(",") if v.strip()]
                 if args.eps_grid is not None else [args.eps])
     n_grid = ([int(v) for v in args.n_grid.split(",") if v.strip()]
@@ -303,39 +308,32 @@ def _sweep_grid(args) -> list[dict]:
         raise DistributionError("empty sweep grid")
     for eps in eps_grid:
         check_eps(eps)
-    return [{"eps": e, "n": n} for n in n_grid for e in eps_grid]
+    return [(eps, n) for n in n_grid for eps in eps_grid]
 
 
 def cmd_sweep(args) -> int:
-    grid = _sweep_grid(args)
+    if args.tester == "kwise":
+        coords = ",".join(str(c) for c in range(1, args.k + 1))
+        run, gen, far = _kwise_report, f"spike:{coords}:{args.delta!r}", "NO"
+    else:
+        run, gen, far = _closeness_report, f"{args.tester}-pair", "FAR"
     points = []
-    for g in grid:
-        eps, n = g["eps"], g["n"]
-        point_args = argparse.Namespace(**{**vars(args), "eps": eps, "n": n})
+    for eps, n in _sweep_grid(args):
         if args.tester == "kwise":
             _check_k(args.k, n)  # before the spike on coordinates 1..k
-            coords = ",".join(str(c) for c in range(1, args.k + 1))
-            point_args.gen = f"spike:{coords}:{args.delta!r}"
-            oracle = _kwise_oracle(_kwise_dist(point_args), point_args)
-            plan = kwise_plan(oracle, args.k, eps)
-            expect = "NO"
-        else:
-            point_args.gen = f"{args.tester}-pair"
-            op, oq = _oracle_pair(*_closeness_pair(point_args), point_args)
-            plan = _closeness_tester_plan(args.tester, op, oq, eps, args.nu)
-            expect = "FAR"
-        trials = exp.run_trials(plan, args.trials, args.seed)
-        success = trials.label_counts().get(expect, 0) / len(trials)
-        totals = exp.oracle_query_totals(trials[0].queries)
-        point = {"eps": eps, "n": n, "k": args.k if args.tester == "kwise" else "",
-                 "budget_t": plan.t, "success_freq": success,
-                 "mean_queries_total": float(sum(totals.values()))}
-        point.update({k: float(v) for k, v in totals.items()})
-        points.append(point)
+        report = run(argparse.Namespace(**{**vars(args), "eps": eps, "n": n, "gen": gen,
+                                           "repeats": 1, "dist": None, "dist2": None}))
+        summary = report["summary"]
+        totals = {c: summary[f"mean_{c}"] for c in exp.ORACLE_QUERY_COLUMNS}
+        points.append({"eps": eps, "n": n, "k": args.k if args.tester == "kwise" else "",
+                       "budget_t": summary["t"],
+                       "success_freq": summary["frequencies"].get(far, 0.0),
+                       "mean_queries_total": sum(totals.values()), **totals})
 
+    # a kwise run records no nu; its sweep keeps --nu
     params = {"tester": args.tester, "trials": args.trials, "seed": args.seed,
-              "nu": args.nu, "k": args.k, "delta": args.delta,
-              "garbage": args.garbage}
+              "nu": report["params"].get("nu", args.nu), "k": args.k,
+              "delta": args.delta, "garbage": args.garbage}
     _emit(exp.sweep_report("sweep", params, points), args)
     if args.plot:
         if args.eps_grid and len(set(p["eps"] for p in points)) > 1:

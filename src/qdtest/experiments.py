@@ -18,18 +18,20 @@ never from one Python object per trial.
 Reports are dicts with a pinned ``schema_version``.  A trial report's rows
 are a read-only :class:`TrialRows`: one outcome per distinct verdict of the
 Trials (at most M of them) plus the Trials' index, and row i is outcome
-``index[i]`` with ``trial`` i; summary frequencies and means are taken on
-the index array.  The CSV and JSON writers render each distinct outcome
-once and splice each trial's number into its text; a plain list of rows, as
-in a sweep report, is the case where every row is its own outcome.  Each
-format's text comes from one generator of chunks: its header, its rows in
-blocks of ``_ROW_BLOCK``, and its summary.  :func:`dump_report` streams the
-chunks to a file or to standard output, so a report's text is never held
-whole or encoded at once; :func:`format_csv` and :func:`format_json` join
-them.  Both serializations are byte-stable for a fixed seed (floats via
-``repr``, keys sorted, row order fixed by trial index).  A run's peak memory
-therefore grows by a few tens of bytes per trial, not by the size of its
-report (``_PEAK_BYTES_PER_TRIAL``).
+``index[i]`` with ``trial`` i; summary frequencies and the means of the
+float columns are taken on the index array.  Every run of a plan has the
+same cost, so the query columns hold the plan's one per-run cost, computed
+once per report, and their means are that cost.  The CSV and JSON writers
+render each distinct outcome once and splice each trial's number into its
+text; a plain list of rows, as in a sweep report, is the case where every
+row is its own outcome.  Each format's text comes from one generator of
+chunks: its header, its rows in blocks of ``_ROW_BLOCK``, and its summary.
+:func:`dump_report` streams the chunks to a file or to standard output, so
+a report's text is never held whole or encoded at once; :func:`format_csv`
+and :func:`format_json` join them.  Both serializations are byte-stable for
+a fixed seed (floats via ``repr``, keys sorted, row order fixed by trial
+index).  A run's peak memory therefore grows by a few tens of bytes per
+trial, not by the size of its report (``_PEAK_BYTES_PER_TRIAL``).
 """
 from __future__ import annotations
 
@@ -112,76 +114,58 @@ class TrialRows(Sequence):
         return {"trial": i, **self.outcomes[self.index[i]]}
 
     def mean(self, column: str) -> float:
-        """Mean of a column over the trials: ``sum(row[column] for row in
-        self) / len(self)`` with the sum in trial order.
-
-        Integer columns are summed exactly, from each outcome's count.  Float
-        columns are added one trial after the other, as Python's ``sum`` adds
-        floats (through 3.11); its sum starts from the integer 0, so a sum of
-        negative zeros is +0.0.
-        """
-        values = [outcome[column] for outcome in self.outcomes]
-        if all(type(value) is int for value in values):
-            counts = np.bincount(self.index, minlength=len(values)).tolist()
-            total = sum(count * value for count, value in zip(counts, values))
-        else:
-            per_trial = np.array(values, dtype=np.float64)[self.index]
-            total = float(np.add.accumulate(per_trial, out=per_trial)[-1]) + 0.0
+        """Mean of a float column over the trials: ``sum(row[column] for row
+        in self) / len(self)`` with the floats added one trial after the
+        other, as Python's ``sum`` adds them (through 3.11); its sum starts
+        from the integer 0, so a sum of negative zeros is +0.0."""
+        per_trial = np.array([outcome[column] for outcome in self.outcomes],
+                             dtype=np.float64)[self.index]
+        total = float(np.add.accumulate(per_trial, out=per_trial)[-1]) + 0.0
         return total / len(self.index)
 
 
-def _trial_rows(trials: Trials, fields) -> TrialRows:
-    """One row per run, dictionary-encoded over the runs' distinct verdicts:
-    each verdict's fields, ``fields(v)`` followed by its oracle-query totals,
-    are built once."""
-    return TrialRows([{**fields(v), **oracle_query_totals(v.queries)}
-                      for v in trials.verdicts], trials.index)
-
-
-def _trial_report(command: str, params: dict, rows: TrialRows, summary: dict,
-                  extra: dict | None = None) -> dict:
-    """Append the means of the oracle-query totals and then ``extra`` to the
-    summary."""
-    for column in ORACLE_QUERY_COLUMNS:
-        summary[f"mean_{column}"] = rows.mean(column)
-    summary.update(extra or {})
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "params": params, "rows": rows, "summary": summary}
+def _trial_report(command: str, params: dict, trials: Trials, fields, summary,
+                  extra: dict) -> dict:
+    """The report of ``trials``: one row per run, dictionary-encoded over the
+    runs' distinct verdicts, each verdict's ``fields(v)`` built once and
+    followed by the oracle-query totals of the plan's one per-run cost.  The
+    summary is ``summary(rows)``, then the mean of each total (every run
+    has that cost, so the mean is the total), then ``extra``."""
+    totals = oracle_query_totals(trials[0].queries)
+    rows = TrialRows([{**fields(v), **totals} for v in trials.verdicts], trials.index)
+    means = {f"mean_{column}": float(total) for column, total in totals.items()}
+    return {"schema_version": SCHEMA_VERSION, "command": command, "params": params,
+            "rows": rows, "summary": {**summary(rows), **means, **extra}}
 
 
 def verdict_report(command: str, params: dict, trials: Trials,
-                   extra_summary: dict | None = None) -> dict:
-    rows = _trial_rows(trials, lambda v: {"verdict": v.verdict,
-                                          "statistic": v.statistic})
+                   extra_summary: dict) -> dict:
     frequencies = trials.label_counts()
     n = len(trials)
-    summary = {
-        "trials": n,
-        "frequencies": {k: frequencies[k] / n for k in sorted(frequencies)},
-        "t": trials[0].t,
-        "threshold": trials[0].threshold,
-        "mean_statistic": rows.mean("statistic"),
-    }
-    return _trial_report(command, params, rows, summary, extra_summary)
+    return _trial_report(
+        command, params, trials,
+        lambda v: {"verdict": v.verdict, "statistic": v.statistic},
+        lambda rows: {"trials": n,
+                      "frequencies": {k: frequencies[k] / n for k in sorted(frequencies)},
+                      "t": trials[0].t, "threshold": trials[0].threshold,
+                      "mean_statistic": rows.mean("statistic")},
+        extra_summary)
 
 
 def estimate_report(command: str, params: dict, trials: Trials,
-                    true_value: float | None) -> dict:
+                    true_value: float) -> dict:
     """Estimator report: each row's estimate is 2 sqrt(statistic)."""
     def fields(v):
-        row = {"estimate": 2.0 * math.sqrt(v.statistic), "statistic": v.statistic}
-        if true_value is not None:
-            row["true_value"] = true_value
-            row["error"] = abs(row["estimate"] - true_value)
-        return row
+        estimate = 2.0 * math.sqrt(v.statistic)
+        return {"estimate": estimate, "statistic": v.statistic,
+                "true_value": true_value, "error": abs(estimate - true_value)}
 
-    rows = _trial_rows(trials, fields)
-    summary = {"trials": len(rows), "t": trials[0].t,
-               "mean_estimate": rows.mean("estimate")}
-    if true_value is not None:
-        summary["true_value"] = true_value
-        summary["mean_error"] = rows.mean("error")
-    return _trial_report(command, params, rows, summary)
+    return _trial_report(
+        command, params, trials, fields,
+        lambda rows: {"trials": len(rows), "t": trials[0].t,
+                      "mean_estimate": rows.mean("estimate"),
+                      "true_value": true_value, "mean_error": rows.mean("error")},
+        {})
 
 
 def sweep_report(command: str, params: dict, points: list[dict]) -> dict:

@@ -118,13 +118,10 @@ def reference_estimate_rows(verdicts, true_value) -> list[dict]:
     """An estimate report's rows, built one dict per trial."""
     rows = []
     for i, v in enumerate(verdicts):
-        row = {"trial": i, "estimate": 2.0 * math.sqrt(v.statistic),
-               "statistic": v.statistic}
-        if true_value is not None:
-            row["true_value"] = true_value
-            row["error"] = abs(row["estimate"] - true_value)
-        row.update(oracle_query_totals(v.queries))
-        rows.append(row)
+        estimate = 2.0 * math.sqrt(v.statistic)
+        rows.append({"trial": i, "estimate": estimate, "statistic": v.statistic,
+                     "true_value": true_value, "error": abs(estimate - true_value),
+                     **oracle_query_totals(v.queries)})
     return rows
 
 

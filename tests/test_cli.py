@@ -672,18 +672,62 @@ def test_sweep_kwise_budget_tracks_subset_count(tmp_path, capsys):
         assert abs(row["budget_t"] - formula) / formula <= 0.15
 
 
-@pytest.mark.parametrize("tester,t", [("l2", 315), ("l1", 1778)])
-def test_sweep_uses_the_closeness_testers_nu(tmp_path, capsys, tester, t):
+@pytest.mark.parametrize("tester,t,nu", [("l2", 315, 0.5), ("l1", 1778, 0.25)],
+                         ids=["l2-315", "l1-1778"])
+def test_sweep_uses_the_closeness_testers_nu(tmp_path, capsys, tester, t, nu):
     """--nu tunes tolerant-l2 and l1 only: sweep's plain l2 tester runs at
-    nu = 1/2, with the budget that test-closeness gives it."""
+    nu = 1/2, with the budget that test-closeness gives it, and both record
+    the nu the tester ran at.  The sweep row is that run's summary."""
     sweep, close = tmp_path / "sweep.json", tmp_path / "close.json"
     common = ("--tester", tester, "--nu", "0.25", "--eps", "0.4", "--n", "8",
               "--trials", "2", "--format", "json")
     assert run(capsys, "sweep", *common, "--out", str(sweep))[0] == 0
     assert run(capsys, "test-closeness", *common, "--gen", f"{tester}-pair",
                "--out", str(close))[0] == 0
-    budget = json.loads(sweep.read_text(encoding="utf-8"))["rows"][0]["budget_t"]
-    assert budget == json.loads(close.read_text(encoding="utf-8"))["summary"]["t"] == t
+    swept = json.loads(sweep.read_text(encoding="utf-8"))
+    closed = json.loads(close.read_text(encoding="utf-8"))
+    row, summary = swept["rows"][0], closed["summary"]
+    assert row["budget_t"] == summary["t"] == t
+    assert swept["params"]["nu"] == closed["params"]["nu"] == nu
+    assert row["success_freq"] == summary["frequencies"].get("FAR", 0.0)
+    for column in exp.ORACLE_QUERY_COLUMNS:
+        assert row[column] == summary[f"mean_{column}"]
+    assert row["mean_queries_total"] == sum(row[c] for c in exp.ORACLE_QUERY_COLUMNS)
+
+
+@pytest.mark.parametrize("argv,warning", [
+    (("--tester", "l2", "--eps-grid", "0.8"),
+     "warning: instance violates the promise (l2 distance 0.7071067811865476)\n"),
+    (("--tester", "kwise", "--n-grid", "3", "--eps-grid", "0.9", "--delta", "0.01"),
+     "warning: instance may violate the promise (Fourier weight "),
+], ids=["l2", "kwise"])
+def test_sweep_warns_as_its_subcommand_does(capsys, argv, warning):
+    """A sweep point off the promise prints its subcommand's warning, and
+    the report on stdout is unchanged by it."""
+    code, out, err = run(capsys, "sweep", *argv, "--trials", "5", "--seed", "1")
+    assert code == 0 and err.startswith(warning)
+    assert out.startswith("# schema_version=1 command=sweep\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "disjoint", "--n", "8", "--dist2", "no-such-file"),
+    ("test-closeness", "--gen", "l2-pair", "--dist", "x", "--dist2", "y"),
+    ("test-kwise", "--gen", "uniform", "--dist", "x"),
+    ("estimate", "--gen", "l2-pair", "--dist", "x"),
+], ids=["closeness-dist2", "closeness-both", "kwise", "estimate"])
+def test_gen_with_a_distribution_file_exits_2(capsys, monkeypatch, argv):
+    """--gen beside --dist or --dist2 is refused, naming both flags, before
+    any instance is built; neither is silently ignored."""
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    for name in ("gen_l2_pair", "gen_l1_pair", "gen_fourier_spike"):
+        monkeypatch.setattr(cli.ref, name, no_instance)
+    monkeypatch.setattr(cli.dists, "uniform", no_instance)
+    monkeypatch.setattr(cli.dists, "point_mass", no_instance)
+    code, out, err = run(capsys, *argv, "--trials", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --gen and --dist") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "4"])

@@ -2,8 +2,9 @@
 every module-level import is used, every ``__all__`` entry names
 something the module defines or imports, the package exports only
 names their module lists in its ``__all__``, every module-level function
-and class is named outside its own definition; and, on the imported
-modules, every docstring cross-reference names something that exists."""
+and class is named outside its own definition, every parameter of every
+``def`` is read in its body; and, on the imported modules, every docstring
+cross-reference names something that exists."""
 import ast
 import importlib
 import inspect
@@ -173,3 +174,35 @@ def test_definitions_are_named_elsewhere(path):
             if not any(word.search(text) for text in [own, *others]):
                 unnamed.append(node.name)
     assert not unnamed, f"{path.name}: definitions named nowhere else {unnamed}"
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """``def`` parameters that their body never reads, as ``name.param``.
+
+    A zero-argument ``super()`` reads the first parameter.  Overrides of
+    ``QuantumOp._apply`` take the interface's parameters whether they read
+    them or not, and lambdas are left out."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name == "_apply":
+            continue
+        spec = node.args
+        params = [a.arg for a in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
+                                  spec.vararg, spec.kwarg) if a is not None]
+        inner = [n for stmt in node.body for n in ast.walk(stmt)]
+        read = {n.id for n in inner if isinstance(n, ast.Name)}
+        if params and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                          and n.func.id == "super" and not n.args for n in inner):
+            read.add(params[0])
+        unread.extend(f"{node.name}.{p}" for p in params if p not in read)
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parameters_are_read(path):
+    """Every parameter of every ``def`` is read in its body, so no argument
+    is passed only to be dropped."""
+    unread = _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, f"{path.name}: parameters never read {unread}"

@@ -216,7 +216,7 @@ def test_trials_reproduce_single_calls():
                  testers.estimator_plan(op, oq, 0.2)):
         trials = exp.run_trials(plan, 5, seed=3)
         assert list(trials) == [testers.run_plan(plan, trial_rng(3, i)) for i in range(5)]
-    estimate = exp.estimate_report("estimate", {}, trials, None)["rows"][4]["estimate"]
+    estimate = exp.estimate_report("estimate", {}, trials, 0.3)["rows"][4]["estimate"]
     assert estimate == 2 * math.sqrt(testers.run_plan(plan, trial_rng(3, 4)).statistic)
 
 
@@ -285,7 +285,7 @@ def test_run_queries_hold_oracle_labels_only():
                     "queries_inverse": by_kind["inverse"],
                     "queries_ctrl": by_kind["ctrl_forward"] + by_kind["ctrl_inverse"]}
         assert sum(expected.values()) == sum(sum(per.values()) for per in ledger.values())
-        report = exp.verdict_report("test", {}, trials)
+        report = exp.verdict_report("test", {}, trials, {})
         for row in report["rows"]:
             assert {c: row[c] for c in exp.ORACLE_QUERY_COLUMNS} == expected
         for column in exp.ORACLE_QUERY_COLUMNS:
