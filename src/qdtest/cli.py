@@ -27,15 +27,21 @@ both:
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or input error.
 Reports are byte-identical for identical arguments and seed.
 
-Trials stay arrays from sampling to report: each subcommand gets its runs as
-one :class:`~qdtest.testers.Trials` (the distinct verdicts plus an index
-array), votes ``--repeats`` on that index, and hands it to the report
-writers.  ``python -m qdtest.cli`` and the ``qdtest`` console script start
-in :func:`entry`, which moves every object that imports made into the
-garbage collector's permanent generation (``gc.freeze``) before it runs
-:func:`main`, so neither the collections during a run nor the ones at
-interpreter exit walk those objects again.  :func:`main` itself freezes
-nothing, so in-process callers keep their collector as it was.
+Each report subcommand is one function from its arguments to its report,
+picked by the parser; :func:`main` alone checks what every run shares
+(``--seed``, ``--repeats`` and the trials' memory) and then writes the report,
+once.  ``sweep`` writes its ``--plot`` before it returns its report, so a
+plot that fails leaves no report behind.  An instance's size is checked
+before it sizes a layout for the memory pre-flight.  Trials stay arrays from
+sampling to report: each run gets them as one
+:class:`~qdtest.testers.Trials` (the distinct verdicts plus an index array)
+and votes ``--repeats`` on that index.  ``python -m qdtest.cli`` and the
+``qdtest`` console script start in :func:`entry`, which moves every object
+that imports made into the garbage collector's permanent generation
+(``gc.freeze``) before it runs :func:`main`, so neither the collections
+during a run nor the ones at interpreter exit walk those objects again.
+:func:`main` itself freezes nothing, so in-process callers keep their
+collector as it was.
 """
 from __future__ import annotations
 
@@ -65,15 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Quantum distribution-tester experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kwise=False):
+    def run_options(p, report, trials=100):
         p.add_argument("--eps", type=float, default=0.2, help="test accuracy parameter")
-        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--garbage", choices=orc.GARBAGE_STYLES, default="basis")
-        p.add_argument("--gen", help="named instance generator (see --help)")
-        p.add_argument("--dist", help="distribution file (JSON or CSV)")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(report=report)
+
+    def common(p, report, kwise=False):
+        run_options(p, report)
+        p.add_argument("--gen", help="named instance generator (see --help)")
+        p.add_argument("--dist", help="distribution file (JSON or CSV)")
         if kwise:
             p.add_argument("--k", type=int, default=2)
             p.add_argument("--n", type=int, default=4, help="bits of the sample space")
@@ -81,44 +91,34 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=8, help="sample-space size")
 
     pc = sub.add_parser("test-closeness", help="closeness tester on two distributions")
-    common(pc)
+    common(pc, _closeness_report)
     pc.add_argument("--tester", choices=_CLOSENESS_TESTERS, default="l2")
     pc.add_argument("--nu", type=float, default=0.5,
                     help="tolerance split (tolerant-l2 and l1)")
     pc.add_argument("--dist2", help="second distribution file")
-    pc.set_defaults(func=cmd_test_closeness)
 
     pk = sub.add_parser("test-kwise", help="k-wise uniformity tester")
-    common(pk, kwise=True)
-    pk.set_defaults(func=cmd_test_kwise)
+    common(pk, _kwise_report, kwise=True)
     for p in (pc, pk):
         p.add_argument("--repeats", type=int, default=1,
                        help="odd repeat-and-majority votes per trial")
 
     pe = sub.add_parser("estimate", help="l2-distance estimator")
-    common(pe)
+    common(pe, _estimate_report)
     pe.add_argument("--dist2", help="second distribution file")
-    pe.set_defaults(func=cmd_estimate)
 
     ps = sub.add_parser("sweep", help="parameter sweep with query counts")
+    run_options(ps, _sweep_report, trials=50)
     ps.add_argument("--tester", choices=("l2", "l1", "kwise"), default="l2")
     ps.add_argument("--eps-grid", help="comma-separated eps values")
     ps.add_argument("--n-grid", help="comma-separated sample sizes (bits for kwise)")
-    ps.add_argument("--eps", type=float, default=0.2)
     ps.add_argument("--n", type=int, default=8)
     ps.add_argument("--k", type=int, default=2)
     ps.add_argument("--nu", type=float, default=0.5)
     ps.add_argument("--delta", type=float, default=0.6, help="spike weight for kwise instances")
-    ps.add_argument("--trials", type=int, default=50)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--garbage", choices=orc.GARBAGE_STYLES, default="basis")
-    ps.add_argument("--out", help="write the report to this file")
-    ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--plot", help="write an SVG of queries vs 1/eps (or vs n)")
-    ps.set_defaults(func=cmd_sweep)
 
-    pf = sub.add_parser("selfcheck", help="run the built-in invariant suites")
-    pf.set_defaults(func=lambda args: run_selfcheck())
+    sub.add_parser("selfcheck", help="run the built-in invariant suites")
     return parser
 
 
@@ -135,6 +135,8 @@ def _closeness_pair(args) -> tuple[Distribution, Distribution]:
     if args.gen:
         name, extra = _gen_args(args.gen)
         n = args.n
+        if n < 1:
+            raise DistributionError(f"--n must be positive, got {n}")
         require_memory(orc.closeness_layout(n))  # before a generator allocates n weights
         if name == "l2-pair":
             d = float(extra[0]) if extra else min(1.0, math.sqrt(2.0) * args.eps)
@@ -152,7 +154,9 @@ def _closeness_pair(args) -> tuple[Distribution, Distribution]:
         raise DistributionError(f"unknown closeness generator {args.gen!r}")
     if not args.dist or not args.dist2:
         raise DistributionError("need --dist and --dist2, or --gen")
-    return dists.load(args.dist), dists.load(args.dist2)
+    p, q = dists.load(args.dist), dists.load(args.dist2)
+    require_memory(orc.closeness_layout(max(p.size, q.size)))
+    return p, q
 
 
 def _kwise_dist(args) -> Distribution:
@@ -185,16 +189,9 @@ def _kwise_dist(args) -> Distribution:
 
 
 def _oracle_pair(p, q, args):
-    for dist in (p, q):
-        require_memory(orc.closeness_layout(dist.size))
     op = orc.make_purified_oracle(p, args.garbage, seed=args.seed * 2 + 1, label="p")
     oq = orc.make_purified_oracle(q, args.garbage, seed=args.seed * 2 + 2, label="q")
     return op, oq
-
-
-def _kwise_oracle(dist, args):
-    require_memory(orc.kwise_layout(dist.n_bits, args.k))
-    return orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
 
 
 def _check_k(k: int, n: int) -> None:
@@ -202,19 +199,9 @@ def _check_k(k: int, n: int) -> None:
         raise DistributionError(f"k={k} out of range for n={n}")
 
 
-def _check_repeats(repeats: int) -> None:
-    if repeats < 1 or repeats % 2 == 0:
-        raise ValueError("--repeats must be odd and positive")
-
-
 def _voted_trials(plan, args) -> Trials:
     """``args.trials`` trials, each the majority of ``args.repeats`` runs."""
     return exp.run_trials(plan, args.trials * args.repeats, args.seed).vote(args.repeats)
-
-
-def _emit(report: dict, args) -> int:
-    exp.dump_report(report, args.out, args.format)
-    return 0
 
 
 def _at_least(value: float, bound: float) -> bool:
@@ -230,7 +217,6 @@ def _at_least(value: float, bound: float) -> bool:
 def _closeness_report(args) -> dict:
     """One test-closeness run, from checks to verdict report; plain l2 runs
     at nu = 1/2, tolerant-l2 and l1 at ``args.nu``."""
-    _check_repeats(args.repeats)
     check_eps(args.eps)  # before a generator places a pair at a distance from it
     p, q = _closeness_pair(args)
     nu = 0.5 if args.tester == "l2" else args.nu
@@ -260,12 +246,13 @@ def _closeness_report(args) -> dict:
 
 def _kwise_report(args) -> dict:
     """One test-kwise run, from checks to verdict report."""
-    _check_repeats(args.repeats)
     check_eps(args.eps)
     dist = _kwise_dist(args)
     n = dist.n_bits
     _check_k(args.k, n)
-    plan = kwise_plan(_kwise_oracle(dist, args), args.k, args.eps)
+    require_memory(orc.kwise_layout(n, args.k))
+    oracle = orc.make_purified_oracle(dist, args.garbage, seed=args.seed * 2 + 1, label="p")
+    plan = kwise_plan(oracle, args.k, args.eps)
 
     weight = ref.fourier_weight(dist, args.k)
     uniform_side = ref.is_kwise_uniform(dist, args.k)
@@ -280,23 +267,15 @@ def _kwise_report(args) -> dict:
                               {"fourier_weight": weight, "kwise_uniform": uniform_side})
 
 
-def cmd_test_closeness(args) -> int:
-    return _emit(_closeness_report(args), args)
-
-
-def cmd_test_kwise(args) -> int:
-    return _emit(_kwise_report(args), args)
-
-
-def cmd_estimate(args) -> int:
+def _estimate_report(args) -> dict:
+    """One estimate run, from checks to estimate report."""
     check_eps(args.eps)
     p, q = _closeness_pair(args)
     plan = estimator_plan(*_oracle_pair(p, q, args), args.eps)
     trials = exp.run_trials(plan, args.trials, args.seed)
     params = {"eps": args.eps, "n": p.size, "garbage": args.garbage,
               "seed": args.seed, "trials": args.trials}
-    return _emit(exp.estimate_report("estimate", params, trials,
-                                     ref.lp_distance(p, q, 2)), args)
+    return exp.estimate_report("estimate", params, trials, ref.lp_distance(p, q, 2))
 
 
 def _sweep_grid(args) -> list[tuple[float, int]]:
@@ -311,7 +290,9 @@ def _sweep_grid(args) -> list[tuple[float, int]]:
     return [(eps, n) for n in n_grid for eps in eps_grid]
 
 
-def cmd_sweep(args) -> int:
+def _sweep_report(args) -> dict:
+    """One run per grid point, each row read from that run's report; the
+    ``--plot`` SVG is written before the report is returned."""
     if args.tester == "kwise":
         coords = ",".join(str(c) for c in range(1, args.k + 1))
         run, gen, far = _kwise_report, f"spike:{coords}:{args.delta!r}", "NO"
@@ -334,7 +315,6 @@ def cmd_sweep(args) -> int:
     params = {"tester": args.tester, "trials": args.trials, "seed": args.seed,
               "nu": report["params"].get("nu", args.nu), "k": args.k,
               "delta": args.delta, "garbage": args.garbage}
-    _emit(exp.sweep_report("sweep", params, points), args)
     if args.plot:
         if args.eps_grid and len(set(p["eps"] for p in points)) > 1:
             xs = [1.0 / p["eps"] for p in points]
@@ -345,7 +325,7 @@ def cmd_sweep(args) -> int:
         ys = [p["mean_queries_total"] for p in points]
         plotting.write_line_plot(args.plot, xs, ys, xlabel, "mean oracle queries",
                                  f"{args.tester} tester query cost")
-    return 0
+    return exp.sweep_report("sweep", params, points)
 
 
 def main(argv=None) -> int:
@@ -355,10 +335,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", 0) < 0:
+        if args.command == "selfcheck":
+            return run_selfcheck()
+        if args.seed < 0:
             raise ValueError("--seed must be non-negative")
-        exp.require_trial_memory(getattr(args, "trials", 0) * getattr(args, "repeats", 1))
-        return args.func(args)
+        repeats = getattr(args, "repeats", 1)
+        if repeats < 1 or repeats % 2 == 0:
+            raise ValueError("--repeats must be odd and positive")
+        exp.require_trial_memory(args.trials * repeats)
+        exp.dump_report(args.report(args), args.out, args.format)
+        return 0
     except (DistributionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

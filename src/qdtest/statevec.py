@@ -42,8 +42,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-ATOL = 1e-10
-
 Controls = tuple[tuple[str, int], ...]
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -244,6 +245,22 @@ def test_closeness_generator_refuses_sizes_it_cannot_build(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("test-closeness", "--gen", "l2-pair", "--n", "0"),
+    ("test-closeness", "--gen", "l1-pair", "--n", "0"),
+    ("test-closeness", "--gen", "identical", "--n", "0"),
+    ("test-closeness", "--gen", "disjoint", "--n", "0"),
+    ("estimate", "--gen", "identical", "--n", "0"),
+    ("sweep", "--n-grid", "0"),
+])
+def test_nonpositive_n_is_named_before_it_sizes_a_layout(capsys, argv):
+    """--n below 1 is refused naming --n, not the engine register that a
+    layout pre-flight would size from it."""
+    code, out, err = run(capsys, *argv, "--trials", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --n must be positive, got 0\n"
 
 
 @pytest.mark.parametrize("argv,bad", [
@@ -738,6 +755,48 @@ def test_sweep_kwise_k_out_of_range_exits_2(capsys, k):
     assert code == 2 and out == ""
     assert err == f"error: k={k} out of range for n=3\n"
     assert run(capsys, "test-kwise", "--gen", "uniform", "--n", "3", "--k", k)[2] == err
+
+
+def test_sweep_plot_failure_writes_no_report(tmp_path, capsys):
+    """sweep writes its plot before its report, so a plot path in a missing
+    directory exits 2 with nothing on stdout and no --out file."""
+    argv = ("sweep", "--tester", "kwise", "--n-grid", "3", "--trials", "3",
+            "--plot", str(tmp_path / "missing" / "y.svg"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    report = tmp_path / "report.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(report))
+    assert code == 2 and out == ""
+    assert not report.exists()
+
+
+# every option of each subcommand (as its argparse dest) with its default
+OPTIONS = {
+    "test-closeness": {"eps": 0.2, "trials": 100, "seed": 0, "garbage": "basis",
+                       "gen": None, "dist": None, "out": None, "format": "csv", "n": 8,
+                       "tester": "l2", "nu": 0.5, "dist2": None, "repeats": 1},
+    "test-kwise": {"eps": 0.2, "trials": 100, "seed": 0, "garbage": "basis", "gen": None,
+                   "dist": None, "out": None, "format": "csv", "k": 2, "n": 4,
+                   "repeats": 1},
+    "estimate": {"eps": 0.2, "trials": 100, "seed": 0, "garbage": "basis", "gen": None,
+                 "dist": None, "out": None, "format": "csv", "n": 8, "dist2": None},
+    "sweep": {"tester": "l2", "eps_grid": None, "n_grid": None, "eps": 0.2, "n": 8,
+              "k": 2, "nu": 0.5, "delta": 0.6, "trials": 50, "seed": 0,
+              "garbage": "basis", "out": None, "format": "csv", "plot": None},
+    "selfcheck": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_options_and_defaults(capsys, command):
+    """Each subcommand's --help lists exactly its pinned options, and each
+    option parses to its pinned default."""
+    assert cli.main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", capsys.readouterr().out))
+    assert listed == {"-h", "--help"} | {f"--{dest.replace('_', '-')}"
+                                         for dest in OPTIONS[command]}
+    args = cli.build_parser().parse_args([command])
+    assert {dest: getattr(args, dest) for dest in OPTIONS[command]} == OPTIONS[command]
 
 
 def test_sweep_empty_grid_exits_2(capsys):

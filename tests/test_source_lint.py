@@ -2,8 +2,9 @@
 every module-level import is used, every ``__all__`` entry names
 something the module defines or imports, the package exports only
 names their module lists in its ``__all__``, every module-level function
-and class is named outside its own definition, every parameter of every
-``def`` is read in its body; and, on the imported modules, every docstring
+and class is named outside its own definition, every module-level
+assignment is read, every parameter of every ``def`` is read in its body;
+and, on the imported modules, every docstring
 cross-reference names something that exists."""
 import ast
 import importlib
@@ -47,7 +48,7 @@ def _used(tree: ast.Module) -> set[str]:
     """Names the module reads, string annotations included."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, ast.arg):
@@ -174,6 +175,35 @@ def test_definitions_are_named_elsewhere(path):
             if not any(word.search(text) for text in [own, *others]):
                 unnamed.append(node.name)
     assert not unnamed, f"{path.name}: definitions named nowhere else {unnamed}"
+
+
+def _read_elsewhere(tree: ast.Module) -> set[str]:
+    """Names another module can read from a package module: those it
+    imports by name and the attributes it reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_assignments_are_read(path):
+    """Every module-level assignment other than a dunder is read in its own
+    module, or imported or read as an attribute in the package, its tests or
+    the benchmark, so no constant outlives its last reader.  A test module
+    that defines a constant of the same name does not count as a reader."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = _used(tree).union(*(_read_elsewhere(ast.parse(reader.read_text(encoding="utf-8")))
+                               for reader in READERS if reader.resolve() != path.resolve()))
+    assigned = [n.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for n in ast.walk(target) if isinstance(n, ast.Name)]
+    unread = [name for name in assigned
+              if not (name.startswith("__") and name.endswith("__")) and name not in read]
+    assert not unread, f"{path.name}: module-level assignments never read {unread}"
 
 
 def _unread_parameters(tree: ast.Module) -> list[str]:
