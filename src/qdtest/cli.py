@@ -24,7 +24,9 @@ both:
   1 + delta*chi_T, COORDS like ``1,2``), ``multiset:Q`` (uniform over Q
   random strings, drawn from the run seed).
 
-Exit codes: 0 success, 1 selfcheck failure, 2 usage or input error.
+Exit codes: 0 success, 1 selfcheck failure, 2 usage or input error, a
+report that cannot be written (a closed or broken standard output
+included), or memory running out past the pre-flight.
 Reports are byte-identical for identical arguments and seed.
 
 Each report subcommand is one function from its arguments to its report,
@@ -32,7 +34,12 @@ picked by the parser; :func:`main` alone checks what every run shares
 (``--seed``, ``--repeats`` and the trials' memory) and then writes the report,
 once.  ``sweep`` writes its ``--plot`` before it returns its report, so a
 plot that fails leaves no report behind.  An instance's size is checked
-before it sizes a layout for the memory pre-flight.  Trials stay arrays from
+before it sizes a layout for the memory pre-flight, and a ``--dist`` /
+``--dist2`` pair of different sample spaces is refused before either.
+:mod:`qdtest.selfcheck` and :mod:`qdtest.plotting` are imported on use, in
+the ``selfcheck`` and ``--plot`` branches, as is the CSV reader in
+:func:`qdtest.distributions.from_csv`, so importing this module loads
+nothing that a tester run does not read.  Trials stay arrays from
 sampling to report: each run gets them as one
 :class:`~qdtest.testers.Trials` (the distinct verdicts plus an index array)
 and votes ``--repeats`` on that index.  ``python -m qdtest.cli`` and the
@@ -55,10 +62,8 @@ import numpy as np
 from . import distributions as dists
 from . import experiments as exp
 from . import oracles as orc
-from . import plotting
 from . import reference as ref
 from .distributions import Distribution, DistributionError
-from .selfcheck import run_selfcheck
 from .statevec import require_bytes, require_memory
 from .testers import (Trials, check_eps, closeness_plan, estimator_plan, kwise_plan,
                       l1_plan)
@@ -155,7 +160,10 @@ def _closeness_pair(args) -> tuple[Distribution, Distribution]:
     if not args.dist or not args.dist2:
         raise DistributionError("need --dist and --dist2, or --gen")
     p, q = dists.load(args.dist), dists.load(args.dist2)
-    require_memory(orc.closeness_layout(max(p.size, q.size)))
+    if (p.kind, p.size) != (q.kind, q.size):  # before a layout or an oracle is sized
+        raise DistributionError(f"--dist and --dist2 have different sample spaces "
+                                f"({p.kind} of {p.size} vs {q.kind} of {q.size})")
+    require_memory(orc.closeness_layout(p.size))
     return p, q
 
 
@@ -323,6 +331,8 @@ def _sweep_report(args) -> dict:
             xs = [float(p["n"]) for p in points]
             xlabel = "n"
         ys = [p["mean_queries_total"] for p in points]
+        from . import plotting
+
         plotting.write_line_plot(args.plot, xs, ys, xlabel, "mean oracle queries",
                                  f"{args.tester} tester query cost")
     return exp.sweep_report("sweep", params, points)
@@ -336,6 +346,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "selfcheck":
+            from .selfcheck import run_selfcheck
+
             return run_selfcheck()
         if args.seed < 0:
             raise ValueError("--seed must be non-negative")
@@ -347,6 +359,9 @@ def main(argv=None) -> int:
         return 0
     except (DistributionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # past the pre-flight: a limit it cannot see
+        print(f"error: out of memory ({str(exc) or 'no details'})", file=sys.stderr)
         return 2
 
 

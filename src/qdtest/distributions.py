@@ -26,13 +26,13 @@ NaN or infinite weight is rejected wherever a distribution is built.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .record import Record
 
 RANGE = "range"
 BITSTRING = "bitstring"
@@ -46,19 +46,21 @@ class DistributionError(ValueError):
     """Invalid weights, sample space, or file contents."""
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Non-negative weight vector summing to one over a finite sample space."""
+class Distribution(Record):
+    """Non-negative weight vector summing to one over a finite sample space.
 
-    weights: np.ndarray
-    kind: str = RANGE
+    Read-only (:class:`~qdtest.record.Record`), over a read-only copy of the
+    weights; two distributions are equal when their kinds and weights are.
+    """
 
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
+    _fields = ("weights", "kind")
+
+    def __init__(self, weights: np.ndarray, kind: str = RANGE):
+        w = np.array(weights, dtype=np.float64, copy=True)
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        if self.kind not in (RANGE, BITSTRING):
-            raise DistributionError(f"unknown sample-space kind {self.kind!r}")
+        self._set(weights=w, kind=kind)
+        if kind not in (RANGE, BITSTRING):
+            raise DistributionError(f"unknown sample-space kind {kind!r}")
         if w.ndim != 1 or w.size < 1:
             raise DistributionError("weights must be a non-empty 1-d vector")
         if not np.all(np.isfinite(w)):
@@ -68,7 +70,7 @@ class Distribution:
         total = float(w.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise DistributionError(f"weights sum to {total}, not 1")
-        if self.kind == BITSTRING:
+        if kind == BITSTRING:
             n = self.n_bits
             if 2 ** n != w.size:
                 raise DistributionError(
@@ -155,6 +157,8 @@ def from_json(text: str, source: str = "<json>") -> Distribution:
 
 
 def from_csv(text: str, source: str = "<csv>") -> Distribution:
+    import csv  # on use: only CSV files need it, and a tester run may read none
+
     rows: dict[int, float] = {}
     try:
         for row in csv.reader(io.StringIO(text)):

@@ -276,10 +276,13 @@ def dump_report(report: dict, path: str | Path | None, fmt: str) -> None:
 
     The text goes out one chunk at a time, a block of ``_ROW_BLOCK`` rows at
     most, so the whole text is never held or encoded at once; the bytes are
-    those of :func:`format_csv` or :func:`format_json`.
+    those of :func:`format_csv` or :func:`format_json`.  A closed standard
+    output raises ``OSError``, as a file that cannot be written does.
     """
     chunks = _csv_chunks(report) if fmt == "csv" else _json_chunks(report)
     if path is None:
+        if sys.stdout is None:  # the process started with file descriptor 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8") as out:

@@ -43,11 +43,11 @@ is the empty set, then the masks of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import BITSTRING, Distribution
+from .record import Record
 from .reference import binom_sum, subset_masks, subset_sizes
 from .seeding import trial_uniforms
 from .statevec import (ControlledOp, CopyOp, MatrixOp, QuantumOp, QueryLedger,
@@ -103,15 +103,20 @@ def _prep_op(regs, column: np.ndarray) -> QuantumOp | None:
     return ReflectionOp(regs, *parts)
 
 
-@dataclass(frozen=True)
-class PurifiedOracle:
+class PurifiedOracle(Record):
     """A labelled purified query-access unitary together with its
     distribution.  It acts on the workspace A and the sample register B of
-    :func:`oracle_layout`."""
+    :func:`oracle_layout`.
 
-    distribution: Distribution
-    label: str
-    op: QuantumOp = field(compare=False, repr=False)
+    Read-only (:class:`~qdtest.record.Record`): two oracles are equal when
+    their distributions and labels are; the unitary ``op`` takes no part in
+    equality, hash or repr.
+    """
+
+    _fields = ("distribution", "label")
+
+    def __init__(self, distribution: Distribution, label: str, op: QuantumOp):
+        self._set(distribution=distribution, label=label, op=op)
 
 
 def oracle_layout(size: int) -> RegisterLayout:

@@ -36,11 +36,12 @@ and the projected amplitude must come out 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .record import Record
 
 Controls = tuple[tuple[str, int], ...]
 
@@ -61,11 +62,15 @@ class MemoryLimitError(ValueError):
 _PEAK_BYTES_PER_AMPLITUDE = 64
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ordered named registers; total dimension is the product of all sizes."""
+class RegisterLayout(Record):
+    """Ordered named registers; total dimension is the product of all sizes.
 
-    registers: tuple[tuple[str, int], ...]
+    Read-only (:class:`~qdtest.record.Record`): two layouts are equal, and
+    hash equal, when their ``registers`` are.  The derived properties are
+    computed once, on first use.
+    """
+
+    _fields = ("registers",)
 
     def __init__(self, registers: Iterable[tuple[str, int]]):
         regs = tuple((str(n), int(d)) for n, d in registers)
@@ -77,7 +82,7 @@ class RegisterLayout:
         for n, d in regs:
             if d < 1:
                 raise RegisterError(f"register {n!r} has non-positive dimension {d}")
-        object.__setattr__(self, "registers", regs)
+        self._set(registers=regs)
 
     @cached_property
     def names(self) -> tuple[str, ...]:

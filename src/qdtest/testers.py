@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .amplitude import estimate_from_phase, phase_distribution, zero_budget
 from .oracles import PurifiedOracle, closeness_instance, kwise_instance
+from .record import Record
 from .reference import binom_sum
 from .statevec import QuantumOp, RegisterLayout
 
@@ -46,33 +46,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestVerdict:
-    """Outcome of one tester run; ``queries`` is that run's oracle cost."""
+class TestVerdict(Record):
+    """Outcome of one tester run; ``queries`` is that run's oracle cost, a
+    fresh ``{}`` when not given.
 
-    verdict: str
-    statistic: float
-    t: int
-    threshold: float | None
-    queries: dict = field(default_factory=dict)
+    Read-only (:class:`~qdtest.record.Record`), with value equality; the
+    ``queries`` dict leaves a verdict without a hash.
+    """
+
+    _fields = ("verdict", "statistic", "t", "threshold", "queries")
+
+    def __init__(self, verdict: str, statistic: float, t: int, threshold: float | None,
+                 queries: dict | None = None):
+        self._set(verdict=verdict, statistic=statistic, t=t, threshold=threshold,
+                  queries={} if queries is None else queries)
 
 
-@dataclass(frozen=True)
-class AEPlan:
+class AEPlan(Record):
     """A fully specified estimation-and-threshold run.
 
     ``labels`` maps the threshold comparison to verdict names:
     labels[0] when the estimate is below the threshold, labels[1] otherwise.
     A plan whose ``threshold`` is None only estimates; its verdicts all
-    carry labels[0].
+    carry labels[0].  Read-only (:class:`~qdtest.record.Record`), with value
+    equality; the ``projector`` dict leaves a plan without a hash.
     """
 
-    layout: RegisterLayout
-    unitary: QuantumOp
-    projector: dict[str, int]
-    t: int
-    threshold: float | None
-    labels: tuple[str, str]
+    _fields = ("layout", "unitary", "projector", "t", "threshold", "labels")
+
+    def __init__(self, layout: RegisterLayout, unitary: QuantumOp, projector: dict[str, int],
+                 t: int, threshold: float | None, labels: tuple[str, str]):
+        self._set(layout=layout, unitary=unitary, projector=projector, t=t,
+                  threshold=threshold, labels=labels)
 
 
 def check_eps(eps: float) -> None:

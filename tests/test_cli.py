@@ -436,6 +436,119 @@ def test_bad_distribution_file_exits_2_naming_it(tmp_path, capsys, name, text, c
     assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["test-closeness", "estimate"])
+@pytest.mark.parametrize("first,second,spaces", [
+    ("0,0.5\n1,0.5\n", "0,0.3\n1,0.3\n2,0.4\n", "range of 2 vs range of 3"),
+    ("0,0.5\n1,0.5\n", to_json(uniform(2, BITSTRING)), "range of 2 vs bitstring of 2"),
+], ids=["sizes", "kinds"])
+def test_mismatched_file_pair_exits_2_before_any_oracle(tmp_path, capsys, monkeypatch,
+                                                       command, first, second, spaces):
+    """A --dist / --dist2 pair over different sample spaces (sizes, or kinds
+    of one size) is refused as soon as both files are loaded."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle was built for a mismatched pair")
+
+    monkeypatch.setattr(cli.orc, "make_purified_oracle", no_oracle)
+    p, q = tmp_path / "p.csv", tmp_path / ("q.json" if "bitstring" in spaces else "q.csv")
+    p.write_text(first, encoding="utf-8")
+    q.write_text(second, encoding="utf-8")
+    code, out, err = run(capsys, command, "--dist", str(p), "--dist2", str(q),
+                         "--garbage", "haar", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: --dist and --dist2 have different sample spaces ({spaces})\n"
+
+
+def _child_env() -> dict:
+    """The environment of a fresh ``qdtest`` child: ``src`` on PYTHONPATH
+    and one BLAS thread."""
+    src = str(Path(qdtest.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_ESTIMATE = ["estimate", "--gen", "l2-pair", "--n", "4", "--eps", "0.5", "--format", "json"]
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    """A child started with file descriptor 1 closed has no sys.stdout; its
+    report to standard output is refused with a message, not an
+    AttributeError."""
+    proc = subprocess.run([sys.executable, "-m", "qdtest.cli", *_ESTIMATE, "--trials", "3"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=_child_env(), preexec_fn=lambda: os.close(1), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: standard output is closed\n"
+
+
+def test_broken_pipe_exits_2_without_a_traceback():
+    """A reader that closes the pipe after 20 bytes (``| head -c 20``) gets
+    those bytes; the writer reports the broken pipe and exits 2."""
+    proc = subprocess.Popen([sys.executable, "-m", "qdtest.cli", *_ESTIMATE, "--trials",
+                             "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    try:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head == b'{\n  "command": "esti'
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def _vm_size_after_import() -> int:
+    """Bytes of address space of a fresh child that has imported qdtest.cli."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qdtest.cli; print(open('/proc/self/status').read())"],
+        capture_output=True, text=True, env=_child_env(), check=True, timeout=60)
+    kib = next(line.split()[1] for line in proc.stdout.splitlines()
+               if line.startswith("VmSize:"))
+    return int(kib) * 1024
+
+
+def test_memory_error_past_the_preflight_exits_2():
+    """The pre-flight reads free memory, not the address-space limit; when a
+    limit it cannot see stops an allocation, the run still ends in a message
+    and exit 2.  The 4.19M-amplitude state alone takes 64 MiB, the whole
+    headroom the child is given."""
+    limit = _vm_size_after_import() + 64 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdtest.cli", "test-closeness", "--gen", "identical",
+         "--n", "128", "--trials", "1"],
+        capture_output=True, text=True, env=_child_env(), preexec_fn=cap_address_space,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory ("), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_IMPORT_SET_CHILD = """
+import sys
+before = set(sys.modules)
+import qdtest.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_only_what_a_tester_run_reads():
+    """Importing qdtest.cli generates no class code (no dataclasses) and
+    loads neither the CSV reader nor the selfcheck and plot modules, which
+    only their own branches import."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_CHILD], capture_output=True,
+                          text=True, env=_child_env(), check=True, timeout=60)
+    loaded = set(proc.stdout.split())
+    assert "qdtest.cli" in loaded
+    assert not loaded & {"dataclasses", "csv", "qdtest.selfcheck", "qdtest.plotting"}
+
+
 @pytest.mark.parametrize("argv", [
     ("test-closeness", "--gen", "l2-pair", "--n", "8", "--eps", "1e-12"),
     ("test-kwise", "--gen", "uniform", "--n", "4", "--eps", "1e-12"),
@@ -491,16 +604,13 @@ def _cap_address_space():
 def test_infeasible_instance_exits_2_before_building_oracles(garbage):
     """At d = 8192 each oracle would hold d x d tables (1 GiB per Haar matrix);
     the pre-flight must refuse the 2 d^3-amplitude state first.  The child's
-    address space is capped, so a late check fails with a MemoryError
-    traceback rather than an out-of-memory kill."""
-    src = str(Path(qdtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    address space is capped, so a late check fails with an out-of-memory
+    error rather than an out-of-memory kill."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "qdtest.cli", "test-closeness", "--gen", "l2-pair",
          "--n", "5000", "--garbage", garbage],
-        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, env=_child_env(), preexec_fn=_cap_address_space,
         timeout=60)
     assert time.perf_counter() - start < 10.0
     assert proc.returncode == 2, proc.stderr
@@ -526,14 +636,11 @@ def test_benchmarked_runs_never_import_numpy_random(tmp_path, argv):
     """The benchmark's invocations, each run in a fresh interpreter, draw
     every uniform (trials and Haar garbage alike) from qdtest.seeding, so
     none of them imports numpy.random and its bit generators."""
-    src = str(Path(qdtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out_file = tmp_path / "report"
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_RANDOM_CHILD, *argv.split(), "--seed", "1",
          "--out", str(out_file)],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
     assert out_file.stat().st_size > 0
@@ -565,11 +672,8 @@ def test_benchmark_setup_probe_builds_plans(tmp_path, argv):
 def _cli_child(*argv):
     """``python -m qdtest.cli ARGV`` in a fresh interpreter, which starts in
     the frozen entry (cli.entry)."""
-    src = str(Path(qdtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "qdtest.cli", *argv],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=_child_env(), timeout=120)
 
 
 def test_frozen_entry_end_to_end(tmp_path):

@@ -3,9 +3,10 @@ every module-level import is used, every ``__all__`` entry names
 something the module defines or imports, the package exports only
 names their module lists in its ``__all__``, every module-level function
 and class is named outside its own definition, every module-level
-assignment is read, every parameter of every ``def`` is read in its body;
-and, on the imported modules, every docstring
-cross-reference names something that exists."""
+assignment is read, every parameter of every ``def`` is read in its body,
+no class is generated (``dataclasses``, ``namedtuple``); and, on the
+imported modules, every docstring cross-reference names something that
+exists."""
 import ast
 import importlib
 import inspect
@@ -236,3 +237,19 @@ def test_parameters_are_read(path):
     is passed only to be dropped."""
     unread = _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
     assert not unread, f"{path.name}: parameters never read {unread}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_generated_classes(path):
+    """No module imports ``dataclasses`` or names ``namedtuple`` or
+    ``NamedTuple``: a class whose methods are generated compiles them at
+    every import, so value classes derive from :class:`qdtest.record.Record`
+    instead."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
+    assert not names & {"namedtuple", "NamedTuple"}, f"{path.name} builds a named tuple"
