@@ -106,16 +106,15 @@ def grover_iterate(unitary: QuantumOp, layout: RegisterLayout,
 
 
 def _power_table(unitary: QuantumOp, layout: RegisterLayout,
-                 projector: Mapping[str, int], points: int,
-                 ledger: QueryLedger | None) -> np.ndarray:
+                 projector: Mapping[str, int], points: int) -> np.ndarray:
     """Rows y = Q^y U|0> for y in 0..points-1 (the simulated cross-check)."""
     state = new_basis_state(layout)
-    apply(unitary, state, ledger=ledger)
+    apply(unitary, state)
     iterate = grover_iterate(unitary, layout, projector)
     table = np.empty((points, layout.total_dim), dtype=np.complex128)
     table[0] = state.amplitudes
     for y in range(1, points):
-        apply(iterate, state, ledger=ledger)
+        apply(iterate, state)
         table[y] = state.amplitudes
     return table
 
@@ -182,14 +181,6 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     return AEDistribution(m, phase_pmf(p, m), cost)
 
 
-def zero_budget(eps: float) -> int:
-    """Iteration budget ceil(10 pi / sqrt(eps)) of the zero test inside
-    :func:`qdtest.testers.kwise_plan`."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {eps}")
-    return math.ceil(10.0 * math.pi / math.sqrt(eps))
-
-
 def qpe_joint_state(unitary: QuantumOp, layout: RegisterLayout,
                     projector: Mapping[str, int], t: int) -> tuple[StateVector, int]:
     """Materialized post-transform joint state with a real phase register.
@@ -199,7 +190,7 @@ def qpe_joint_state(unitary: QuantumOp, layout: RegisterLayout,
     closed form in :func:`phase_distribution`, equal to it up to rounding.
     """
     m = phase_points(t)
-    table = _power_table(unitary, layout, projector, m, None)
+    table = _power_table(unitary, layout, projector, m)
     joint = StateVector(RegisterLayout((("phase", m),) + layout.registers),
                         (table / math.sqrt(m)).ravel())
     omega = np.exp(-2j * math.pi / m)

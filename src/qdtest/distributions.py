@@ -187,8 +187,3 @@ def load(path: str | Path) -> Distribution:
     if path.suffix.lower() == ".csv":
         return from_csv(text, source=str(path))
     return from_json(text, source=str(path))
-
-
-def to_json(dist: Distribution) -> str:
-    n = dist.n_bits if dist.kind == BITSTRING else dist.size
-    return json.dumps({"kind": dist.kind, "n": n, "weights": dist.weights.tolist()})

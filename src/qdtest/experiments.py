@@ -4,16 +4,14 @@ A tester's outcome distribution is fully determined by its plan: the
 encoding unitary and the phase-register evolution are deterministic, and
 only the final phase measurement is random.  Trial i of :func:`run_trials`
 measures that phase from one uniform draw, the first ``random()`` of
-``default_rng([seed, i])`` (:func:`qdtest.seeding.trial_rng`).
+``numpy.random.default_rng([seed, i])``.
 :func:`qdtest.seeding.trial_uniforms` computes those draws in bulk, bit for
 bit, with numpy arrays and no ``numpy.random``, and
-:func:`qdtest.testers.sample_plan`, the sampling core that
-:func:`~qdtest.testers.run_plan` uses too, turns them into a
+:func:`qdtest.testers.sample_plan` turns them into a
 :class:`~qdtest.testers.Trials` in one pass: one verdict per measured phase
-plus an index array that gives each trial's verdict.  Trial i therefore
-reproduces ``run_plan(plan, trial_rng(seed, i))`` exactly, verdict, statistic and per-run query cost
-alike.  Verdict and estimator reports are both built from the Trials, and
-never from one Python object per trial.
+plus an index array that gives each trial's verdict.  Verdict and estimator
+reports are both built from the Trials, and never from one Python object
+per trial.
 
 Reports are dicts with a pinned ``schema_version``.  A trial report's rows
 are a read-only :class:`TrialRows`: one outcome per distinct verdict of the
@@ -21,17 +19,17 @@ Trials (at most M of them) plus the Trials' index, and row i is outcome
 ``index[i]`` with ``trial`` i; summary frequencies and the means of the
 float columns are taken on the index array.  Every run of a plan has the
 same cost, so the query columns hold the plan's one per-run cost, computed
-once per report, and their means are that cost.  The CSV and JSON writers
+once per report, and their means are that cost.  The CSV and JSON encoders
 render each distinct outcome once and splice each trial's number into its
 text; a plain list of rows, as in a sweep report, is the case where every
 row is its own outcome.  Each format's text comes from one generator of
 chunks: its header, its rows in blocks of ``_ROW_BLOCK``, and its summary.
-:func:`dump_report` streams the chunks to a file or to standard output, so
-a report's text is never held whole or encoded at once; :func:`format_csv`
-and :func:`format_json` join them.  Both serializations are byte-stable for
-a fixed seed (floats via ``repr``, keys sorted, row order fixed by trial
-index).  A run's peak memory therefore grows by a few tens of bytes per
-trial, not by the size of its report (``_PEAK_BYTES_PER_TRIAL``).
+:func:`dump_report`, the one report writer, streams the chunks to a file or
+to standard output, so a report's text is never held whole or encoded at
+once.  Both serializations are byte-stable for a fixed seed (floats via
+``repr``, keys sorted, row order fixed by trial index).  A run's peak
+memory therefore grows by a few tens of bytes per trial, not by the size of
+its report (``_PEAK_BYTES_PER_TRIAL``).
 """
 from __future__ import annotations
 
@@ -84,7 +82,7 @@ def require_trial_memory(runs: int) -> None:
 
 def run_trials(plan: AEPlan, trials: int, seed: int) -> Trials:
     """Independent runs of one plan; run i measures its phase from the first
-    ``random()`` of ``trial_rng(seed, i)``."""
+    ``random()`` of ``numpy.random.default_rng([seed, i])``."""
     if trials < 1:
         raise ValueError("need at least one trial")
     return sample_plan(plan, trial_uniforms(seed, trials))
@@ -260,24 +258,14 @@ def _json_chunks(report: dict) -> Iterator[str]:
     yield "\n  ]" + tail
 
 
-def format_csv(report: dict) -> str:
-    """The report's byte-stable CSV text, whole (:func:`_csv_chunks`)."""
-    return "".join(_csv_chunks(report))
-
-
-def format_json(report: dict) -> str:
-    """The report's byte-stable JSON text, whole (:func:`_json_chunks`)."""
-    return "".join(_json_chunks(report))
-
-
 def dump_report(report: dict, path: str | Path | None, fmt: str) -> None:
     """Write the report as ``fmt`` (``"csv"`` or ``"json"``) to ``path``, or
     to standard output when ``path`` is None.
 
     The text goes out one chunk at a time, a block of ``_ROW_BLOCK`` rows at
-    most, so the whole text is never held or encoded at once; the bytes are
-    those of :func:`format_csv` or :func:`format_json`.  A closed standard
-    output raises ``OSError``, as a file that cannot be written does.
+    most, so the whole text is never held or encoded at once
+    (:func:`_csv_chunks`, :func:`_json_chunks`).  A closed standard output
+    raises ``OSError``, as a file that cannot be written does.
     """
     chunks = _csv_chunks(report) if fmt == "csv" else _json_chunks(report)
     if path is None:

@@ -50,16 +50,8 @@ from .distributions import BITSTRING, Distribution
 from .record import Record
 from .reference import binom_sum, subset_masks, subset_sizes
 from .seeding import trial_uniforms
-from .statevec import (ControlledOp, CopyOp, MatrixOp, QuantumOp, QueryLedger,
-                       RegisterLayout, ReflectionOp, SequenceOp, SignOp,
-                       hadamard, inverse, pauli_x)
-
-__all__ = [
-    "GARBAGE_STYLES", "PurifiedOracle", "QueryLedger", "make_purified_oracle",
-    "probability_encoder", "oracle_layout", "encoder_layout", "closeness_unitary",
-    "closeness_layout", "closeness_instance", "subset_superposition", "kwise_encoder",
-    "kwise_layout", "kwise_instance", "haar_unitary", "reflection_parts",
-]
+from .statevec import (ControlledOp, CopyOp, MatrixOp, QuantumOp, RegisterLayout,
+                       ReflectionOp, SequenceOp, SignOp, hadamard, inverse, pauli_x)
 
 GARBAGE_STYLES = ("basis", "haar")
 

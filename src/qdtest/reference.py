@@ -18,39 +18,17 @@ import numpy as np
 
 from .distributions import BITSTRING, Distribution
 
-__all__ = [
-    "lp_distance", "tv_distance", "hellinger_distance", "character_values",
-    "fourier_spectrum", "fourier_weight", "is_kwise_uniform", "binom_sum",
-    "subset_sizes", "subset_masks", "mask_from_coords", "gen_l2_pair", "gen_l1_pair",
-    "gen_fourier_spike", "gen_random_multiset_uniform",
-]
-
-
-def _require_same_space(p: Distribution, q: Distribution) -> None:
-    if p.kind != q.kind or p.size != q.size:
-        raise ValueError("distributions live on different sample spaces")
-
 
 def lp_distance(p: Distribution, q: Distribution, alpha: int) -> float:
     """||p - q||_alpha = (sum_i |p_i - q_i|^alpha)^(1/alpha) for alpha in {1, 2}."""
     if alpha not in (1, 2):
         raise ValueError(f"alpha must be 1 or 2, got {alpha}")
-    _require_same_space(p, q)
+    if p.kind != q.kind or p.size != q.size:
+        raise ValueError("distributions live on different sample spaces")
     diff = np.abs(p.weights - q.weights)
     if alpha == 1:
         return float(diff.sum())
     return float(np.sqrt(np.sum(diff ** 2)))
-
-
-def tv_distance(p: Distribution, q: Distribution) -> float:
-    """Total variation distance: half the l1 distance."""
-    return 0.5 * lp_distance(p, q, 1)
-
-
-def hellinger_distance(p: Distribution, q: Distribution) -> float:
-    """sqrt((1/2) sum_i (sqrt(p_i) - sqrt(q_i))^2)."""
-    _require_same_space(p, q)
-    return float(np.sqrt(0.5 * np.sum((np.sqrt(p.weights) - np.sqrt(q.weights)) ** 2)))
 
 
 # --- Fourier analysis over {0,1}^n ---------------------------------------------

@@ -1,22 +1,16 @@
 """Seeded uniform draws, computed with numpy arrays and no ``numpy.random``.
 
-:func:`trial_uniforms` gives ``default_rng([seed, i]).random()`` for every i
-below a count, bit for bit, by running numpy's seeding (the ``SeedSequence``
-hash and the PCG64 set-up) on arrays; :func:`trial_rng` is that generator
-itself.  The seeded trial harness (:mod:`qdtest.experiments`) and the Haar
-garbage of the purified oracles (:func:`qdtest.oracles.haar_unitary`) both
-draw from it, so neither imports ``numpy.random``.
+Trial i of a seed draws the first ``random()`` of
+``numpy.random.default_rng([seed, i])``.  :func:`trial_uniforms` gives that
+draw for every i below a count, bit for bit, by running numpy's seeding (the
+``SeedSequence`` hash and the PCG64 set-up) on arrays.  The seeded trial
+harness (:mod:`qdtest.experiments`) and the Haar garbage of the purified
+oracles (:func:`qdtest.oracles.haar_unitary`) both draw from it, so neither
+imports ``numpy.random``.
 """
 from __future__ import annotations
 
 import numpy as np
-
-
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-trial stream derived from (seed, trial index); trial
-    ``index`` measures its phase from this stream's first ``random()``."""
-    return np.random.default_rng([seed, index])
-
 
 # numpy's SeedSequence hash constants (pool of four uint32 words) and the
 # PCG64 multiplier.
@@ -86,8 +80,8 @@ def _mul128(hi: np.ndarray, lo: np.ndarray, c_hi: np.ndarray,
 
 
 def trial_uniforms(seed: int, trials: int) -> np.ndarray:
-    """``[trial_rng(seed, i).random() for i in range(trials)]``, bit for bit,
-    computed on arrays over blocks of ``_UNIFORM_BLOCK`` trials.
+    """``[default_rng([seed, i]).random() for i in range(trials)]``, bit for
+    bit, computed on arrays over blocks of ``_UNIFORM_BLOCK`` trials.
 
     ``default_rng([seed, i])`` hashes the 32-bit words of seed and i
     (little-endian, 0 as one word) into a pool of four words, expands it
@@ -106,8 +100,8 @@ def trial_uniforms(seed: int, trials: int) -> np.ndarray:
 
 
 def _block_uniforms(words: list[int], index: np.ndarray) -> np.ndarray:
-    """``trial_rng(seed, i).random()`` for each i in ``index``, where ``words``
-    are the 32-bit words of the seed.
+    """``default_rng([seed, i]).random()`` for each i in ``index``, where
+    ``words`` are the 32-bit words of the seed.
 
     Each stage runs on all the pool rows it updates at once: the hash of one
     source row is mixed into the other three rows together, and both of

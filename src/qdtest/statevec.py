@@ -128,11 +128,6 @@ class RegisterLayout(Record):
             idx += v * self.strides[self.axis(name)]
         return idx
 
-    def register_values(self, index: int) -> dict[str, int]:
-        """Inverse of basis_index: per-register values of a flat index."""
-        return {n: (index // s) % d
-                for n, d, s in zip(self.names, self.dims, self.strides)}
-
 
 class StateVector:
     """Complex amplitudes over a layout.  Mutated in place by operators."""
@@ -181,14 +176,14 @@ def require_memory(layout: RegisterLayout) -> None:
                   f"a state of dimension {layout.total_dim}")
 
 
-def new_basis_state(layout: RegisterLayout, values: Mapping[str, int] | None = None) -> StateVector:
-    """All-zeros basis state, or the basis state with the given register values.
+def new_basis_state(layout: RegisterLayout) -> StateVector:
+    """The all-zeros basis state |0...0>, where every run starts.
 
     Checks first that a run on the layout fits in the available memory.
     """
     require_memory(layout)
     state = StateVector(layout)
-    state.amplitudes[layout.basis_index(values or {})] = 1.0
+    state.amplitudes[0] = 1.0
     return state
 
 
@@ -317,11 +312,6 @@ class ReflectionOp(QuantumOp):
         if self.denom <= 0:
             raise RegisterError("reflection denominator must be positive")
         self.size = self.w.size
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return (np.eye(self.w.size) - np.outer(self.w, self.w) / self.denom
-                ).astype(np.complex128)
 
     def _apply(self, state, inverse, controls, ledger):
         view = self._target_view(state, controls)

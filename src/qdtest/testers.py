@@ -6,19 +6,19 @@ encoding unitary, the projector (a ``{register: value}`` map), the
 amplitude-estimation budget t and a threshold; the builders
 :func:`closeness_plan`, :func:`l1_plan`, :func:`kwise_plan` and
 :func:`estimator_plan` make one per tester, and the estimator is the plan
-with no threshold.  :func:`sample_plan` builds the plan's exact phase
-distribution once, turns each uniform draw into one phase measurement by
-inverting its CDF, and thresholds each estimate into a :class:`TestVerdict`.
-:func:`run_plan` is one run on one ``rng.random()``; the seeded trial
-harness passes trial i the uniform ``default_rng([seed, i]).random()``,
-computed in bulk (:func:`qdtest.seeding.trial_uniforms`).  So trial i
-reproduces :func:`run_plan` with that rng exactly, and a verdict's
-``queries`` is always the deterministic cost of one run, keyed by oracle
-label only.  The runs come back as one :class:`Trials`, a read-only
-sequence of verdicts kept as arrays: one verdict per measured phase, plus an
-intp index that gives each run's verdict.  :meth:`Trials.vote` takes the
-:func:`majority` of consecutive groups of runs on that index, and the
-reports of :mod:`qdtest.experiments` read it directly.
+with no threshold; the budget formulas live here too
+(:func:`zero_budget`, :func:`estimator_budget`).  :func:`sample_plan` builds
+the plan's exact phase distribution once, turns each uniform draw into one
+phase measurement by inverting its CDF, and thresholds each estimate into a
+:class:`TestVerdict`.  Trial i of a seeded run measures its phase from the
+first ``random()`` of ``numpy.random.default_rng([seed, i])``, computed in
+bulk (:func:`qdtest.seeding.trial_uniforms`), and a verdict's ``queries``
+is always the deterministic cost of one run, keyed by oracle label only.
+The runs come back as one :class:`Trials`, a read-only sequence of verdicts
+kept as arrays: one verdict per measured phase, plus an intp index that
+gives each run's verdict.  :meth:`Trials.vote` takes the majority of
+consecutive groups of runs on that index, and the reports of
+:mod:`qdtest.experiments` read it directly.
 
 Success guarantees hold under the respective promises with probability at
 least 8/pi^2 per run; the promise itself is not (and cannot be) checked
@@ -28,22 +28,15 @@ threshold rule gives.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
 
-from .amplitude import estimate_from_phase, phase_distribution, zero_budget
+from .amplitude import estimate_from_phase, phase_distribution
 from .oracles import PurifiedOracle, closeness_instance, kwise_instance
 from .record import Record
 from .reference import binom_sum
 from .statevec import QuantumOp, RegisterLayout
-
-__all__ = [
-    "TestVerdict", "AEPlan", "closeness_plan", "l1_plan", "kwise_plan",
-    "estimator_plan", "estimator_budget", "sample_plan", "run_plan",
-    "majority", "Trials", "check_eps",
-]
 
 
 class TestVerdict(Record):
@@ -130,6 +123,14 @@ def kwise_plan(oracle: PurifiedOracle, k: int, eps: float) -> AEPlan:
                   amp_threshold / 2.0, ("YES", "NO"))
 
 
+def zero_budget(eps: float) -> int:
+    """Iteration budget ceil(10 pi / sqrt(eps)) of the zero test inside
+    :func:`kwise_plan`."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {eps}")
+    return math.ceil(10.0 * math.pi / math.sqrt(eps))
+
+
 def estimator_budget(eps: float) -> int:
     """Budget t = ceil(8 pi / eps) of the l2-distance estimator."""
     check_eps(eps)
@@ -151,7 +152,7 @@ class Trials(Sequence):
 
     ``verdicts`` holds one verdict per distinct measured phase, and
     ``index[i]`` (an intp array) is the verdict of run i, so ``trials[i]`` is
-    ``verdicts[index[i]]`` and a slice is the Trials of those runs.
+    ``verdicts[index[i]]``.
     """
 
     __slots__ = ("verdicts", "index")
@@ -162,9 +163,7 @@ class Trials(Sequence):
     def __len__(self) -> int:
         return len(self.index)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Trials(self.verdicts, self.index[i])
+    def __getitem__(self, i: int) -> TestVerdict:
         return self.verdicts[self.index[i]]
 
     def label_counts(self) -> dict[str, int]:
@@ -178,7 +177,7 @@ class Trials(Sequence):
 
     def vote(self, repeats: int) -> "Trials":
         """Runs ``repeats * j`` to ``repeats * j + repeats - 1`` voted into
-        trial j: :func:`majority` of each group, on the index array.
+        trial j: the majority of each group, on the index array.
 
         Each label ranks in each group by its count of runs there, then by
         its earliest run, and that run of the top label is kept: the first
@@ -207,8 +206,8 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray) -> Trials:
 
     Run k measures the phase y at which the distribution's CDF first exceeds
     ``uniforms[k]``, all runs in one vectorised pass.  Trial i of
-    :func:`qdtest.experiments.run_trials` draws ``default_rng([seed,
-    i]).random()``, computed in bulk by
+    :func:`qdtest.experiments.run_trials` draws the first ``random()`` of
+    ``numpy.random.default_rng([seed, i])``, computed in bulk by
     :func:`qdtest.seeding.trial_uniforms`.  Each measured phase is mapped to
     its statistic sin^2(pi y / M) and its verdict once (with ``math.sin``;
     numpy's sine may differ in the last bit), in order of y, and the runs
@@ -229,20 +228,4 @@ def sample_plan(plan: AEPlan, uniforms: Sequence[float] | np.ndarray) -> Trials:
         verdicts.append(TestVerdict(below if statistic < threshold else above,
                                     statistic, plan.t, plan.threshold, cost))
     return Trials(tuple(verdicts), lookup[phases])
-
-
-def run_plan(plan: AEPlan, rng: np.random.Generator) -> TestVerdict:
-    """Execute a plan once: one estimation run on ``rng.random()``, one
-    threshold comparison."""
-    return sample_plan(plan, [rng.random()])[0]
-
-
-def majority(runs: Sequence[TestVerdict]) -> TestVerdict:
-    """The first run that carries the most frequent verdict.
-
-    A tie goes to the verdict seen first; an odd number of runs of a
-    two-label tester has none.
-    """
-    winner = Counter(v.verdict for v in runs).most_common(1)[0][0]
-    return next(v for v in runs if v.verdict == winner)
 

@@ -1,21 +1,89 @@
-"""Shared test fixtures: independent oracles and small instance builders."""
+"""Shared test fixtures: independent oracles, small instance builders, and
+the one-run and one-report views that only tests read."""
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
+from collections import Counter
 
 import numpy as np
 
 from qdtest import statevec as sv
 from qdtest.amplitude import estimate_from_phase
 from qdtest.distributions import BITSTRING, Distribution
-from qdtest.experiments import oracle_query_totals
+from qdtest.experiments import dump_report, oracle_query_totals
+from qdtest.reference import lp_distance
+from qdtest.testers import sample_plan
 
 # The near side's projected mass: the encoders' rounding residue where the
 # exact value is 0.  The testers' one-sided error needs it far below any
 # threshold; with basis garbage the closeness encoder cancels exactly.
 NEAR_SIDE_RESIDUE = 1e-31
+
+
+def trial_rng(seed: int, index: int) -> np.random.Generator:
+    """Trial ``index``'s stream: the trials of a seed measure their phases
+    from this generator's first ``random()``."""
+    return np.random.default_rng([seed, index])
+
+
+def run_plan(plan, rng: np.random.Generator):
+    """One run of a plan: one estimation run on ``rng.random()``, one
+    threshold comparison."""
+    return sample_plan(plan, [rng.random()])[0]
+
+
+def majority(runs):
+    """The first run that carries the most frequent verdict: the reference
+    that ``Trials.vote`` is checked against.
+
+    A tie goes to the verdict seen first; an odd number of runs of a
+    two-label tester has none.
+    """
+    winner = Counter(v.verdict for v in runs).most_common(1)[0][0]
+    return next(v for v in runs if v.verdict == winner)
+
+
+def report_text(report: dict, fmt: str) -> str:
+    """The text ``dump_report`` writes to standard output for the report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        dump_report(report, None, fmt)
+    return out.getvalue()
+
+
+def to_json(dist: Distribution) -> str:
+    """The distribution in the JSON file format that ``distributions.load``
+    reads."""
+    n = dist.n_bits if dist.kind == BITSTRING else dist.size
+    return json.dumps({"kind": dist.kind, "n": n, "weights": dist.weights.tolist()})
+
+
+def tv_distance(p: Distribution, q: Distribution) -> float:
+    """Total variation distance: half the l1 distance."""
+    return 0.5 * lp_distance(p, q, 1)
+
+
+def hellinger_distance(p: Distribution, q: Distribution) -> float:
+    """sqrt((1/2) sum_i (sqrt(p_i) - sqrt(q_i))^2)."""
+    return float(np.sqrt(0.5 * np.sum((np.sqrt(p.weights) - np.sqrt(q.weights)) ** 2)))
+
+
+def register_values(layout, index: int) -> dict[str, int]:
+    """Inverse of ``layout.basis_index``: per-register values of a flat index."""
+    return {n: (index // s) % d for n, d, s in zip(layout.names, layout.dims, layout.strides)}
+
+
+def basis_state(layout, values: dict[str, int]):
+    """The basis state with the given register values, every other register
+    at 0."""
+    state = sv.StateVector(layout)
+    state.amplitudes[layout.basis_index(values)] = 1.0
+    return state
 
 
 def rotation_system(p: float):
@@ -90,7 +158,7 @@ def reference_apply(layout, amps: np.ndarray, regs, local: np.ndarray,
     ``controls`` holds, and as the identity elsewhere.
 
     An independent oracle for the engine's kernels: it walks the flat indices
-    with ``layout.register_values`` and ``layout.basis_index`` only.
+    with :func:`register_values` and ``layout.basis_index`` only.
     """
     dims = [layout.dim_of(r) for r in regs]
     joint = [dict(zip(regs, map(int, np.unravel_index(k, dims))))
@@ -98,7 +166,7 @@ def reference_apply(layout, amps: np.ndarray, regs, local: np.ndarray,
     offsets = np.array([layout.basis_index(values) for values in joint], dtype=np.int64)
     out = np.zeros_like(amps)
     for i in range(layout.total_dim):
-        values = layout.register_values(i)
+        values = register_values(layout, i)
         if any(values[name] != value for name, value in controls):
             out[i] += amps[i]
             continue

@@ -23,8 +23,9 @@ from qdtest import testers
 from qdtest.distributions import (BITSTRING, Distribution, point_mass,
                                   random_distribution, uniform)
 
-from helpers import (estimates, fourier_coefficient, marginals_uniform,
-                     parity_set_distribution, random_bitstring_distribution, rotation_system)
+from helpers import (estimates, fourier_coefficient, hellinger_distance, marginals_uniform,
+                     parity_set_distribution, random_bitstring_distribution, rotation_system,
+                     run_plan, tv_distance)
 
 ATOL = 1e-10
 
@@ -210,7 +211,7 @@ def test_criterion_6_kwise_tester_frequencies():
                 assert exact_acceptance(testers.kwise_plan(oracle, k, eps)) == 1.0, style
 
         spike = ref.gen_fourier_spike(n, ref.mask_from_coords(n, (1, 2)), 0.6)
-        assert abs(ref.tv_distance(spike, uniform(2 ** n, BITSTRING)) - 0.3) < 1e-12
+        assert abs(tv_distance(spike, uniform(2 ** n, BITSTRING)) - 0.3) < 1e-12
         oracle = orc.make_purified_oracle(spike, label="p")
         freq = verdict_freq(testers.kwise_plan(oracle, k, eps), 300, seed=62)
         assert freq.get("NO", 0) >= 0.66
@@ -222,8 +223,8 @@ def test_criterion_7_query_scaling_laws():
         rng = np.random.default_rng(1007)
         p, q = ref.gen_l2_pair(8, 0.4)
         op, oq = pair_oracles(p, q)
-        cost_a = testers.run_plan(testers.closeness_plan(op, oq, 0.4, 0.5), rng).queries
-        cost_b = testers.run_plan(testers.closeness_plan(op, oq, 0.2, 0.5), rng).queries
+        cost_a = run_plan(testers.closeness_plan(op, oq, 0.4, 0.5), rng).queries
+        cost_b = run_plan(testers.closeness_plan(op, oq, 0.2, 0.5), rng).queries
         for label in ("p", "q"):
             ratio = sum(cost_b[label].values()) / sum(cost_a[label].values())
             assert abs(ratio - 2.0) <= 0.2
@@ -232,7 +233,7 @@ def test_criterion_7_query_scaling_laws():
         for n in (4, 8, 16):
             pn, qn = ref.gen_l1_pair(n, 0.4)
             opn, oqn = pair_oracles(pn, qn)
-            budgets[n] = testers.run_plan(testers.l1_plan(opn, oqn, 0.4), rng).t
+            budgets[n] = run_plan(testers.l1_plan(opn, oqn, 0.4), rng).t
         for n in (4, 8):
             assert 1.3 <= budgets[2 * n] / budgets[n] <= 1.55
 
@@ -240,7 +241,7 @@ def test_criterion_7_query_scaling_laws():
         for n in (3, 4, 5):
             spike = ref.gen_fourier_spike(n, ref.mask_from_coords(n, (1, 2)), 0.6)
             oracle = orc.make_purified_oracle(spike, label="p")
-            verdict = testers.run_plan(testers.kwise_plan(oracle, k, eps), rng)
+            verdict = run_plan(testers.kwise_plan(oracle, k, eps), rng)
             formula = math.ceil(10 * math.pi * math.exp(k)
                                 * math.sqrt(ref.binom_sum(n, k)) / eps)
             assert abs(verdict.t - formula) / formula <= 0.15
@@ -294,5 +295,5 @@ def test_criterion_9_reference_identities():
         for eps in (0.1, 0.3):
             p, q = ref.gen_l2_pair(4, eps)
             closed = math.sqrt(1 - math.sqrt(1 + eps) / 2 - math.sqrt(1 - eps) / 2)
-            assert abs(ref.hellinger_distance(p, q) - closed) < 1e-12
-            assert ref.hellinger_distance(p, q) <= eps
+            assert abs(hellinger_distance(p, q) - closed) < 1e-12
+            assert hellinger_distance(p, q) <= eps

@@ -15,8 +15,9 @@ from qdtest import oracles as orc
 from qdtest import reference as ref
 from qdtest import statevec as sv
 from qdtest.distributions import BITSTRING, uniform
+from qdtest.testers import zero_budget
 
-from helpers import NEAR_SIDE_RESIDUE, estimates, rotation_system
+from helpers import NEAR_SIDE_RESIDUE, estimates, register_values, rotation_system
 
 
 def bound(p, m):
@@ -101,7 +102,7 @@ def test_iterate_sign_tables_on_closeness_layout(proj):
     op, oq = (orc.make_purified_oracle(uniform(3), label=label) for label in "pq")
     layout, unitary, _ = orc.closeness_instance(op, oq)
     s_pi, _, neg_s0, _ = ae.grover_iterate(unitary, layout, proj).steps
-    values = [layout.register_values(i) for i in range(layout.total_dim)]
+    values = [register_values(layout, i) for i in range(layout.total_dim)]
     in_pi = np.array([all(v[r] == x for r, x in proj.items()) for v in values])
     assert np.array_equal(sv.dense_matrix_of(s_pi, layout), np.diag(1.0 - 2.0 * in_pi))
     neg_s0_matrix = -np.eye(layout.total_dim)
@@ -175,8 +176,11 @@ def test_closed_form_matches_simulation_on_instances(build):
     layout, unitary, proj = build()
     dist = ae.phase_distribution(unitary, layout, proj, 20)
     assert np.abs(dist.probs - simulated_phase_marginal(unitary, layout, proj, 20)).max() < 1e-12
-    simulated = sv.QueryLedger()
-    ae._power_table(unitary, layout, proj, dist.points, simulated)
+    simulated = sv.QueryLedger()  # the applications of _power_table's rows
+    state = sv.apply(unitary, sv.new_basis_state(layout), ledger=simulated)
+    iterate = ae.grover_iterate(unitary, layout, proj)
+    for _ in range(dist.points - 1):
+        sv.apply(iterate, state, ledger=simulated)
     assert dist.ledger_cost.snapshot() == simulated.snapshot()
 
 
@@ -293,16 +297,16 @@ def test_exact_amplitude():
 # --- zero test -------------------------------------------------------------------------
 
 def test_zero_tester_budget():
-    assert ae.zero_budget(0.01) == math.ceil(10 * math.pi / 0.1)
+    assert zero_budget(0.01) == math.ceil(10 * math.pi / 0.1)
     with pytest.raises(ValueError):
-        ae.zero_budget(0.0)
+        zero_budget(0.0)
     with pytest.raises(ValueError):
-        ae.zero_budget(1.0)
+        zero_budget(1.0)
 
 
 def test_zero_tester_yes_at_zero():
     unitary, layout, proj = rotation_system(0.0)
-    dist = ae.phase_distribution(unitary, layout, proj, ae.zero_budget(0.01))
+    dist = ae.phase_distribution(unitary, layout, proj, zero_budget(0.01))
     rng = np.random.default_rng(21)
     assert all(e < 0.01 / 2 for e in estimates(dist, rng.random(25)))
 
@@ -311,7 +315,7 @@ def test_zero_tester_yes_at_zero():
 def test_zero_tester_no_frequency(mult):
     eps = 0.01
     unitary, layout, proj = rotation_system(mult * eps)
-    t = ae.zero_budget(eps)
+    t = zero_budget(eps)
     dist = ae.phase_distribution(unitary, layout, proj, t)
     rng = np.random.default_rng(mult)
     noes = sum(e >= eps / 2 for e in estimates(dist, rng.random(300)))

@@ -20,8 +20,9 @@ from qdtest import amplitude as ae
 from qdtest import cli
 from qdtest import experiments as exp
 from qdtest import statevec as sv
-from qdtest.distributions import BITSTRING, point_mass, to_json, uniform
+from qdtest.distributions import BITSTRING, point_mass, uniform
 
+from helpers import to_json
 from test_golden import GOLDEN
 
 

@@ -5,6 +5,8 @@ import pytest
 from qdtest import distributions as dists
 from qdtest.distributions import BITSTRING, Distribution, DistributionError
 
+from helpers import to_json
+
 
 def test_valid_distribution():
     d = Distribution(np.array([0.25, 0.75]))
@@ -53,7 +55,7 @@ def test_weights_are_frozen():
 
 def test_json_round_trip():
     d = dists.uniform(8, BITSTRING)
-    again = dists.from_json(dists.to_json(d))
+    again = dists.from_json(to_json(d))
     assert again == d
 
 
@@ -90,7 +92,7 @@ def test_csv_rejects_gaps_and_duplicates():
 
 def test_load_json_file(tmp_path):
     path = tmp_path / "d.json"
-    path.write_text(dists.to_json(dists.uniform(4)), encoding="utf-8")
+    path.write_text(to_json(dists.uniform(4)), encoding="utf-8")
     assert dists.load(path) == dists.uniform(4)
 
 

@@ -1,8 +1,8 @@
 """The trial harness's bulk paths against their definitions: trial_uniforms
 against one ``default_rng([seed, i])`` per trial, report rows against rows
-built one dict per trial, format_json and the streamed dump_report against
-the indented ``json.dumps``, and format_csv and dump_report against a CSV
-writer that renders one row at a time."""
+built one dict per trial, the JSON that dump_report streams against the
+indented ``json.dumps``, and its CSV against a CSV writer that renders one
+row at a time."""
 import json
 import math
 import os
@@ -24,7 +24,8 @@ from qdtest import reference as ref
 from qdtest import seeding
 from qdtest import testers
 
-from helpers import reference_csv, reference_estimate_rows, reference_verdict_rows
+from helpers import (reference_csv, reference_estimate_rows, reference_verdict_rows,
+                     report_text, trial_rng)
 
 # seeds over [0, 2^70], weighted towards the 32- and 64-bit word boundaries,
 # where the number of entropy words changes
@@ -38,7 +39,7 @@ SEEDS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(SEEDS, st.integers(1, 40))
 def test_trial_uniforms_match_per_trial_generators(seed, trials):
-    expected = [seeding.trial_rng(seed, i).random() for i in range(trials)]
+    expected = [trial_rng(seed, i).random() for i in range(trials)]
     assert seeding.trial_uniforms(seed, trials).tolist() == expected
 
 
@@ -47,7 +48,7 @@ def test_trial_uniforms_match_per_trial_generators(seed, trials):
 def test_trial_uniforms_across_blocks(seed, trials, block):
     """Blocks of a few trials, so that trial counts on and around several
     block boundaries are cheap to check."""
-    expected = [seeding.trial_rng(seed, i).random() for i in range(trials)]
+    expected = [trial_rng(seed, i).random() for i in range(trials)]
     with patch.object(seeding, "_UNIFORM_BLOCK", block):
         assert seeding.trial_uniforms(seed, trials).tolist() == expected
 
@@ -55,7 +56,7 @@ def test_trial_uniforms_across_blocks(seed, trials, block):
 @pytest.mark.parametrize("seed", [10_000, 2 ** 100 + 7])  # 2^100 + 7: five entropy words
 def test_trial_uniforms_over_many_trials(seed):
     trials = 2 * seeding._UNIFORM_BLOCK + 1
-    expected = [seeding.trial_rng(seed, i).random() for i in range(trials)]
+    expected = [trial_rng(seed, i).random() for i in range(trials)]
     assert seeding.trial_uniforms(seed, trials).tolist() == expected
 
 
@@ -93,7 +94,7 @@ REPORTS = {
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_format_json_matches_indented_dumps(name):
     report = REPORTS[name]
-    assert exp.format_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report_text(report, "json") == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _materialised(report):
@@ -171,14 +172,14 @@ def test_format_json_of_trial_reports():
     materialised as a list (the rows are a Sequence, not a list)."""
     for case in TRIAL_CASES.values():
         for report, _ in _trial_reports(case()):
-            assert exp.format_json(report) == json.dumps(
+            assert report_text(report, "json") == json.dumps(
                 _materialised(report), sort_keys=True, indent=2) + "\n"
 
 
 def test_format_csv_of_trial_reports():
     for case in TRIAL_CASES.values():
         for report, _ in _trial_reports(case()):
-            assert exp.format_csv(report) == reference_csv(report)
+            assert report_text(report, "csv") == reference_csv(report)
 
 
 def test_sweep_report_formats():
@@ -186,13 +187,13 @@ def test_sweep_report_formats():
                "mean_queries_total": 4.0 * t}
               for e, t, f in ((0.4, 315, 0.9), (0.2, 629, 1.0))]
     report = exp.sweep_report("sweep", {"tester": "l2"}, points)
-    assert exp.format_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
-    assert exp.format_csv(report) == reference_csv(report)
+    assert report_text(report, "json") == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report_text(report, "csv") == reference_csv(report)
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_format_csv_of_plain_rows(name):
-    assert exp.format_csv(REPORTS[name]) == reference_csv(REPORTS[name])
+    assert report_text(REPORTS[name], "csv") == reference_csv(REPORTS[name])
 
 
 def _dumped(report, fmt, tmp_path) -> str:

@@ -12,7 +12,8 @@ from qdtest import statevec as sv
 from qdtest.distributions import (BITSTRING, Distribution, point_mass,
                                   random_distribution, uniform)
 
-from helpers import NEAR_SIDE_RESIDUE, parity_set_distribution, random_bitstring_distribution
+from helpers import (NEAR_SIDE_RESIDUE, basis_state, parity_set_distribution,
+                     random_bitstring_distribution)
 
 STYLES = (("basis", None), ("haar", 99))
 
@@ -93,7 +94,7 @@ def test_u_copy_action():
     """On any d, not only a power of two, the copy sends |b>|0> to |b>|b>
     and |b>|c> to |b>|c + b mod d>; its inverse sends |b>|b> back to |b>|0>."""
     lay = sv.RegisterLayout([("B", 5), ("C", 5)])
-    state = sv.new_basis_state(lay, {"B": 3})
+    state = basis_state(lay, {"B": 3})
     sv.apply(U_COPY, state)
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 3})] == 1.0
     sv.apply(U_COPY, state)
@@ -388,7 +389,8 @@ def test_reflection_completion_first_column():
     rng = np.random.default_rng(6)
     v = np.abs(rng.standard_normal(16))
     v /= np.linalg.norm(v)
-    mat = sv.ReflectionOp(("B",), *orc.reflection_parts(v)).matrix
+    mat = sv.dense_matrix_of(sv.ReflectionOp(("B",), *orc.reflection_parts(v)),
+                             sv.RegisterLayout([("B", 16)]))
     assert np.abs(mat[:, 0] - v).max() < 1e-14
     assert np.abs(mat.T @ mat - np.eye(16)).max() < 1e-12
 

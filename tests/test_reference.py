@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from qdtest import reference as ref
 from qdtest.distributions import BITSTRING, Distribution, point_mass, uniform
 
-from helpers import (fourier_coefficient, marginals_uniform, parity_set_distribution,
-                     random_bitstring_distribution)
+from helpers import (fourier_coefficient, hellinger_distance, marginals_uniform,
+                     parity_set_distribution, random_bitstring_distribution, tv_distance)
 
 
 def normalized(weights):
@@ -33,15 +33,15 @@ def test_distances_zero_for_identical():
     u = uniform(8)
     assert ref.lp_distance(u, u, 1) == 0.0
     assert ref.lp_distance(u, u, 2) == 0.0
-    assert ref.tv_distance(u, u) == 0.0
-    assert ref.hellinger_distance(u, u) == 0.0
+    assert tv_distance(u, u) == 0.0
+    assert hellinger_distance(u, u) == 0.0
 
 
 def test_distances_disjoint_point_masses():
     p, q = point_mass(4, 0), point_mass(4, 1)
     assert abs(ref.lp_distance(p, q, 1) - 2.0) < 1e-15
     assert abs(ref.lp_distance(p, q, 2) - math.sqrt(2)) < 1e-15
-    assert abs(ref.tv_distance(p, q) - 1.0) < 1e-15
+    assert abs(tv_distance(p, q) - 1.0) < 1e-15
 
 
 def test_distance_requires_same_space():
@@ -65,8 +65,8 @@ def test_two_point_pair_closed_forms():
         assert abs(ref.lp_distance(p, q, 2) - eps / math.sqrt(2)) < 1e-15
         assert abs(ref.lp_distance(p, q, 1) - eps) < 1e-15
         closed = math.sqrt(1 - math.sqrt(1 + eps) / 2 - math.sqrt(1 - eps) / 2)
-        assert abs(ref.hellinger_distance(p, q) - closed) < 1e-12
-        assert ref.hellinger_distance(p, q) <= eps
+        assert abs(hellinger_distance(p, q) - closed) < 1e-12
+        assert hellinger_distance(p, q) <= eps
 
 
 def test_alternating_pair_closed_forms():
@@ -74,7 +74,7 @@ def test_alternating_pair_closed_forms():
         p, q = ref.gen_l1_pair(n, 0.4)
         assert abs(ref.lp_distance(p, q, 1) - 0.4) < 1e-12
         closed = math.sqrt(1 - math.sqrt(1.4) / 2 - math.sqrt(0.6) / 2)
-        assert abs(ref.hellinger_distance(p, q) - closed) < 1e-12
+        assert abs(hellinger_distance(p, q) - closed) < 1e-12
 
 
 def test_pair_generator_ranges():
@@ -102,7 +102,7 @@ def test_spike_coefficients():
     for other in range(1, 16):
         if other != mask:
             assert abs(spectrum[other]) < 1e-12
-    assert abs(ref.tv_distance(dist, uniform(16, BITSTRING)) - 0.25) < 1e-12
+    assert abs(tv_distance(dist, uniform(16, BITSTRING)) - 0.25) < 1e-12
     assert abs(ref.fourier_weight(dist, 2) - 0.25) < 1e-12
 
 

@@ -1,13 +1,17 @@
 """Static checks of the package source with ``ast``, in place of a linter:
-every module-level import is used, every ``__all__`` entry names
-something the module defines or imports, the package exports only
-names their module lists in its ``__all__``, every module-level function
-and class is named outside its own definition, every module-level
-assignment is read, every parameter of every ``def`` is read in its body,
-no class is generated (``dataclasses``, ``namedtuple``); and, on the
-imported modules, every docstring cross-reference names something that
-exists."""
+every module-level import is used, each definition has one name (the
+package ``__init__`` binds only ``__version__`` and no module assigns
+``__all__``), every module-level function and class is named in program
+code outside its own definition, every public method and property is read
+as an attribute in program code, every module-level assignment is read,
+every parameter of every ``def`` is read in its body, no class is
+generated (``dataclasses``, ``namedtuple``); and, on the imported modules,
+every docstring cross-reference names something that exists.
+
+Program code is the package and the benchmark, the paths a run takes; a
+name in a docstring, a comment or any other string is not a use."""
 import ast
+import functools
 import importlib
 import inspect
 import re
@@ -17,11 +21,16 @@ import pytest
 
 import qdtest
 
-SOURCES = sorted(Path(qdtest.__file__).parent.glob("*.py"))
-# where a definition in the package may be named: the package, its tests
-# and the benchmark
-READERS = sorted(path for top in ("src", "tests", "perfbench")
+SOURCES = sorted(Path(qdtest.__file__).resolve().parent.glob("*.py"))
+# the program paths, where every definition, member and constant of the
+# package must be read: the package (its CLI and selfcheck) and the benchmark
+PROGRAM = sorted(path for top in ("src", "perfbench")
                  for path in (Path(__file__).resolve().parents[1] / top).rglob("*.py"))
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -35,14 +44,6 @@ def _imported(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
-
-
-def _dunder_all(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return list(ast.literal_eval(node.value))
-    return []
 
 
 def _used(tree: ast.Module) -> set[str]:
@@ -65,6 +66,24 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _read_elsewhere(tree: ast.Module) -> set[str]:
+    """Names another module can read from a package module: those it
+    imports by name and the attributes it reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _code_names(tree: ast.AST) -> set[str]:
+    """Names that code in the tree reads: names loaded, attributes and names
+    imported.  A docstring, a comment or another string is not code."""
+    return _used(tree) | _read_elsewhere(tree)
+
+
 def _defined(tree: ast.Module) -> set[str]:
     """Names bound at module level by definitions and assignments."""
     names = set(_imported(tree))
@@ -80,31 +99,23 @@ def _defined(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_used_and_exports_defined(path):
-    """A top-level import is read in the module or listed in ``__all__`` (the
-    package ``__init__``'s imports are its public names and exempt), and
-    every ``__all__`` entry is defined or imported at module level."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    exported = _dunder_all(tree)
-    if path.name != "__init__.py":
-        used = _used(tree) | set(exported)
-        unused = {name: line for name, line in _imported(tree).items() if name not in used}
-        assert not unused, f"{path.name}: unused imports {unused}"
-    missing = set(exported) - _defined(tree)
-    assert not missing, f"{path.name}: __all__ lists undefined {sorted(missing)}"
+    """Every top-level import is read in the module, so a module names only
+    what it defines or reads: no import stands as a second name (an export)
+    for another module's definition."""
+    tree = _tree(path)
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def test_package_exports_are_listed_in_module_all():
-    """Every name the package ``__init__`` imports from a module that has an
-    ``__all__`` is listed there, so the package exports only public names."""
-    package = Path(qdtest.__file__).parent
-    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            source = package / f"{node.module}.py"
-            listed = _dunder_all(ast.parse(source.read_text(encoding="utf-8")))
-            unlisted = {alias.name for alias in node.names} - set(listed)
-            assert not listed or not unlisted, \
-                f"__init__.py imports {sorted(unlisted)} missing from {source.name} __all__"
+def test_each_definition_has_one_name():
+    """The package ``__init__`` binds only ``__version__``, and no module
+    assigns ``__all__``: the package offers each definition under the name
+    in its own module, with no second one as ``qdtest.<name>`` or in a
+    star-import list."""
+    assert _defined(_tree(Path(qdtest.__file__).resolve())) == {"__version__"}
+    listing = [path.name for path in SOURCES if "__all__" in _defined(_tree(path))]
+    assert not listing, f"modules that assign __all__: {listing}"
 
 
 # a Sphinx cross-reference such as :func:`name` or :class:`~qdtest.module.Name`
@@ -142,63 +153,45 @@ def test_docstring_cross_references_resolve(path):
     assert not stale, f"{path.name}: unresolved cross-references {stale}"
 
 
-def _blank(text: str, spans) -> str:
-    """The text with the lines of each (first, last) span, 1-based, emptied."""
-    lines = text.splitlines()
-    for first, last in spans:
-        lines[first - 1:last] = [""] * (last - first + 1)
-    return "\n".join(lines)
-
-
-def _without_all(path: Path) -> str:
-    """A reader's text without its ``__all__`` assignment: a listing alone is
-    not a use."""
-    text = path.read_text(encoding="utf-8")
-    spans = [(node.lineno, node.end_lineno) for node in ast.parse(text).body
-             if isinstance(node, ast.Assign)
-             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
-    return _blank(text, spans)
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_definitions_are_named_elsewhere(path):
-    """Every module-level ``def`` and ``class`` is named, as a whole word,
-    outside its own definition and ``__all__`` somewhere in the package,
-    its tests or the benchmark, so no helper outlives its last caller."""
-    others = [_without_all(reader) for reader in READERS
-              if reader.resolve() != path.resolve()]
-    unnamed = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            word = re.compile(rf"\b{node.name}\b")
-            first = node.lineno - len(node.decorator_list)
-            own = _blank(_without_all(path), [(first, node.end_lineno)])
-            if not any(word.search(text) for text in [own, *others]):
-                unnamed.append(node.name)
+    """Every module-level ``def`` and ``class`` is named in program code
+    outside its own definition: in its own module or elsewhere in the
+    package or the benchmark.  A test is no reader, so no helper outlives
+    its last caller on a program path."""
+    tree = _tree(path)
+    named = set().union(*(_code_names(_tree(reader)) for reader in PROGRAM if reader != path))
+    unnamed = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name not in named | _code_names(
+                   ast.Module([stmt for stmt in tree.body if stmt is not node], []))]
     assert not unnamed, f"{path.name}: definitions named nowhere else {unnamed}"
 
 
-def _read_elsewhere(tree: ast.Module) -> set[str]:
-    """Names another module can read from a package module: those it
-    imports by name and the attributes it reads."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_members_are_read(path):
+    """Every public method and property of a class in the module is read as
+    an attribute somewhere in the package or the benchmark.  Names with a
+    leading underscore are exempt: the class itself or the interpreter
+    calls them."""
+    read = set().union(*(_read_elsewhere(_tree(reader)) for reader in PROGRAM))
+    unread = [f"{cls.name}.{member.name}" for cls in _tree(path).body
+              if isinstance(cls, ast.ClassDef)
+              for member in cls.body
+              if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not member.name.startswith("_") and member.name not in read]
+    assert not unread, f"{path.name}: members never read in program code {unread}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_assignments_are_read(path):
     """Every module-level assignment other than a dunder is read in its own
-    module, or imported or read as an attribute in the package, its tests or
-    the benchmark, so no constant outlives its last reader.  A test module
-    that defines a constant of the same name does not count as a reader."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    read = _used(tree).union(*(_read_elsewhere(ast.parse(reader.read_text(encoding="utf-8")))
-                               for reader in READERS if reader.resolve() != path.resolve()))
+    module, or imported or read as an attribute elsewhere in the package or
+    the benchmark, so no constant outlives its last reader on a program
+    path."""
+    tree = _tree(path)
+    read = _used(tree).union(*(_read_elsewhere(_tree(reader))
+                               for reader in PROGRAM if reader != path))
     assigned = [n.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
                 for n in ast.walk(target) if isinstance(n, ast.Name)]
@@ -235,7 +228,7 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
 def test_parameters_are_read(path):
     """Every parameter of every ``def`` is read in its body, so no argument
     is passed only to be dropped."""
-    unread = _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    unread = _unread_parameters(_tree(path))
     assert not unread, f"{path.name}: parameters never read {unread}"
 
 
@@ -245,7 +238,7 @@ def test_no_generated_classes(path):
     ``NamedTuple``: a class whose methods are generated compiles them at
     every import, so value classes derive from :class:`qdtest.record.Record`
     instead."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _tree(path)
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
