@@ -34,9 +34,8 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import next_pow2
-from .statevec import (MatrixOp, QuantumOp, QueryLedger, RegisterLayout,
-                       SequenceOp, SignOp, StateVector, apply, inverse,
-                       new_basis_state, projector_norm_sq, require_bytes)
+from .statevec import (InverseOp, MatrixOp, QuantumOp, QueryLedger, RegisterLayout, SequenceOp,
+                       SignOp, StateVector, new_basis_state, projector_norm_sq, require_bytes)
 
 # Peak bytes per phase point of one estimation setup and its sampling: the
 # pmf and its kernel temporaries, the CDF, and sample_plan's per-phase counts
@@ -101,7 +100,7 @@ def grover_iterate(unitary: QuantumOp, layout: RegisterLayout,
     s_pi[fixed.basis_index(projector)] = -1.0
     neg_s0 = np.full(layout.total_dim, -1.0)
     neg_s0[0] = 1.0
-    return SequenceOp([SignOp(fixed.names, s_pi), inverse(unitary),
+    return SequenceOp([SignOp(fixed.names, s_pi), InverseOp(unitary),
                        SignOp(layout.names, neg_s0), unitary])
 
 
@@ -109,12 +108,12 @@ def _power_table(unitary: QuantumOp, layout: RegisterLayout,
                  projector: Mapping[str, int], points: int) -> np.ndarray:
     """Rows y = Q^y U|0> for y in 0..points-1 (the simulated cross-check)."""
     state = new_basis_state(layout)
-    apply(unitary, state)
+    unitary.apply_to(state)
     iterate = grover_iterate(unitary, layout, projector)
     table = np.empty((points, layout.total_dim), dtype=np.complex128)
     table[0] = state.amplitudes
     for y in range(1, points):
-        apply(iterate, state)
+        iterate.apply_to(state)
         table[y] = state.amplitudes
     return table
 
@@ -171,7 +170,7 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     require_bytes(m * _PEAK_BYTES_PER_POINT, f"a phase register of {m} points")
     state = new_basis_state(layout)
     forward = QueryLedger()
-    apply(unitary, state, ledger=forward)
+    unitary.apply_to(state, ledger=forward)
     p = projector_norm_sq(state, projector)
     if p <= _ZERO_FLOOR:
         p = 0.0
@@ -195,5 +194,5 @@ def qpe_joint_state(unitary: QuantumOp, layout: RegisterLayout,
                         (table / math.sqrt(m)).ravel())
     omega = np.exp(-2j * math.pi / m)
     dft_inv = omega ** np.outer(np.arange(m), np.arange(m)) / math.sqrt(m)
-    apply(MatrixOp(("phase",), dft_inv), joint)
+    MatrixOp(("phase",), dft_inv).apply_to(joint)
     return joint, m

@@ -19,9 +19,9 @@ File formats (shared by the CLI and library loaders):
 The generators :func:`uniform` and :func:`point_mass` need a size of at
 least 1, and a point mass an element in 0..size-1.
 
-Loaders reject a non-finite weight first, naming the file, then
-renormalize weight sums within 1e-6 of one and reject anything further off;
-the constructor itself requires finite weights normalized within 1e-9, so a
+Loaders reject a non-finite weight first, then renormalize weight sums within
+1e-6 of one and reject anything further off; each load error names the file.
+The constructor itself requires finite weights normalized within 1e-9, so a
 NaN or infinite weight is rejected wherever a distribution is built.
 """
 from __future__ import annotations
@@ -119,7 +119,7 @@ def random_distribution(size: int, rng: np.random.Generator, kind: str = RANGE) 
     return Distribution(w / w.sum(), kind)
 
 
-def _normalize_loaded(weights: np.ndarray, source: str) -> np.ndarray:
+def _loaded(weights: np.ndarray, kind: str, source: str) -> Distribution:
     if not np.all(np.isfinite(weights)):
         raise DistributionError(
             f"{source}: non-finite weight {weights[~np.isfinite(weights)][0]}")
@@ -128,7 +128,10 @@ def _normalize_loaded(weights: np.ndarray, source: str) -> np.ndarray:
     total = float(weights.sum())
     if abs(total - 1.0) > LOAD_SUM_TOL:
         raise DistributionError(f"{source}: weights sum to {total}, outside 1 +/- {LOAD_SUM_TOL}")
-    return weights / total
+    try:
+        return Distribution(weights / total, kind)
+    except DistributionError as exc:  # a kind or shape the constructor refuses
+        raise DistributionError(f"{source}: {exc}") from exc
 
 
 def from_json(text: str, source: str = "<json>") -> Distribution:
@@ -153,7 +156,7 @@ def from_json(text: str, source: str = "<json>") -> Distribution:
     if weights.size != expected:
         raise DistributionError(
             f"{source}: {weights.size} weights but n={n} implies {expected}")
-    return Distribution(_normalize_loaded(weights, source), kind)
+    return _loaded(weights, kind, source)
 
 
 def from_csv(text: str, source: str = "<csv>") -> Distribution:
@@ -178,12 +181,15 @@ def from_csv(text: str, source: str = "<csv>") -> Distribution:
     if min(rows) < 0 or max(rows) != n - 1:
         raise DistributionError(f"{source}: indices must cover 0..{max(rows)}")
     weights = np.array([rows[i] for i in range(n)], dtype=np.float64)
-    return Distribution(_normalize_loaded(weights, source), RANGE)
+    return _loaded(weights, RANGE, source)
 
 
 def load(path: str | Path) -> Distribution:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DistributionError(f"{path}: not UTF-8 text ({exc})") from exc
     if path.suffix.lower() == ".csv":
         return from_csv(text, source=str(path))
     return from_json(text, source=str(path))

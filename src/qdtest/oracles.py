@@ -48,10 +48,10 @@ import numpy as np
 
 from .distributions import BITSTRING, Distribution
 from .record import Record
-from .reference import binom_sum, subset_masks, subset_sizes
+from .reference import binom_sum, character_values, subset_masks
 from .seeding import trial_uniforms
-from .statevec import (ControlledOp, CopyOp, MatrixOp, QuantumOp, RegisterLayout,
-                       ReflectionOp, SequenceOp, SignOp, hadamard, inverse, pauli_x)
+from .statevec import (ControlledOp, CopyOp, InverseOp, MatrixOp, QuantumOp, RegisterLayout,
+                       ReflectionOp, SequenceOp, SignOp, hadamard, pauli_x)
 
 GARBAGE_STYLES = ("basis", "haar")
 
@@ -143,7 +143,7 @@ def probability_encoder(oracle: PurifiedOracle) -> QuantumOp:
     On |0>_A |0>_B |0>_C the (A=0, B=0, C=k) amplitude equals p_k for every k;
     each application costs one forward and one inverse oracle query.
     """
-    return SequenceOp([oracle.op, CopyOp("B", "C"), inverse(oracle.op)])
+    return SequenceOp([oracle.op, CopyOp("B", "C"), InverseOp(oracle.op)])
 
 
 def encoder_layout(size: int) -> RegisterLayout:
@@ -219,9 +219,8 @@ def kwise_encoder(oracle: PurifiedOracle, k: int) -> QuantumOp:
         raise ValueError("k-wise encoding needs a bitstring sample space")
     n = oracle.distribution.n_bits
     prep = subset_superposition(n, k)  # checks 1 <= k <= n
-    masks = subset_masks(n, k)
-    chi = 1.0 - 2.0 * (subset_sizes(n)[masks[:, None] & np.arange(2 ** n)] & 1)
-    return SequenceOp([prep, oracle.op, SignOp(("S", "B"), chi), inverse(oracle.op)])
+    chi = character_values(n, subset_masks(n, k))
+    return SequenceOp([prep, oracle.op, SignOp(("S", "B"), chi), InverseOp(oracle.op)])
 
 
 def kwise_layout(n: int, k: int) -> RegisterLayout:

@@ -53,11 +53,10 @@ def subset_masks(n: int, k: int) -> np.ndarray:
     return np.flatnonzero(subset_sizes(n) <= k)
 
 
-def character_values(n: int, mask: int) -> np.ndarray:
-    """chi_S(x) = (-1)^popcount(S & x) for all x, as a +/-1 vector."""
-    if not 0 <= mask < 2 ** n:
-        raise ValueError(f"subset mask {mask} out of range for n={n}")
-    return 1.0 - 2.0 * (subset_sizes(n)[np.arange(2 ** n) & mask] & 1)
+def character_values(n: int, masks: int | np.ndarray) -> np.ndarray:
+    """chi_S(x) = (-1)^popcount(S & x) for all x, as a +/-1 vector for one
+    mask S in 0..2^n-1, or as one such row per mask of an array of masks."""
+    return 1.0 - 2.0 * (subset_sizes(n)[np.asarray(masks)[..., None] & np.arange(2 ** n)] & 1)
 
 
 def fourier_spectrum(p: Distribution) -> np.ndarray:

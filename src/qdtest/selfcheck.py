@@ -46,9 +46,9 @@ def check_engine_norms() -> None:
         state = _random_state(layout, rng)
         op = _random_op(layout, rng)
         before = state.amplitudes.copy()
-        sv.apply(op, state)
+        op.apply_to(state)
         assert abs(state.norm() - 1.0) < _TOL, "norm drifted under a unitary"
-        sv.apply(op, state, inverse=True)
+        op.apply_to(state, inverse=True)
         assert np.abs(state.amplitudes - before).max() < _TOL, "inverse mismatch"
 
 
@@ -60,7 +60,7 @@ def check_dense_agreement() -> None:
         dense = sv.dense_matrix_of(op, layout)
         state = _random_state(layout, rng)
         expected = dense @ state.amplitudes
-        sv.apply(op, state)
+        op.apply_to(state)
         assert np.abs(state.amplitudes - expected).max() < _TOL, "dense/fast disagreement"
         err = np.abs(dense.conj().T @ dense - np.eye(layout.total_dim)).max()
         assert err < _TOL, "operator is not unitary"
@@ -73,7 +73,7 @@ def check_oracle_definition() -> None:
         for style, seed in (("basis", None), ("haar", 7)):
             oracle = orc.make_purified_oracle(dist, style, seed=seed)
             state = sv.new_basis_state(orc.oracle_layout(n))
-            sv.apply(oracle.op, state)
+            oracle.op.apply_to(state)
             table = state.amplitudes.reshape(n, n)  # (A, B)
             for i in range(n):
                 phi = table[:, i]
@@ -90,7 +90,7 @@ def check_probability_readout() -> None:
         for style, seed in (("basis", None), ("haar", 11)):
             oracle = orc.make_purified_oracle(dist, style, seed=seed)
             state = sv.new_basis_state(orc.encoder_layout(n))
-            sv.apply(orc.probability_encoder(oracle), state)
+            orc.probability_encoder(oracle).apply_to(state)
             readout = state.amplitudes[:n]  # (A=0, B=0, C=k)
             assert np.abs(readout - dist.weights).max() < _TOL, "probability readout off"
 
@@ -104,7 +104,7 @@ def check_closeness_mass() -> None:
         oq = orc.make_purified_oracle(q, label="q")
         layout, unitary, proj = orc.closeness_instance(op, oq)
         state = sv.new_basis_state(layout)
-        sv.apply(unitary, state)
+        unitary.apply_to(state)
         mass = sv.projector_norm_sq(state, proj)
         expected = ref.lp_distance(p, q, 2) ** 2 / 4.0
         assert abs(mass - expected) < _TOL, "projected mass is not the squared distance / 4"
@@ -118,7 +118,7 @@ def check_subset_phases() -> None:
         oracle = orc.make_purified_oracle(dist, "haar", seed=13)
         layout, unitary, _ = orc.kwise_instance(oracle, k)
         state = sv.new_basis_state(layout)
-        sv.apply(unitary, state)
+        unitary.apply_to(state)
         amps = state.amplitudes[::layout.total_dim // layout.dim_of("S")]  # (S, A=0, B=0)
         scale = math.sqrt(ref.binom_sum(n, k))
         want = ref.fourier_spectrum(dist)[ref.subset_masks(n, k)] / scale

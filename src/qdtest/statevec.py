@@ -7,10 +7,10 @@ so the flat index of a basis assignment ``{r_i: v_i}`` is ``sum(v_i * stride_i)`
 
 Operators (:class:`QuantumOp`) act in place on a slice of registers and compose
 into sequences; every operator supports forward, inverse, and controlled
-application.  Only a leaf operator names the registers it acts on; a
-composite passes its inverse or control context down to its leaves.  Dense
-matrices of operators exist only as a cross-check path for small systems
-(:func:`dense_matrix_of`).
+application through its one method, ``apply_to``.  Only a leaf operator
+names the registers it acts on; a composite passes its inverse, control
+and ledger context down to its parts.  Dense matrices of operators exist
+only as a cross-check path for small systems (:func:`dense_matrix_of`).
 
 A projector is a plain ``{register: value}`` map: it fixes those registers to
 basis values and leaves every other register free (:func:`projector_norm_sq`).
@@ -20,18 +20,18 @@ The four leaf operators (:class:`MatrixOp`, :class:`ReflectionOp`,
 state.  Each application views the amplitudes as ``amps.reshape(layout.dims)``,
 one axis per register: a control fixes its axis to a one-element slice, which
 is a view, and a leaf moves its target axes last and acts on the blocks along
-them.  The copy adds its source value b to the destination modulo their
-common dimension d: it rolls the destination block of each b by b (by -b
-when inverse), one exact permutation per block, so any d will do.  A sign
-table multiplies its target blocks by +/-1, which is exact too; every
-diagonal +/-1 reflection is one.  Only a :class:`SequenceOp` carries a
-ledger label: a labelled sequence is an oracle.  One kernel rule is exact:
-a matrix on a two-column block (a qubit gate such as a Hadamard) combines
-its two slices with separate elementwise multiplies and adds, never BLAS,
-whose fused multiply-add leaves rounding residue where ``x*h + (-x)*h``
+them.  The copy adds its source value b to the destination modulo their common
+dimension d: it rolls the destination block of each b by b (by -b when
+inverse), one exact permutation per block, so any d will do.  A sign table
+multiplies its target blocks by +/-1, which is exact too; every diagonal +/-1
+reflection is one.  Only a :class:`SequenceOp` carries a ledger label: a
+labelled sequence is an oracle, and records its own query.  One kernel rule is
+exact: a matrix on a two-column block (a qubit gate such as a Hadamard)
+combines its two slices with separate elementwise multiplies and adds, never
+BLAS, whose fused multiply-add leaves rounding residue where ``x*h + (-x)*h``
 must cancel to exactly 0.  The testers' one-sided error rests on this: for
-p = q the closeness encoder's final Hadamard meets exactly opposite blocks,
-and the projected amplitude must come out 0.0.
+p = q the closeness encoder's final Hadamard meets exactly opposite blocks, and
+the projected amplitude must come out 0.0.
 """
 from __future__ import annotations
 
@@ -223,29 +223,19 @@ def _rows(view: np.ndarray, size: int) -> np.ndarray:
 class QuantumOp:
     """Composable unitary action on named registers.
 
-    Subclasses implement ``_apply``; :meth:`apply_to` adds ledger attribution.
-    A leaf names its target registers and carries no label.  A labelled
-    :class:`SequenceOp` (an oracle) records one query per application under
-    its label, with the kind determined by the inverse/controlled context it
-    runs in.
+    Each subclass defines ``apply_to(state, *, inverse=False, controls=(),
+    ledger=None)``, its whole in-place action: the adjoint with ``inverse``,
+    only where each ``(register, value)`` of ``controls`` holds.  A leaf
+    names its target registers and ignores the ledger; a composite passes
+    all three down.  A labelled :class:`SequenceOp` (an oracle) records one
+    query per application in the ledger, of the kind its context sets.
     """
 
-    label: str | None = None
     regs: tuple[str, ...] = ()  # a leaf op's target registers
     size: int | None = None  # joint dimension of ``regs`` the op needs; None: any
 
     def __init__(self, regs: Sequence[str] | str):
         self.regs = (regs,) if isinstance(regs, str) else tuple(regs)
-
-    def apply_to(self, state: StateVector, *, inverse: bool = False,
-                 controls: Controls = (), ledger: "QueryLedger | None" = None) -> None:
-        if self.label is not None and ledger is not None:
-            ledger.record(self.label, inverse=inverse, controlled=bool(controls))
-        self._apply(state, inverse, controls, ledger)
-
-    def _apply(self, state: StateVector, inverse: bool, controls: Controls,
-               ledger: "QueryLedger | None") -> None:
-        raise NotImplementedError
 
     def _target_view(self, state: StateVector, controls: Controls) -> np.ndarray:
         """The control block of the register grid with the target axes moved
@@ -281,7 +271,7 @@ class MatrixOp(QuantumOp):
             raise RegisterError(f"operator matrix must be square, got {self.matrix.shape}")
         self.size = self.matrix.shape[0]
 
-    def _apply(self, state, inverse, controls, ledger):
+    def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         view = self._target_view(state, controls)
         # out = in @ U.T for forward, in @ conj(U) for inverse; the operand is
         # a C-contiguous copy made per application, so an op holds one matrix
@@ -313,7 +303,7 @@ class ReflectionOp(QuantumOp):
             raise RegisterError("reflection denominator must be positive")
         self.size = self.w.size
 
-    def _apply(self, state, inverse, controls, ledger):
+    def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         view = self._target_view(state, controls)
         coef = _rows(view, self.size) @ self.w
         view -= np.outer(coef, self.w / self.denom).reshape(view.shape)
@@ -333,7 +323,7 @@ class CopyOp(QuantumOp):
             raise RegisterError(f"copy source {src!r} is also its destination")
         super().__init__((src, dst))
 
-    def _apply(self, state, inverse, controls, ledger):
+    def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         d, d_dst = (state.layout.dim_of(r) for r in self.regs)
         if d != d_dst:
             raise RegisterError(f"copy from {self.regs[0]!r} (dimension {d}) into "
@@ -356,19 +346,21 @@ class SignOp(QuantumOp):
             raise RegisterError("sign table entries must be +1 or -1")
         self.size = self.signs.size
 
-    def _apply(self, state, inverse, controls, ledger):
+    def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         view = self._target_view(state, controls)
         view *= self.signs.reshape(view.shape[view.ndim - len(self.regs):])
 
 
 class SequenceOp(QuantumOp):
-    """Composition of operators, applied left to right."""
+    """Operators applied left to right; with a label, an oracle that records its query."""
 
     def __init__(self, steps: Sequence[QuantumOp], label: str | None = None):
         self.steps = tuple(steps)
         self.label = label
 
-    def _apply(self, state, inverse, controls, ledger):
+    def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
+        if self.label is not None and ledger is not None:
+            ledger.record(self.label, inverse=inverse, controlled=bool(controls))
         steps = reversed(self.steps) if inverse else self.steps
         for op in steps:
             op.apply_to(state, inverse=inverse, controls=controls, ledger=ledger)
@@ -380,14 +372,8 @@ class InverseOp(QuantumOp):
     def __init__(self, op: QuantumOp):
         self.op = op
 
-    def _apply(self, state, inverse, controls, ledger):
+    def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         self.op.apply_to(state, inverse=not inverse, controls=controls, ledger=ledger)
-
-
-def inverse(op: QuantumOp) -> QuantumOp:
-    if isinstance(op, InverseOp):
-        return op.op
-    return InverseOp(op)
 
 
 class ControlledOp(QuantumOp):
@@ -398,7 +384,7 @@ class ControlledOp(QuantumOp):
         self.control = control
         self.value = value
 
-    def _apply(self, state, inverse, controls, ledger):
+    def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         self.op.apply_to(state, inverse=inverse,
                          controls=controls + ((self.control, self.value),), ledger=ledger)
 
@@ -417,15 +403,7 @@ def pauli_x(reg: str) -> MatrixOp:
     return MatrixOp((reg,), _X)
 
 
-# --- application, marginals, dense cross-check ---------------------------------
-
-def apply(op: QuantumOp, state: StateVector, *, inverse: bool = False,
-          ledger: "QueryLedger | None" = None) -> StateVector:
-    """Apply an operator in place; returns the state for chaining.  A
-    controlled application is a :class:`ControlledOp`."""
-    op.apply_to(state, inverse=inverse, ledger=ledger)
-    return state
-
+# --- marginals, dense cross-check ---------------------------------------------
 
 def register_marginal(state: StateVector, register: str) -> np.ndarray:
     """Born-rule outcome distribution of one register."""

@@ -79,6 +79,14 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
 
+def _budget(c: float, scale: float, names: str) -> int:
+    """ceil(c pi / scale), refused, naming the parameters, where it is infinite."""
+    t = c * math.pi / scale if scale > 0.0 else math.inf
+    if math.isinf(t):
+        raise ValueError(f"{names}: too small for a finite budget ceil({c:g} pi / {scale!r})")
+    return math.ceil(t)
+
+
 def closeness_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
                    nu: float) -> AEPlan:
     """Plan for the tolerant l2 closeness tester: CLOSE if
@@ -93,7 +101,7 @@ def closeness_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float,
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
     layout, unitary, projector = closeness_instance(op, oq)
-    t = math.ceil(20.0 * math.pi / (nu * eps))
+    t = _budget(20.0, nu * eps, f"eps={eps!r}, nu={nu!r}")
     threshold = (0.25 - nu / 8.0) * eps ** 2
     return AEPlan(layout, unitary, projector, t, threshold, ("CLOSE", "FAR"))
 
@@ -119,6 +127,8 @@ def kwise_plan(oracle: PurifiedOracle, k: int, eps: float) -> AEPlan:
     check_eps(eps)
     layout, unitary, projector = kwise_instance(oracle, k)
     amp_threshold = eps ** 2 / (math.exp(2 * k) * binom_sum(oracle.distribution.n_bits, k))
+    if amp_threshold == 0.0:
+        raise ValueError(f"eps={eps!r}: too small for a non-zero threshold eps^2 / (e^2k M)")
     return AEPlan(layout, unitary, projector, zero_budget(amp_threshold),
                   amp_threshold / 2.0, ("YES", "NO"))
 
@@ -134,7 +144,7 @@ def zero_budget(eps: float) -> int:
 def estimator_budget(eps: float) -> int:
     """Budget t = ceil(8 pi / eps) of the l2-distance estimator."""
     check_eps(eps)
-    return math.ceil(8.0 * math.pi / eps)
+    return _budget(8.0, eps, f"eps={eps!r}")
 
 
 def estimator_plan(op: PurifiedOracle, oq: PurifiedOracle, eps: float) -> AEPlan:

@@ -81,7 +81,7 @@ def test_criterion_1_probability_readout_identity():
             style = "basis" if case % 2 == 0 else "haar"
             oracle = orc.make_purified_oracle(dist, style, seed=case)
             state = sv.new_basis_state(orc.encoder_layout(n))
-            sv.apply(orc.probability_encoder(oracle), state)
+            orc.probability_encoder(oracle).apply_to(state)
             readout = state.amplitudes[:n]
             assert np.abs(readout - dist.weights).max() < ATOL
 
@@ -102,7 +102,7 @@ def test_criterion_2_closeness_projected_mass():
             op, oq = pair_oracles(p, q, style, seeds=(2 * i, 2 * i + 1))
             layout, unitary, proj = orc.closeness_instance(op, oq)
             state = sv.new_basis_state(layout)
-            sv.apply(unitary, state)
+            unitary.apply_to(state)
             mass = sv.projector_norm_sq(state, proj)
             assert abs(mass - ref.lp_distance(p, q, 2) ** 2 / 4) < ATOL
 
@@ -119,7 +119,7 @@ def test_criterion_3_subset_amplitude_identity():
                 oracle = orc.make_purified_oracle(dist, style, seed=n * 10 + k)
                 layout, unitary, _ = orc.kwise_instance(oracle, k)
                 state = sv.new_basis_state(layout)
-                sv.apply(unitary, state)
+                unitary.apply_to(state)
                 masks = ref.subset_masks(n, k)
                 assert layout.dim_of("S") == len(masks) == 1 + ref.binom_sum(n, k)
                 stride = layout.total_dim // len(masks)

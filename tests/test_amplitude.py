@@ -66,7 +66,7 @@ def test_iterate_eigenphases():
         iterate = ae.grover_iterate(unitary, layout, proj)
         dense = sv.dense_matrix_of(iterate, layout)
         state = sv.new_basis_state(layout)
-        sv.apply(unitary, state)
+        unitary.apply_to(state)
         psi = state.amplitudes
         good = np.zeros_like(psi)
         good[layout.basis_index(proj)] = psi[layout.basis_index(proj)]
@@ -82,9 +82,9 @@ def test_iterate_eigenphases():
 def test_iterate_fixes_state_at_zero():
     unitary, layout, proj = rotation_system(0.0)
     state = sv.new_basis_state(layout)
-    sv.apply(unitary, state)
+    unitary.apply_to(state)
     before = state.amplitudes.copy()
-    sv.apply(ae.grover_iterate(unitary, layout, proj), state)
+    ae.grover_iterate(unitary, layout, proj).apply_to(state)
     assert np.abs(state.amplitudes - before).max() < 1e-12
 
 
@@ -177,10 +177,11 @@ def test_closed_form_matches_simulation_on_instances(build):
     dist = ae.phase_distribution(unitary, layout, proj, 20)
     assert np.abs(dist.probs - simulated_phase_marginal(unitary, layout, proj, 20)).max() < 1e-12
     simulated = sv.QueryLedger()  # the applications of _power_table's rows
-    state = sv.apply(unitary, sv.new_basis_state(layout), ledger=simulated)
+    state = sv.new_basis_state(layout)
+    unitary.apply_to(state, ledger=simulated)
     iterate = ae.grover_iterate(unitary, layout, proj)
     for _ in range(dist.points - 1):
-        sv.apply(iterate, state, ledger=simulated)
+        iterate.apply_to(state, ledger=simulated)
     assert dist.ledger_cost.snapshot() == simulated.snapshot()
 
 
@@ -271,7 +272,7 @@ def test_query_accounting():
 
 def projected_mass(unitary, layout, proj):
     state = sv.new_basis_state(layout)
-    sv.apply(unitary, state)
+    unitary.apply_to(state)
     return sv.projector_norm_sq(state, proj)
 
 

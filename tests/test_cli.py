@@ -287,6 +287,25 @@ def test_eps_is_checked_as_typed_before_any_instance(capsys, monkeypatch, argv, 
     assert err == f"error: eps must lie in (0, 1), got {bad}\n"
 
 
+@pytest.mark.parametrize("argv,names", [
+    (("test-closeness", "--gen", "identical", "--eps", "5e-324"), ("eps",)),
+    (("estimate", "--gen", "identical", "--eps", "1e-320"), ("eps",)),
+    (("test-closeness", "--tester", "tolerant-l2", "--nu", "1e-320", "--gen", "identical"),
+     ("eps", "nu")),
+    (("test-closeness", "--tester", "l1", "--gen", "l1-pair", "--eps", "1e-310"), ("eps",)),
+    (("sweep", "--eps-grid", "5e-324"), ("eps",)),
+    (("test-kwise", "--gen", "uniform", "--eps", "1e-320"), ("eps",)),
+], ids=["closeness", "estimate", "tolerant-nu", "l1", "sweep", "kwise"])
+def test_accuracy_too_small_for_a_finite_budget_exits_2(capsys, argv, names):
+    """An eps or nu in (0, 1) so small that ceil(c pi / x) is not finite (x
+    underflows to 0, or c pi / x overflows) is refused with one message that
+    names the parameter, not a ZeroDivisionError or OverflowError."""
+    code, out, err = run(capsys, *argv, "--n", "4", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert all(f"{name}=" in err for name in names)
+
+
 @pytest.mark.parametrize("gen,d", [("l2-pair", "-0.5"), ("l1-pair", "1.5")])
 def test_pair_generator_error_names_the_distance(capsys, gen, d):
     code, out, err = run(capsys, "test-closeness", "--gen", f"{gen}:{d}", "--n", "8",
@@ -435,6 +454,26 @@ def test_bad_distribution_file_exits_2_naming_it(tmp_path, capsys, name, text, c
     assert peak < 2 ** 20
     assert code == 2 and out == ""
     assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,data,message", [
+    ("kind.json", b'{"kind": "foo", "n": 2, "weights": [0.5, 0.5]}',
+     "unknown sample-space kind 'foo'"),
+    ("matrix.json", b'{"kind": "range", "n": 4, "weights": [[0.25, 0.25], [0.25, 0.25]]}',
+     "weights must be a non-empty 1-d vector"),
+    ("latin1.csv", b"0,0.5\n1,0.5\xff\n", "not UTF-8 text"),
+], ids=["unknown-kind", "2d-weights", "not-utf8"])
+def test_distribution_constructor_and_decode_errors_name_the_file(tmp_path, capsys, name,
+                                                                  data, message):
+    """A file whose kind or weight shape the Distribution constructor refuses,
+    or that is not UTF-8 text, is refused with a message that names it, as
+    every other load error is."""
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "estimate", "--dist", str(bad), "--dist2", str(bad),
+                         "--trials", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["test-closeness", "estimate"])

@@ -98,14 +98,14 @@ def check_against_reference(case):
         wrapped = sv.ControlledOp(wrapped, name, value)
     amps = haar_state(layout.total_dim, np.random.default_rng(seed))
     state = sv.StateVector(layout, amps.copy())
-    sv.apply(wrapped, state, inverse=inverse)
+    wrapped.apply_to(state, inverse=inverse)
     expected = reference_apply(layout, amps, regs, local.conj().T if inverse else local,
                                controls)
     if kind in EXACT_KINDS:
         assert np.array_equal(state.amplitudes, expected)
     else:
         assert np.abs(state.amplitudes - expected).max() < 1e-12
-    sv.apply(wrapped, state, inverse=not inverse)  # U^dagger U = I
+    wrapped.apply_to(state, inverse=not inverse)  # U^dagger U = I
     if kind in EXACT_KINDS:
         assert np.array_equal(state.amplitudes, amps)
     else:
@@ -144,8 +144,8 @@ def test_phase_distribution_ledger_is_linear(name, t):
     """One run costs M forward and M - 1 inverse applications of U."""
     layout, unitary, proj = LEDGER_INSTANCES[name]
     forward, backward = sv.QueryLedger(), sv.QueryLedger()
-    sv.apply(unitary, sv.new_basis_state(layout), ledger=forward)
-    sv.apply(unitary, sv.new_basis_state(layout), inverse=True, ledger=backward)
+    unitary.apply_to(sv.new_basis_state(layout), ledger=forward)
+    unitary.apply_to(sv.new_basis_state(layout), inverse=True, ledger=backward)
     m = ae.phase_points(t)
     cost = ae.phase_distribution(unitary, layout, proj, t).ledger_cost
     labels = set(forward.counts) | set(backward.counts)
@@ -189,7 +189,7 @@ def test_copy_memory():
     op = sv.CopyOp("B", "C")
     tracemalloc.start()
     try:
-        sv.apply(op, state)
+        op.apply_to(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -21,7 +21,7 @@ STYLES = (("basis", None), ("haar", 99))
 def oracle_columns(oracle):
     """(A, B) amplitude table of the oracle on the all-zeros input."""
     state = sv.new_basis_state(orc.oracle_layout(oracle.distribution.size))
-    sv.apply(oracle.op, state)
+    oracle.op.apply_to(state)
     return state.amplitudes.reshape(oracle.distribution.size, -1)
 
 
@@ -60,7 +60,7 @@ def test_haar_measurement_reproduces_distribution():
     dist = random_distribution(8, rng)
     oracle = orc.make_purified_oracle(dist, "haar", seed=17)
     state = sv.new_basis_state(orc.oracle_layout(8))
-    sv.apply(oracle.op, state)
+    oracle.op.apply_to(state)
     marginal = sv.register_marginal(state, "B")
     outcomes = rng.choice(marginal.size, size=100000, p=marginal / marginal.sum())
     freq = np.bincount(outcomes, minlength=8) / 100000
@@ -95,12 +95,12 @@ def test_u_copy_action():
     and |b>|c> to |b>|c + b mod d>; its inverse sends |b>|b> back to |b>|0>."""
     lay = sv.RegisterLayout([("B", 5), ("C", 5)])
     state = basis_state(lay, {"B": 3})
-    sv.apply(U_COPY, state)
+    U_COPY.apply_to(state)
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 3})] == 1.0
-    sv.apply(U_COPY, state)
+    U_COPY.apply_to(state)
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 1})] == 1.0
-    sv.apply(U_COPY, state, inverse=True)
-    sv.apply(U_COPY, state, inverse=True)
+    U_COPY.apply_to(state, inverse=True)
+    U_COPY.apply_to(state, inverse=True)
     assert state.amplitudes[lay.basis_index({"B": 3, "C": 0})] == 1.0
 
 
@@ -110,8 +110,8 @@ def test_u_copy_inverse_on_random_state():
     amps = rng.standard_normal(36) + 1j * rng.standard_normal(36)
     state = sv.StateVector(lay, amps / np.linalg.norm(amps))
     before = state.amplitudes.copy()
-    sv.apply(U_COPY, state)
-    sv.apply(U_COPY, state, inverse=True)
+    U_COPY.apply_to(state)
+    U_COPY.apply_to(state, inverse=True)
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -124,7 +124,7 @@ def test_probability_readout(style, seed):
     oracle = orc.make_purified_oracle(dist, style, seed=seed)
     ledger = sv.QueryLedger()
     state = sv.new_basis_state(orc.encoder_layout(8))
-    sv.apply(orc.probability_encoder(oracle), state, ledger=ledger)
+    orc.probability_encoder(oracle).apply_to(state, ledger=ledger)
     assert np.abs(state.amplitudes[:8] - dist.weights).max() < 1e-10
     assert ledger.get(oracle.label) == {"forward": 1, "inverse": 1,
                                         "ctrl_forward": 0, "ctrl_inverse": 0}
@@ -133,7 +133,7 @@ def test_probability_readout(style, seed):
 def test_probability_readout_point_mass():
     oracle = orc.make_purified_oracle(point_mass(4, 2))
     state = sv.new_basis_state(orc.encoder_layout(4))
-    sv.apply(orc.probability_encoder(oracle), state)
+    orc.probability_encoder(oracle).apply_to(state)
     assert abs(state.amplitudes[state.layout.basis_index({"A": 0, "B": 0, "C": 2})]
                - 1.0) < 1e-12
     # no residual outside the readout component
@@ -148,7 +148,7 @@ def test_probability_readout_non_power_of_two_space():
     layout = orc.encoder_layout(6)
     assert layout.registers == (("A", 6), ("B", 6), ("C", 6))
     state = sv.new_basis_state(layout)
-    sv.apply(orc.probability_encoder(oracle), state)
+    orc.probability_encoder(oracle).apply_to(state)
     assert np.abs(state.amplitudes[:6] - dist.weights).max() < 1e-10
 
 
@@ -160,7 +160,7 @@ def closeness_mass(p, q, style="basis", seeds=(None, None)):
     layout, unitary, proj = orc.closeness_instance(op, oq)
     state = sv.new_basis_state(layout)
     ledger = sv.QueryLedger()
-    sv.apply(unitary, state, ledger=ledger)
+    unitary.apply_to(state, ledger=ledger)
     return sv.projector_norm_sq(state, proj), ledger
 
 
@@ -230,7 +230,7 @@ def test_garbage_independence_of_encoded_quantities():
         oracle = orc.make_purified_oracle(dist, style, seed=seed)
         layout, unitary, _ = orc.kwise_instance(oracle, 2)
         state = sv.new_basis_state(layout)
-        sv.apply(unitary, state)
+        unitary.apply_to(state)
         amplitudes.append(state.amplitudes[::layout.total_dim // layout.dim_of("S")])
     assert np.abs(amplitudes[0] - amplitudes[1]).max() < 1e-10
 
@@ -241,7 +241,7 @@ def test_subset_superposition_n2_k1():
     op = orc.subset_superposition(2, 1)
     lay = sv.RegisterLayout([("S", 3)])
     state = sv.new_basis_state(lay)
-    sv.apply(op, state)
+    op.apply_to(state)
     # the empty set at 0, then {2} (mask 01) and {1} (mask 10) each at 1/sqrt(2)
     expected = np.array([0, 1, 1]) / math.sqrt(2)
     assert np.abs(state.amplitudes - expected).max() < 1e-12
@@ -256,7 +256,7 @@ def test_subset_superposition_support(n, k, count):
     op = orc.subset_superposition(n, k)
     lay = sv.RegisterLayout([("S", len(masks))])
     state = sv.new_basis_state(lay)
-    sv.apply(op, state)
+    op.apply_to(state)
     amps = state.amplitudes
     support = np.flatnonzero(np.abs(amps) > 1e-12)
     assert support.tolist() == list(range(1, count + 1))
@@ -280,7 +280,7 @@ def kwise_amplitudes(dist, k, style="basis", seed=None):
     layout, unitary, proj = orc.kwise_instance(oracle, k)
     state = sv.new_basis_state(layout)
     ledger = sv.QueryLedger()
-    sv.apply(unitary, state, ledger=ledger)
+    unitary.apply_to(state, ledger=ledger)
     masks = ref.subset_masks(dist.n_bits, k)
     assert layout.registers[0] == ("S", len(masks))
     amps = np.zeros(dist.size, dtype=complex)

@@ -4,7 +4,8 @@ package ``__init__`` binds only ``__version__`` and no module assigns
 ``__all__``), every module-level function and class is named in program
 code outside its own definition, every public method and property is read
 as an attribute in program code, every module-level assignment is read,
-every parameter of every ``def`` is read in its body, no class is
+every parameter of every ``def`` is read in its body (an operator's
+``apply_to`` may leave its ``inverse`` and ``ledger`` unread), no class is
 generated (``dataclasses``, ``namedtuple``); and, on the imported modules,
 every docstring cross-reference names something that exists.
 
@@ -203,14 +204,14 @@ def test_assignments_are_read(path):
 def _unread_parameters(tree: ast.Module) -> list[str]:
     """``def`` parameters that their body never reads, as ``name.param``.
 
-    A zero-argument ``super()`` reads the first parameter.  Overrides of
-    ``QuantumOp._apply`` take the interface's parameters whether they read
-    them or not, and lambdas are left out."""
+    A zero-argument ``super()`` reads the first parameter.  An operator's
+    ``apply_to`` takes the interface's ``inverse`` and ``ledger`` whether it
+    reads them or not: a leaf ignores the ledger, and a self-inverse leaf
+    the direction.  Its ``state`` and ``controls`` are read like any other
+    parameter, and lambdas are left out."""
     unread = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if node.name == "_apply":
             continue
         spec = node.args
         params = [a.arg for a in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
@@ -220,6 +221,8 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
         if params and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                           and n.func.id == "super" and not n.args for n in inner):
             read.add(params[0])
+        if node.name == "apply_to":
+            read |= {"inverse", "ledger"}
         unread.extend(f"{node.name}.{p}" for p in params if p not in read)
     return unread
 

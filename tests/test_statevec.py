@@ -58,23 +58,24 @@ def test_new_basis_state():
 
 def test_hadamard_on_zero():
     lay = sv.RegisterLayout([("Q", 2)])
-    state = sv.apply(sv.hadamard("Q"), sv.new_basis_state(lay))
+    state = sv.new_basis_state(lay)
+    sv.hadamard("Q").apply_to(state)
     assert np.allclose(state.amplitudes, [SQ2, SQ2], atol=1e-12)
 
 
 def test_x_involution():
     lay = sv.RegisterLayout([("Q", 2)])
     state = sv.new_basis_state(lay)
-    sv.apply(sv.pauli_x("Q"), state)
-    sv.apply(sv.pauli_x("Q"), state)
+    sv.pauli_x("Q").apply_to(state)
+    sv.pauli_x("Q").apply_to(state)
     assert np.allclose(state.amplitudes, [1, 0], atol=1e-12)
 
 
 def test_hx_on_zero():
     lay = sv.RegisterLayout([("Q", 2)])
     state = sv.new_basis_state(lay)
-    sv.apply(sv.pauli_x("Q"), state)
-    sv.apply(sv.hadamard("Q"), state)
+    sv.pauli_x("Q").apply_to(state)
+    sv.hadamard("Q").apply_to(state)
     assert np.allclose(state.amplitudes, [SQ2, -SQ2], atol=1e-12)
 
 
@@ -89,7 +90,7 @@ def test_hadamard_cancels_opposite_blocks_exactly(controlled):
     amps[..., 1] = -amps[..., 0]
     state = sv.StateVector(layout, amps.ravel().copy())
     h = sv.hadamard("D")
-    sv.apply(sv.ControlledOp(h, "C") if controlled else h, state)
+    (sv.ControlledOp(h, "C") if controlled else h).apply_to(state)
     out = state.amplitudes.reshape(2, -1, 2)
     acted = out[1] if controlled else out
     assert np.all(acted[..., 0] == 0.0)
@@ -104,10 +105,10 @@ def test_controlled_z_signs():
     lay = sv.RegisterLayout([("C", 2), ("T", 2)])
     cz = sv.SignOp(("C", "T"), [[1, 1], [1, -1]])
     s11 = basis_state(lay, {"C": 1, "T": 1})
-    sv.apply(cz, s11)
+    cz.apply_to(s11)
     assert s11.amplitudes[lay.basis_index({"C": 1, "T": 1})] == -1.0
     s10 = basis_state(lay, {"C": 1, "T": 0})
-    sv.apply(cz, s10)
+    cz.apply_to(s10)
     assert s10.amplitudes[lay.basis_index({"C": 1, "T": 0})] == 1.0
 
 
@@ -116,7 +117,7 @@ def test_controlled_z_needs_qubits():
     dimension, and a table with an entry other than +/-1 is refused."""
     lay = sv.RegisterLayout([("C", 3), ("T", 2)])
     with pytest.raises(sv.RegisterError, match="joint dimension"):
-        sv.apply(sv.SignOp(("C", "T"), [[1, 1], [1, -1]]), sv.new_basis_state(lay))
+        sv.SignOp(("C", "T"), [[1, 1], [1, -1]]).apply_to(sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError, match="entries"):
         sv.SignOp(("C", "T"), [[1, 1], [1, 0.5]])
 
@@ -124,13 +125,13 @@ def test_controlled_z_needs_qubits():
 def test_apply_register_mismatch():
     lay = sv.RegisterLayout([("A", 2)])
     with pytest.raises(sv.RegisterError):
-        sv.apply(sv.hadamard("B"), sv.new_basis_state(lay))
+        sv.hadamard("B").apply_to(sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError):
-        sv.apply(sv.MatrixOp(("A",), np.eye(3)), sv.new_basis_state(lay))
+        sv.MatrixOp(("A",), np.eye(3)).apply_to(sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError):
-        sv.apply(sv.ReflectionOp(("A",), np.ones(3), 1.5), sv.new_basis_state(lay))
+        sv.ReflectionOp(("A",), np.ones(3), 1.5).apply_to(sv.new_basis_state(lay))
     with pytest.raises(sv.RegisterError):
-        sv.apply(sv.CopyOp("A", "B"), sv.new_basis_state(lay))
+        sv.CopyOp("A", "B").apply_to(sv.new_basis_state(lay))
 
 
 # --- operator algebra: norm, inverse, dense, controlled ---------------------------
@@ -142,9 +143,9 @@ def test_norm_preservation_and_inverse_consistency():
         state = sv.StateVector(layout, haar_state(layout.total_dim, rng))
         before = state.amplitudes.copy()
         op = random_op(layout, rng)
-        sv.apply(op, state)
+        op.apply_to(state)
         assert abs(state.norm() - 1.0) < 1e-10
-        sv.apply(op, state, inverse=True)
+        op.apply_to(state, inverse=True)
         assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
@@ -156,7 +157,7 @@ def test_dense_fast_agreement():
         dense = sv.dense_matrix_of(op, layout)
         state = sv.StateVector(layout, haar_state(layout.total_dim, rng))
         expected = dense @ state.amplitudes
-        sv.apply(op, state)
+        op.apply_to(state)
         assert np.abs(state.amplitudes - expected).max() < 1e-10
 
 
@@ -223,7 +224,7 @@ def test_controlled_on_zero_control_leaves_state():
     op = sv.MatrixOp(("A",), haar_unitary(4, int(rng.integers(2 ** 63))))
     state = basis_state(layout, {"A": 2})  # control |0>
     before = state.amplitudes.copy()
-    sv.apply(sv.ControlledOp(op, "D"), state)
+    sv.ControlledOp(op, "D").apply_to(state)
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -234,22 +235,21 @@ def test_controlled_inverse_composition():
     state = sv.StateVector(layout, haar_state(8, rng))
     before = state.amplitudes.copy()
     ctrl = sv.ControlledOp(op, "D")
-    sv.apply(ctrl, state)
-    sv.apply(ctrl, state, inverse=True)
+    ctrl.apply_to(state)
+    ctrl.apply_to(state, inverse=True)
     assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
 def test_sequence_and_inverse_ops():
     rng = np.random.default_rng(48)
     layout = sv.RegisterLayout([("A", 3), ("B", 2)])
-    seq = sv.SequenceOp([random_op(layout, rng), sv.inverse(random_op(layout, rng)),
+    seq = sv.SequenceOp([random_op(layout, rng), sv.InverseOp(random_op(layout, rng)),
                          sv.SignOp("B", [1, -1])])
     state = sv.StateVector(layout, haar_state(6, rng))
     before = state.amplitudes.copy()
-    sv.apply(seq, state)
-    sv.apply(seq, state, inverse=True)
+    seq.apply_to(state)
+    seq.apply_to(state, inverse=True)
     assert np.abs(state.amplitudes - before).max() < 1e-10
-    assert sv.inverse(sv.inverse(seq)) is seq
 
 
 def test_copy_op_action_and_inverse():
@@ -264,9 +264,9 @@ def test_copy_op_action_and_inverse():
     assert np.abs(dense - expected).max() == 0.0
     state = sv.StateVector(layout, haar_state(9, rng))
     before = state.amplitudes.copy()
-    sv.apply(op, state)
+    op.apply_to(state)
     assert not np.array_equal(state.amplitudes, before)
-    sv.apply(op, state, inverse=True)
+    op.apply_to(state, inverse=True)
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -278,7 +278,7 @@ def test_copy_op_rejects_overlapping_registers():
 def test_copy_op_checks_at_apply():
     lay = sv.RegisterLayout([("A", 4), ("C", 2)])
     with pytest.raises(sv.RegisterError, match="sizes differ"):
-        sv.apply(sv.CopyOp("A", "C"), sv.new_basis_state(lay))
+        sv.CopyOp("A", "C").apply_to(sv.new_basis_state(lay))
 
 
 def test_reflection_op_matches_matrix():
@@ -295,8 +295,8 @@ def test_reflection_op_matches_matrix():
     assert np.abs(dense - mat).max() < 1e-12
     state = sv.StateVector(layout, haar_state(24, rng))
     before = state.amplitudes.copy()
-    sv.apply(refl, state)
-    sv.apply(refl, state)  # reflections are involutions
+    refl.apply_to(state)
+    refl.apply_to(state)  # reflections are involutions
     assert np.abs(state.amplitudes - before).max() < 1e-10
 
 
@@ -306,7 +306,7 @@ def test_projector_norm_full_and_half():
     lay = sv.RegisterLayout([("A", 2), ("B", 2)])
     state = sv.new_basis_state(lay)
     assert sv.projector_norm_sq(state, {"A": 0, "B": 0}) == 1.0
-    sv.apply(sv.hadamard("A"), state)
+    sv.hadamard("A").apply_to(state)
     assert abs(sv.projector_norm_sq(state, {"A": 0}) - 0.5) < 1e-12
 
 
@@ -317,10 +317,10 @@ def test_ledger_records_kinds():
     op = sv.SequenceOp([sv.MatrixOp(("A",), np.eye(2))], label="p")
     led = sv.QueryLedger()
     state = sv.new_basis_state(lay)
-    sv.apply(op, state, ledger=led)
-    sv.apply(op, state, inverse=True, ledger=led)
-    sv.apply(sv.ControlledOp(op, "D"), state, ledger=led)
-    sv.apply(sv.ControlledOp(op, "D"), state, inverse=True, ledger=led)
+    op.apply_to(state, ledger=led)
+    op.apply_to(state, inverse=True, ledger=led)
+    sv.ControlledOp(op, "D").apply_to(state, ledger=led)
+    sv.ControlledOp(op, "D").apply_to(state, inverse=True, ledger=led)
     assert led.get("p") == {"forward": 1, "inverse": 1,
                             "ctrl_forward": 1, "ctrl_inverse": 1}
     assert sum(led.get("p").values()) == 4
