@@ -152,11 +152,13 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
                        projector: Mapping[str, int], t: int) -> AEDistribution:
     """Exact phase-measurement distribution for one estimation setup.
 
-    Applies U once, to read p and to count its queries; U^dagger makes the
-    same applications with forward and inverse swapped, so its count is the
-    mirror of U's.  The returned object's ``ledger_cost`` holds the query
-    counts of the single run it represents.  Checks first that the M-point
-    phase register fits in the available memory.
+    Applies U once, to read p and to count its queries, on a float64 state
+    when every gate of U is real (basis garbage) and a complex128 one
+    otherwise; U^dagger makes the same applications with forward and
+    inverse swapped, so its count is the mirror of U's.  The returned
+    object's ``ledger_cost`` holds the query counts of the single run it
+    represents.  Checks first that the M-point phase register fits in the
+    available memory.
 
     A p at or below ``_ZERO_FLOOR`` (1e-26) is taken as exactly 0, so the
     near side measures y = 0 with certainty at every M, not only where
@@ -168,7 +170,7 @@ def phase_distribution(unitary: QuantumOp, layout: RegisterLayout,
     """
     m = phase_points(t)
     require_bytes(m * _PEAK_BYTES_PER_POINT, f"a phase register of {m} points")
-    state = new_basis_state(layout)
+    state = new_basis_state(layout, np.float64 if unitary.real else np.complex128)
     forward = QueryLedger()
     unitary.apply_to(state, ledger=forward)
     p = projector_norm_sq(state, projector)

@@ -12,6 +12,14 @@ names the registers it acts on; a composite passes its inverse, control
 and ledger context down to its parts.  Dense matrices of operators exist
 only as a cross-check path for small systems (:func:`dense_matrix_of`).
 
+A run starts from |0...0> (:func:`new_basis_state`) with every register in
+the state's zero set, the registers still at 0.  A leaf acts only on the 0
+slice of each set register it neither targets nor is controlled by, then
+removes its targets from the set; a dense product sweeps its whole control
+block instead (:class:`MatrixOp`).  A state is complex128, or float64 when
+every gate of U is real (an op's ``real``); a complex matrix meeting a
+float64 state is an error.
+
 A projector is a plain ``{register: value}`` map: it fixes those registers to
 basis values and leaves every other register free (:func:`projector_norm_sq`).
 
@@ -36,6 +44,8 @@ the projected amplitude must come out 0.0.
 from __future__ import annotations
 
 import math
+import resource
+from contextlib import suppress
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -58,7 +68,8 @@ class MemoryLimitError(ValueError):
 # temporaries of one operator application (a copy of the target blocks and
 # their product).  Peak RSS above the interpreter measured 32-51 with
 # --trials 1 (closeness n = 128 and n = 129, k-wise n = 8 at k = 2, basis
-# and Haar garbage, dims 2.4M-4.3M).
+# and Haar garbage, dims 2.4M-4.3M) on a complex state; a float64 state
+# takes about half, but is charged the same until every memory limit is read.
 _PEAK_BYTES_PER_AMPLITUDE = 64
 
 
@@ -130,36 +141,46 @@ class RegisterLayout(Record):
 
 
 class StateVector:
-    """Complex amplitudes over a layout.  Mutated in place by operators."""
+    """Amplitudes over a layout, complex128 or (for a real U) float64, mutated
+    in place by operators.  ``zero`` names registers that hold 0 wherever an
+    amplitude is nonzero; it is empty unless set (:func:`new_basis_state`)."""
 
-    __slots__ = ("layout", "amplitudes")
+    __slots__ = ("layout", "amplitudes", "zero")
 
-    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray | None = None):
+    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray | None = None,
+                 dtype=np.complex128):
         self.layout = layout
         if amplitudes is None:
-            amplitudes = np.zeros(layout.total_dim, dtype=np.complex128)
+            amplitudes = np.zeros(layout.total_dim, dtype=dtype)
         else:
-            amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+            amplitudes = np.ascontiguousarray(amplitudes, dtype=dtype)
             if amplitudes.shape != (layout.total_dim,):
                 raise RegisterError(
                     f"amplitude array of shape {amplitudes.shape} does not match "
                     f"layout dimension {layout.total_dim}")
         self.amplitudes = amplitudes
+        self.zero: set[str] = set()
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
 
 def available_memory_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        return None
-    return None
+    """The least of MemAvailable and the room left under the soft RLIMIT_AS
+    (less VmSize) and RLIMIT_DATA (less VmData), each where it is finite and
+    readable; None where none is."""
+    sizes = {}
+    for path in ("/proc/meminfo", "/proc/self/status"):
+        with suppress(OSError), open(path, encoding="ascii", errors="replace") as fh:
+            for key, _, value in (line.partition(":") for line in fh):
+                if key in ("MemAvailable", "VmSize", "VmData"):
+                    sizes[key] = int(value.split()[0]) * 1024
+    free = [sizes["MemAvailable"]] if "MemAvailable" in sizes else []
+    for limit, used in ((resource.RLIMIT_AS, "VmSize"), (resource.RLIMIT_DATA, "VmData")):
+        soft = resource.getrlimit(limit)[0]
+        if soft != resource.RLIM_INFINITY and used in sizes:
+            free.append(max(soft - sizes[used], 0))
+    return min(free, default=None)
 
 
 def require_bytes(need: int, what: str) -> None:
@@ -176,14 +197,16 @@ def require_memory(layout: RegisterLayout) -> None:
                   f"a state of dimension {layout.total_dim}")
 
 
-def new_basis_state(layout: RegisterLayout) -> StateVector:
-    """The all-zeros basis state |0...0>, where every run starts.
+def new_basis_state(layout: RegisterLayout, dtype=np.complex128) -> StateVector:
+    """The all-zeros basis state |0...0>, where every run starts, with every
+    register in its zero set.
 
     Checks first that a run on the layout fits in the available memory.
     """
     require_memory(layout)
-    state = StateVector(layout)
+    state = StateVector(layout, dtype=dtype)
     state.amplitudes[0] = 1.0
+    state.zero.update(layout.names)
     return state
 
 
@@ -215,8 +238,8 @@ def _fix(layout: RegisterLayout, fixed: Iterable[tuple[str, int]]) -> tuple:
 
 
 def _rows(view: np.ndarray, size: int) -> np.ndarray:
-    """A moved view's target blocks as a C-contiguous (rows x size) array: BLAS
-    sums in a stride-dependent order, so products always see this layout."""
+    """A moved view's target blocks as a C-contiguous (rows x size) array: a
+    sum's order may depend on strides, so products always see this layout."""
     return np.ascontiguousarray(view.reshape(-1, size))
 
 
@@ -233,13 +256,17 @@ class QuantumOp:
 
     regs: tuple[str, ...] = ()  # a leaf op's target registers
     size: int | None = None  # joint dimension of ``regs`` the op needs; None: any
+    real = True  # every gate of the op is real, so it may act on a float64 state
 
     def __init__(self, regs: Sequence[str] | str):
         self.regs = (regs,) if isinstance(regs, str) else tuple(regs)
 
-    def _target_view(self, state: StateVector, controls: Controls) -> np.ndarray:
+    def _target_view(self, state: StateVector, controls: Controls, skip_zero=True) -> np.ndarray:
         """The control block of the register grid with the target axes moved
-        last, in ``regs`` order; a view, checked against the op's size."""
+        last, in ``regs`` order; a view, checked against the op's size.
+
+        With ``skip_zero``, each other register of the state's zero set is
+        fixed to 0 too.  The targets leave the set."""
         layout = state.layout
         if self.size is not None:
             dim = math.prod(layout.dim_of(r) for r in self.regs)
@@ -250,7 +277,10 @@ class QuantumOp:
         for name, _ in controls:
             if name in self.regs:
                 raise RegisterError(f"control register {name!r} overlaps the operator's targets")
-        view = _grid(state)[_fix(layout, controls)]
+        skip = state.zero.difference(self.regs, (name for name, _ in controls))
+        fixed = controls + tuple((r, 0) for r in skip) if skip_zero else controls
+        view = _grid(state)[_fix(layout, fixed)]
+        state.zero.difference_update(self.regs)
         axes = [layout.axis(r) for r in self.regs]
         return np.moveaxis(view, axes, range(view.ndim - len(axes), view.ndim))
 
@@ -261,7 +291,9 @@ class MatrixOp(QuantumOp):
     A two-column matrix (a qubit gate) combines its two slices with separate
     elementwise multiplies and adds, so opposite input blocks cancel to
     exactly 0; the testers' certainty when p = q depends on it.  Larger
-    blocks go through one BLAS product of (rows x size) by (size x size).
+    blocks go through one BLAS product of (rows x size) by (size x size),
+    over the whole control block: BLAS rounds a row differently when it is
+    given another number of rows, so skipping the zero set would move bits.
     """
 
     def __init__(self, regs: Sequence[str] | str, matrix: np.ndarray):
@@ -270,12 +302,17 @@ class MatrixOp(QuantumOp):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise RegisterError(f"operator matrix must be square, got {self.matrix.shape}")
         self.size = self.matrix.shape[0]
+        self.real = not self.matrix.imag.any()
 
     def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
-        view = self._target_view(state, controls)
+        real = state.amplitudes.dtype == np.float64
+        if real and not self.real:  # numpy would only warn, and drop the imaginary part
+            raise RegisterError(f"complex matrix on {self.regs} applied to a real state")
+        mat = self.matrix.real if real else self.matrix
+        view = self._target_view(state, controls, skip_zero=self.size == 2)
         # out = in @ U.T for forward, in @ conj(U) for inverse; the operand is
         # a C-contiguous copy made per application, so an op holds one matrix
-        mat = np.ascontiguousarray(self.matrix.conj() if inverse else self.matrix.T)
+        mat = np.ascontiguousarray(mat.conj() if inverse else mat.T)
         if self.size == 2:
             # any other target axis has length one, so this reshape is a view
             pair = view.reshape(view.shape[:view.ndim - len(self.regs)] + (2,))
@@ -292,7 +329,9 @@ class ReflectionOp(QuantumOp):
 
     Self-inverse; used for state-preparation unitaries, whose completion is a
     single reflection.  Applies in O(m) per register block instead of the
-    O(m^2) of a dense matrix.
+    O(m^2) of a dense matrix.  Each block's dot product with w is its own
+    BLAS dot (``vecdot``), so its rounding does not depend on how many
+    blocks there are, as that of one matrix-vector product does.
     """
 
     def __init__(self, regs: Sequence[str] | str, w: np.ndarray, denom: float):
@@ -305,7 +344,7 @@ class ReflectionOp(QuantumOp):
 
     def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         view = self._target_view(state, controls)
-        coef = _rows(view, self.size) @ self.w
+        coef = np.vecdot(self.w, _rows(view, self.size))
         view -= np.outer(coef, self.w / self.denom).reshape(view.shape)
 
 
@@ -357,6 +396,7 @@ class SequenceOp(QuantumOp):
     def __init__(self, steps: Sequence[QuantumOp], label: str | None = None):
         self.steps = tuple(steps)
         self.label = label
+        self.real = all(op.real for op in self.steps)
 
     def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         if self.label is not None and ledger is not None:
@@ -371,6 +411,7 @@ class InverseOp(QuantumOp):
 
     def __init__(self, op: QuantumOp):
         self.op = op
+        self.real = op.real
 
     def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         self.op.apply_to(state, inverse=not inverse, controls=controls, ledger=ledger)
@@ -381,6 +422,7 @@ class ControlledOp(QuantumOp):
 
     def __init__(self, op: QuantumOp, control: str, value: int = 1):
         self.op = op
+        self.real = op.real
         self.control = control
         self.value = value
 

@@ -549,25 +549,53 @@ def _vm_size_after_import() -> int:
     return int(kib) * 1024
 
 
+_BLIND_PREFLIGHT_CHILD = """
+import sys
+from qdtest import cli, statevec
+statevec.available_memory_bytes = lambda: None  # no free-memory figure: nothing is refused
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_memory_error_past_the_preflight_exits_2():
-    """The pre-flight reads free memory, not the address-space limit; when a
-    limit it cannot see stops an allocation, the run still ends in a message
-    and exit 2.  The 4.19M-amplitude state alone takes 64 MiB, the whole
-    headroom the child is given."""
+    """When a limit that the pre-flight cannot see (here it sees none) stops
+    an allocation, the run still ends in a message and exit 2.  The
+    4.19M-amplitude complex state of a Haar-garbage run alone takes 64 MiB,
+    the whole headroom the child is given."""
     limit = _vm_size_after_import() + 64 * 2 ** 20
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "qdtest.cli", "test-closeness", "--gen", "identical",
-         "--n", "128", "--trials", "1"],
+        [sys.executable, "-c", _BLIND_PREFLIGHT_CHILD, "test-closeness", "--gen", "identical",
+         "--n", "128", "--trials", "1", "--garbage", "haar"],
         capture_output=True, text=True, env=_child_env(), preexec_fn=cap_address_space,
         timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory ("), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_preflight_sees_the_address_space_limit():
+    """The pre-flight counts the room left under RLIMIT_AS, so a k-wise run
+    whose state needs more than the 400 MiB the child has left is refused
+    up front, before an allocation inside OpenBLAS fails and exits 1."""
+    limit = _vm_size_after_import() + 400 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdtest.cli", "test-kwise", "--gen", "spike:1,2:0.6",
+         "--n", "9", "--trials", "1"],
+        capture_output=True, text=True, env=_child_env(), preexec_fn=cap_address_space,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "needs about" in proc.stderr
+    assert "OpenBLAS" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 _IMPORT_SET_CHILD = """

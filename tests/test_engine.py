@@ -1,8 +1,10 @@
 """Property tests of the state-vector engine: every leaf operator, the copy
 by addition mod d and the sign table included, against an independent
 flat-index reference, on drawn layouts, target orders, controls and
-directions; U^dagger U = I; the linearity of the phase-distribution ledger
-in M; and the memory of a run and of one copy."""
+directions; U^dagger U = I; skipping the registers still at 0 against
+sweeping the whole state; the linearity of the phase-distribution ledger
+in M; the dtype of a run's state; and the memory of a run and of one
+copy."""
 import math
 import tracemalloc
 
@@ -15,6 +17,7 @@ from qdtest import amplitude as ae
 from qdtest import oracles as orc
 from qdtest import reference as ref
 from qdtest import statevec as sv
+from qdtest import testers
 
 from helpers import haar_state, random_bitstring_distribution, reference_apply
 
@@ -125,6 +128,60 @@ def test_copy_matches_reference(case):
     check_against_reference(case)
 
 
+@st.composite
+def op_sequences(draw):
+    """(layout, op, targets, real): a sequence of 1-6 leaf ops on 2-4
+    registers, some controlled and some inverted, every gate real when
+    ``real``; ``targets`` are the registers the leaves act on."""
+    real = draw(st.booleans())
+    dims = draw(st.lists(DIMS, min_size=2, max_size=4))
+    names = [f"R{i}" for i in range(len(dims))]
+    layout = sv.RegisterLayout(zip(names, dims))
+    pairs = [(a, b) for a, da in zip(names, dims) for b, db in zip(names, dims)
+             if a != b and da == db]
+    steps, targets = [], set()
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(LEAF_KINDS if pairs else ("matrix", "reflection", "sign")))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        regs = tuple(draw(st.permutations(names))[:draw(st.integers(1, 2))])
+        size = math.prod(layout.dim_of(r) for r in regs)
+        if kind == "copy":
+            op = sv.CopyOp(*draw(st.sampled_from(pairs)))
+        elif kind == "matrix":
+            op = sv.MatrixOp(regs, np.linalg.qr(rng.standard_normal((size, size)))[0] if real
+                             else orc.haar_unitary(size, int(rng.integers(2 ** 63))))
+        elif kind == "reflection":
+            w = rng.standard_normal(size)
+            op = sv.ReflectionOp(regs, w, float(w @ w) / 2.0)
+        else:
+            op = sv.SignOp(regs, 1.0 - 2.0 * rng.integers(0, 2, size=size))
+        targets.update(op.regs)
+        free = [name for name in names if name not in op.regs]
+        if free and draw(st.booleans()):
+            control = draw(st.sampled_from(free))
+            op = sv.ControlledOp(op, control, draw(st.integers(0, layout.dim_of(control) - 1)))
+        steps.append(sv.InverseOp(op) if draw(st.booleans()) else op)
+    return layout, sv.SequenceOp(steps), targets, real
+
+
+@settings(max_examples=300, deadline=None)
+@given(op_sequences())
+def test_zero_set_skips_only_zeros(case):
+    """Acting only where the registers that still hold 0 are 0 gives the
+    same amplitudes as sweeping the whole state, complex or real, and the
+    set keeps just the registers no leaf has targeted."""
+    layout, op, targets, real = case
+    assert op.real or not real
+    dtype = np.float64 if real else np.complex128
+    kept, swept = sv.new_basis_state(layout, dtype), sv.new_basis_state(layout, dtype)
+    swept.zero.clear()
+    op.apply_to(kept)
+    op.apply_to(swept)
+    assert kept.amplitudes.dtype == dtype
+    assert np.array_equal(kept.amplitudes, swept.amplitudes)
+    assert kept.zero == set(layout.names) - targets
+
+
 def _ledger_instances():
     p, q = ref.gen_l2_pair(4, 0.5)
     op = orc.make_purified_oracle(p, "haar", seed=1, label="p")
@@ -156,20 +213,36 @@ def test_phase_distribution_ledger_is_linear(name, t):
                                    for kind in sv.KINDS}
 
 
+def _oracle_pairs(n):
+    p, q = ref.gen_l2_pair(n, 0.3)
+    return {garbage: (orc.make_purified_oracle(p, garbage, seed=1, label="p"),
+                      orc.make_purified_oracle(q, garbage, seed=2, label="q"))
+            for garbage in orc.GARBAGE_STYLES}
+
+
+def _kwise_oracles(n):
+    dist = random_bitstring_distribution(n, np.random.default_rng(4))
+    return {garbage: orc.make_purified_oracle(dist, garbage, seed=3, label="p")
+            for garbage in orc.GARBAGE_STYLES}
+
+
 def _memory_instances():
-    p, q = ref.gen_l2_pair(32, 0.3)
-    op = orc.make_purified_oracle(p, "haar", seed=1, label="p")
-    oq = orc.make_purified_oracle(q, "haar", seed=2, label="q")
-    oracle = orc.make_purified_oracle(
-        random_bitstring_distribution(5, np.random.default_rng(4)), label="p")
-    return {"closeness-haar-n32": orc.closeness_instance(op, oq),
-            "kwise-n5": orc.kwise_instance(oracle, 2)}
+    pairs, oracles = _oracle_pairs(32), _kwise_oracles(5)
+    return {"closeness-haar-n32": orc.closeness_instance(*pairs["haar"]),
+            "closeness-basis-n32": orc.closeness_instance(*pairs["basis"]),
+            "kwise-haar-n5": orc.kwise_instance(oracles["haar"], 2),
+            "kwise-n5": orc.kwise_instance(oracles["basis"], 2)}
 
 
-@pytest.mark.parametrize("name", ["closeness-haar-n32", "kwise-n5"])
-def test_phase_distribution_memory(name):
-    """One run peaks at the 16-byte state plus a few state-sized temporaries
-    (no more than 64 bytes per amplitude) and keeps no per-layout state."""
+@pytest.mark.parametrize("name,bound", [
+    ("closeness-haar-n32", 64), ("kwise-haar-n5", 64),
+    ("closeness-basis-n32", 32), ("kwise-n5", 32)],
+    ids=["closeness-haar-n32", "kwise-haar-n5", "closeness-basis-n32", "kwise-n5"])
+def test_phase_distribution_memory(name, bound):
+    """One run peaks at the state plus a few state-sized temporaries and
+    keeps no per-layout state: no more than 64 bytes per amplitude on a
+    complex state (Haar garbage), and 32 on the real state of basis
+    garbage."""
     layout, unitary, proj = _memory_instances()[name]
     tracemalloc.start()
     try:
@@ -177,8 +250,33 @@ def test_phase_distribution_memory(name):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * layout.total_dim
+    assert peak <= bound * layout.total_dim
     assert retained <= layout.total_dim
+
+
+def _plans():
+    pairs, oracles = _oracle_pairs(8), _kwise_oracles(3)
+    return {garbage: (testers.closeness_plan(*pairs[garbage], 0.5, 0.5),
+                      testers.kwise_plan(oracles[garbage], 2, 0.5),
+                      testers.estimator_plan(*pairs[garbage], 0.5))
+            for garbage in orc.GARBAGE_STYLES}
+
+
+@pytest.mark.parametrize("garbage,dtype", [("basis", np.float64), ("haar", np.complex128)])
+def test_phase_distribution_dtype(monkeypatch, garbage, dtype):
+    """Basis-garbage closeness, k-wise and estimator plans run on a float64
+    state, every gate of their U being real; Haar-garbage plans on a
+    complex128 state."""
+    made = []
+
+    def recording(layout, dtype=np.complex128):
+        made.append(dtype)
+        return sv.new_basis_state(layout, dtype)
+
+    monkeypatch.setattr(ae, "new_basis_state", recording)
+    for plan in _plans()[garbage]:
+        testers.sample_plan(plan, [0.5])
+    assert made == [dtype] * 3
 
 
 def test_copy_memory():

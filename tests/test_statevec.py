@@ -134,6 +134,22 @@ def test_apply_register_mismatch():
         sv.CopyOp("A", "B").apply_to(sv.new_basis_state(lay))
 
 
+@pytest.mark.parametrize("controlled", [False, True], ids=["uncontrolled", "controlled"])
+def test_complex_matrix_on_real_state_raises(controlled):
+    """A matrix with an imaginary part is refused on a float64 state, where
+    numpy would only warn and drop that part; a real matrix runs there."""
+    lay = sv.RegisterLayout([("C", 2), ("A", 3)])
+    state = sv.new_basis_state(lay, np.float64)
+    op = sv.MatrixOp(("A",), haar_unitary(3, 5))
+    assert not op.real
+    with pytest.raises(sv.RegisterError, match="real state"):
+        (sv.ControlledOp(op, "C", 0) if controlled else op).apply_to(state)
+    assert np.array_equal(state.amplitudes, sv.new_basis_state(lay, np.float64).amplitudes)
+    sv.MatrixOp(("A",), np.eye(3)[[2, 0, 1]]).apply_to(state)  # |0> -> |1>
+    assert state.amplitudes.dtype == np.float64
+    assert state.amplitudes[lay.basis_index({"A": 1})] == 1.0
+
+
 # --- operator algebra: norm, inverse, dense, controlled ---------------------------
 
 def test_norm_preservation_and_inverse_consistency():
