@@ -57,14 +57,41 @@ GARBAGE_STYLES = ("basis", "haar")
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian with phase fix.  With
-    u = ``trial_uniforms(seed, 2 dim^2)``, Gaussian entry k is
-    sqrt(-log(1 - u[2k])) exp(2 pi i u[2k+1]): exponential |z|^2, uniform phase."""
+    """Haar-random unitary: the Q of a complex Gaussian matrix's QR with a
+    positive diagonal in R.  With u = ``trial_uniforms(seed, 2 dim^2)``,
+    Gaussian entry k is sqrt(-log(1 - u[2k])) exp(2 pi i u[2k+1]):
+    exponential |z|^2, uniform phase.
+
+    Column j is reduced by the Householder reflection I - t v v^H on rows j
+    and below, for x the column there: v = x + e^{i arg x_0} ||x|| e_0,
+    scaled to v_0 = 1, and t = 2 / ||v||^2.  Q is the product of the
+    reflections, accumulated from the last, times the phases of R's diagonal.
+    A QR with a positive diagonal is unique (Mezzadri, math-ph/0609050), so
+    this is LAPACK's phase-fixed Q up to rounding.  It takes only ufuncs,
+    reductions and ``einsum``, no BLAS or LAPACK call, so a Haar oracle maps
+    no LAPACK code.
+    """
     u = trial_uniforms(seed, 2 * dim * dim)
-    z = (np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])).reshape(dim, dim)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    # row j of zt is column j of the Gaussian, so every reduction runs along rows
+    zt = (np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])).reshape(dim, dim).T.copy()
+    parts = []
+    for j in range(dim):
+        x = zt[j, j:]
+        v = x / (x[0] + np.exp(1j * np.angle(x[0])) * np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
+        v[0] = 1.0
+        parts.append((v.conj(), 2.0 / np.sum(v.real ** 2 + v.imag ** 2) * v))
+        _reflect_transposed(zt[j:, j:], *parts[-1])
+    qt = np.eye(dim, dtype=np.complex128)
+    for j in reversed(range(dim)):
+        _reflect_transposed(qt[j:, j:], *parts[j])
+    d = np.diagonal(zt)
+    return np.ascontiguousarray((qt * (d / np.abs(d))[:, None]).T)
+
+
+def _reflect_transposed(mt: np.ndarray, vc: np.ndarray, tv: np.ndarray) -> None:
+    """m <- (I - t v v^H) m, in place on mt = m^T, given vc = conj(v) and
+    tv = t v."""
+    mt -= np.multiply.outer(np.einsum("ki,i->k", mt, vc), tv)
 
 
 def reflection_parts(column: np.ndarray) -> tuple[np.ndarray, float] | None:

@@ -15,8 +15,7 @@ only as a cross-check path for small systems (:func:`dense_matrix_of`).
 A run starts from |0...0> (:func:`new_basis_state`) with every register in
 the state's zero set, the registers still at 0.  A leaf acts only on the 0
 slice of each set register it neither targets nor is controlled by, then
-removes its targets from the set; a dense product sweeps its whole control
-block instead (:class:`MatrixOp`).  A state is complex128, or float64 when
+removes its targets from the set.  A state is complex128, or float64 when
 every gate of U is real (an op's ``real``); a complex matrix meeting a
 float64 state is an error.
 
@@ -28,7 +27,14 @@ The four leaf operators (:class:`MatrixOp`, :class:`ReflectionOp`,
 state.  Each application views the amplitudes as ``amps.reshape(layout.dims)``,
 one axis per register: a control fixes its axis to a one-element slice, which
 is a view, and a leaf moves its target axes last and acts on the blocks along
-them.  The copy adds its source value b to the destination modulo their common
+them.  The arithmetic leaves (a matrix, a reflection, a sign table) walk
+that view in fixed-size blocks of rows, one row per target block, each a
+slice of the view (:func:`_blocks`), so one application peaks at the state
+plus a few blocks and never at a state-sized temporary.  A dense product
+multiplies the same number of rows in every BLAS call, the last block
+zero-padded (:func:`product_rows`), so a row's bits do not depend on how
+many rows its control block has, and it skips the zero set like every other
+leaf.  The copy adds its source value b to the destination modulo their common
 dimension d: it rolls the destination block of each b by b (by -b when
 inverse), one exact permutation per block, so any d will do.  A sign table
 multiplies its target blocks by +/-1, which is exact too; every diagonal +/-1
@@ -44,6 +50,7 @@ the projected amplitude must come out 0.0.
 from __future__ import annotations
 
 import math
+import os
 import resource
 from contextlib import suppress
 from functools import cached_property
@@ -64,13 +71,31 @@ class MemoryLimitError(ValueError):
     """A run on a layout would need more memory than the machine has free."""
 
 
-# Peak bytes per amplitude of a run on one layout: the 16-byte state plus the
-# temporaries of one operator application (a copy of the target blocks and
-# their product).  Peak RSS above the interpreter measured 32-51 with
-# --trials 1 (closeness n = 128 and n = 129, k-wise n = 8 at k = 2, basis
-# and Haar garbage, dims 2.4M-4.3M) on a complex state; a float64 state
-# takes about half, but is charged the same until every memory limit is read.
-_PEAK_BYTES_PER_AMPLITUDE = 64
+# Peak bytes per amplitude of a run on one layout: the 16-byte state plus
+# the blocks of one operator application and, with Haar garbage, the d x d
+# matrices.  Peak RSS above a small run's (about 31 MiB) measured 16.3-17.8
+# with --trials 1 on a complex state (Haar closeness n = 128 and 256, Haar
+# k-wise n = 9 at k = 2, dims 4.2M-33.5M) and 8.0-8.3 on the float64 state
+# of basis garbage (closeness n = 128, k-wise n = 9).  The charge is about
+# twice the complex peak, and a float64 state is charged the same.
+_PEAK_BYTES_PER_AMPLITUDE = 32
+
+# Amplitudes per block of the elementwise kernels: a reflection or a sign
+# table takes this many per block, and a 2-column matrix this many pairs, one
+# buffer for each half.  _PRODUCT_ROWS is the fewest rows of a block of a
+# dense product.
+_BLOCK_AMPS = 2048
+_PRODUCT_ROWS = 32
+
+
+def product_rows(size: int) -> int:
+    """Rows of every BLAS call of a dense product on ``size`` columns: the
+    last block of a control block is zero-padded to it, so a row's bits do
+    not depend on how many rows the control block has (a one-row product is
+    a gemv, which rounds differently).  Half the matrix's rows, and
+    at least ``_PRODUCT_ROWS``: a block never outweighs the matrix, and a
+    large matrix is not packed again for each few rows."""
+    return max(_PRODUCT_ROWS, size // 2)
 
 
 class RegisterLayout(Record):
@@ -166,21 +191,69 @@ class StateVector:
 
 
 def available_memory_bytes() -> int | None:
-    """The least of MemAvailable and the room left under the soft RLIMIT_AS
-    (less VmSize) and RLIMIT_DATA (less VmData), each where it is finite and
-    readable; None where none is."""
+    """The least of MemAvailable, the room left under the soft RLIMIT_AS
+    (less VmSize) and RLIMIT_DATA (less VmData), and the room left in the
+    process's memory cgroups (:func:`cgroup_room_bytes`), each where it is
+    finite and readable; None where none is."""
     sizes = {}
     for path in ("/proc/meminfo", "/proc/self/status"):
         with suppress(OSError), open(path, encoding="ascii", errors="replace") as fh:
             for key, _, value in (line.partition(":") for line in fh):
-                if key in ("MemAvailable", "VmSize", "VmData"):
+                if key in ("MemTotal", "MemAvailable", "VmSize", "VmData"):
                     sizes[key] = int(value.split()[0]) * 1024
     free = [sizes["MemAvailable"]] if "MemAvailable" in sizes else []
     for limit, used in ((resource.RLIMIT_AS, "VmSize"), (resource.RLIMIT_DATA, "VmData")):
         soft = resource.getrlimit(limit)[0]
         if soft != resource.RLIM_INFINITY and used in sizes:
             free.append(max(soft - sizes[used], 0))
+    room = cgroup_room_bytes(sizes.get("MemTotal"))
+    if room is not None:
+        free.append(room)
     return min(free, default=None)
+
+
+def cgroup_room_bytes(total: int | None, root: str = "/sys/fs/cgroup",
+                      membership: str = "/proc/self/cgroup") -> int | None:
+    """The least of limit - usage over the process's memory cgroup and its
+    ancestors, None where none has a limit.
+
+    The groups are the lines of ``membership``: the v2 one (empty controller
+    list) reads ``memory.max`` and ``memory.current`` under ``root``; a v1
+    one with the memory controller reads ``memory.limit_in_bytes`` and
+    ``memory.usage_in_bytes`` under ``root``/memory.  A limit of ``max``, or
+    at or above ``total`` (MemTotal), is no limit, and a file that cannot be
+    read as an integer is ignored.  Only reads.
+    """
+    try:
+        with open(membership, encoding="ascii", errors="replace") as fh:
+            groups = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return None
+    rooms = []
+    for group in groups:
+        if len(group) != 3:
+            continue
+        _, controllers, path = group
+        if not controllers:
+            base, files = root, ("memory.max", "memory.current")
+        elif "memory" in controllers.split(","):
+            base, files = os.path.join(root, "memory"), ("memory.limit_in_bytes",
+                                                         "memory.usage_in_bytes")
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            limit, usage = (_read_int(os.path.join(base, *parts[:depth], name)) for name in files)
+            if limit is not None and usage is not None and (total is None or limit < total):
+                rooms.append(max(limit - usage, 0))
+    return min(rooms, default=None)
+
+
+def _read_int(path: str) -> int | None:
+    """The integer a file holds; None if it cannot be read as one."""
+    with suppress(OSError, ValueError), open(path, encoding="ascii") as fh:
+        return int(fh.read())
+    return None
 
 
 def require_bytes(need: int, what: str) -> None:
@@ -237,10 +310,23 @@ def _fix(layout: RegisterLayout, fixed: Iterable[tuple[str, int]]) -> tuple:
     return tuple(index)
 
 
-def _rows(view: np.ndarray, size: int) -> np.ndarray:
-    """A moved view's target blocks as a C-contiguous (rows x size) array: a
-    sum's order may depend on strides, so products always see this layout."""
-    return np.ascontiguousarray(view.reshape(-1, size))
+def _blocks(view: np.ndarray, targets: int, rows: int):
+    """Views of at most ``rows`` rows each that tile a moved view, in C order
+    over its leading axes (all but the last ``targets``); a row is one target
+    block.  Each block slices the last leading axis whose trailing axes hold
+    no more than ``rows`` rows, so no block is a copy."""
+    lead = view.shape[:view.ndim - targets]
+    axis, per = len(lead), 1
+    while axis and per * lead[axis - 1] <= rows:
+        axis -= 1
+        per *= lead[axis]
+    if not axis:
+        yield view
+        return
+    step = rows // per
+    for prefix in np.ndindex(lead[:axis - 1]):
+        for start in range(0, lead[axis - 1], step):
+            yield view[prefix + (slice(start, start + step),)]
 
 
 class QuantumOp:
@@ -261,12 +347,12 @@ class QuantumOp:
     def __init__(self, regs: Sequence[str] | str):
         self.regs = (regs,) if isinstance(regs, str) else tuple(regs)
 
-    def _target_view(self, state: StateVector, controls: Controls, skip_zero=True) -> np.ndarray:
+    def _target_view(self, state: StateVector, controls: Controls) -> np.ndarray:
         """The control block of the register grid with the target axes moved
         last, in ``regs`` order; a view, checked against the op's size.
 
-        With ``skip_zero``, each other register of the state's zero set is
-        fixed to 0 too.  The targets leave the set."""
+        Each other register of the state's zero set is fixed to 0 too.  The
+        targets leave the set."""
         layout = state.layout
         if self.size is not None:
             dim = math.prod(layout.dim_of(r) for r in self.regs)
@@ -278,8 +364,7 @@ class QuantumOp:
             if name in self.regs:
                 raise RegisterError(f"control register {name!r} overlaps the operator's targets")
         skip = state.zero.difference(self.regs, (name for name, _ in controls))
-        fixed = controls + tuple((r, 0) for r in skip) if skip_zero else controls
-        view = _grid(state)[_fix(layout, fixed)]
+        view = _grid(state)[_fix(layout, controls + tuple((r, 0) for r in skip))]
         state.zero.difference_update(self.regs)
         axes = [layout.axis(r) for r in self.regs]
         return np.moveaxis(view, axes, range(view.ndim - len(axes), view.ndim))
@@ -291,9 +376,12 @@ class MatrixOp(QuantumOp):
     A two-column matrix (a qubit gate) combines its two slices with separate
     elementwise multiplies and adds, so opposite input blocks cancel to
     exactly 0; the testers' certainty when p = q depends on it.  Larger
-    blocks go through one BLAS product of (rows x size) by (size x size),
-    over the whole control block: BLAS rounds a row differently when it is
-    given another number of rows, so skipping the zero set would move bits.
+    blocks go through BLAS products of (rows x size) by (size x size), each
+    of ``product_rows(size)`` rows copied from the view, the last zero-padded:
+    BLAS rounds a row the same wherever it sits among a fixed number of
+    rows, but not when given another number, so every call gets the same
+    number.  Both kernels run one block of rows at a time, into buffers
+    allocated once per application.
     """
 
     def __init__(self, regs: Sequence[str] | str, matrix: np.ndarray):
@@ -305,23 +393,38 @@ class MatrixOp(QuantumOp):
         self.real = not self.matrix.imag.any()
 
     def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
-        real = state.amplitudes.dtype == np.float64
-        if real and not self.real:  # numpy would only warn, and drop the imaginary part
+        dtype = state.amplitudes.dtype
+        if dtype == np.float64 and not self.real:  # numpy would only warn, and drop the imaginary part
             raise RegisterError(f"complex matrix on {self.regs} applied to a real state")
-        mat = self.matrix.real if real else self.matrix
-        view = self._target_view(state, controls, skip_zero=self.size == 2)
+        mat = self.matrix.real if dtype == np.float64 else self.matrix
+        view = self._target_view(state, controls)
         # out = in @ U.T for forward, in @ conj(U) for inverse; the operand is
         # a C-contiguous copy made per application, so an op holds one matrix
         mat = np.ascontiguousarray(mat.conj() if inverse else mat.T)
+        targets = len(self.regs)
         if self.size == 2:
-            # any other target axis has length one, so this reshape is a view
-            pair = view.reshape(view.shape[:view.ndim - len(self.regs)] + (2,))
-            x0, x1 = pair[..., 0], pair[..., 1]
-            y0 = x0 * mat[0, 0] + x1 * mat[1, 0]
-            x1[...] = x0 * mat[0, 1] + x1 * mat[1, 1]
-            x0[...] = y0
+            y0, y1 = np.empty((2, _BLOCK_AMPS), dtype)
+            for block in _blocks(view, targets, _BLOCK_AMPS):
+                # any other target axis has length one, so this reshape is a view
+                pair = block.reshape(block.shape[:block.ndim - targets] + (2,))
+                x0, x1 = pair[..., 0], pair[..., 1]
+                t0, t1 = (y[:x0.size].reshape(x0.shape) for y in (y0, y1))
+                # every product into a buffer: an in-place complex multiply
+                # may round differently with the block's shape
+                np.multiply(x0, mat[0, 0], out=t0)
+                t0 += np.multiply(x1, mat[1, 0], out=t1)
+                np.multiply(x0, mat[0, 1], out=t1)
+                x0[...] = t0
+                np.add(t1, np.multiply(x1, mat[1, 1], out=t0), out=x1)
         else:
-            view[...] = (_rows(view, self.size) @ mat).reshape(view.shape)
+            count = product_rows(self.size)
+            rows, out = np.zeros((2, count, self.size), dtype)
+            for block in _blocks(view, targets, count):
+                k = block.size // self.size
+                rows[:k].reshape(block.shape)[...] = block
+                rows[k:] = 0
+                np.matmul(rows, mat, out=out)
+                block[...] = out[:k].reshape(block.shape)
 
 
 class ReflectionOp(QuantumOp):
@@ -331,7 +434,9 @@ class ReflectionOp(QuantumOp):
     single reflection.  Applies in O(m) per register block instead of the
     O(m^2) of a dense matrix.  Each block's dot product with w is its own
     BLAS dot (``vecdot``), so its rounding does not depend on how many
-    blocks there are, as that of one matrix-vector product does.
+    blocks there are, as that of one matrix-vector product does.  The dots,
+    the outer product and the subtraction run on a copy of a few rows at a
+    time (:func:`_blocks`), written back by assignment.
     """
 
     def __init__(self, regs: Sequence[str] | str, w: np.ndarray, denom: float):
@@ -344,8 +449,24 @@ class ReflectionOp(QuantumOp):
 
     def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         view = self._target_view(state, controls)
-        coef = np.vecdot(self.w, _rows(view, self.size))
-        view -= np.outer(coef, self.w / self.denom).reshape(view.shape)
+        dtype = state.amplitudes.dtype
+        # both vectors in the state's dtype, so no ufunc casts through its buffers
+        w, scaled = self.w.astype(dtype), (self.w / self.denom).astype(dtype)
+        count = max(1, _BLOCK_AMPS // self.size)
+        rows, prod = np.empty((2, count, self.size), dtype)
+        coef = np.empty(count, dtype)
+        for block in _blocks(view, len(self.regs), count):
+            k = block.size // self.size
+            x = rows[:k]
+            x.reshape(block.shape)[...] = block
+            np.vecdot(w, x, out=coef[:k])
+            y = prod[:k]
+            y[...] = scaled
+            # the outer product, in place so that only coef is broadcast; scaled
+            # is real, so this rounds as one multiply whatever the layout
+            y *= coef[:k, None]
+            x -= y
+            block[...] = x.reshape(block.shape)
 
 
 class CopyOp(QuantumOp):
@@ -387,7 +508,10 @@ class SignOp(QuantumOp):
 
     def apply_to(self, state, *, inverse=False, controls=(), ledger=None):
         view = self._target_view(state, controls)
-        view *= self.signs.reshape(view.shape[view.ndim - len(self.regs):])
+        targets = len(self.regs)
+        signs = self.signs.astype(state.amplitudes.dtype).reshape(view.shape[view.ndim - targets:])
+        for block in _blocks(view, targets, max(1, _BLOCK_AMPS // self.size)):
+            block *= signs
 
 
 class SequenceOp(QuantumOp):

@@ -329,9 +329,10 @@ def test_estimate_rejects_repeats(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("test-closeness", "--gen", "l2-pair", "--n", "4"),
+    # 2 * 5^3 amplitudes, 8000 B at 32 B each; n = 4 would need exactly 4096 B
+    ("test-closeness", "--gen", "l2-pair", "--n", "5"),
     ("test-kwise", "--gen", "uniform", "--n", "3"),
-    ("estimate", "--gen", "l2-pair", "--n", "4"),
+    ("estimate", "--gen", "l2-pair", "--n", "5"),
 ])
 def test_state_too_large_for_memory_exits_2(capsys, monkeypatch, argv):
     monkeypatch.setattr(sv, "available_memory_bytes", lambda: 4096)
@@ -399,7 +400,7 @@ def test_oversized_n_exits_2_before_any_weights(capsys, monkeypatch, argv):
 
 def test_kwise_preflight_sizes_the_subset_register(capsys, monkeypatch):
     """test-kwise --n 9 --k 2 asks for its state of 46 subsets x 2^18 (A, B)
-    amplitudes at 64 bytes each, about 736 MiB, not 2^27 x 64 bytes: it
+    amplitudes at the per-amplitude charge each, not for 2^27 amplitudes: it
     passes the pre-flight with exactly that much memory and is refused with
     one byte less."""
     class Built(Exception):
@@ -408,7 +409,7 @@ def test_kwise_preflight_sizes_the_subset_register(capsys, monkeypatch):
     def stub_oracle(*args, **kwargs):
         raise Built
 
-    need = 46 * 2 ** 18 * 64
+    need = 46 * 2 ** 18 * sv._PEAK_BYTES_PER_AMPLITUDE
     monkeypatch.setattr(cli.orc, "make_purified_oracle", stub_oracle)
     monkeypatch.setattr(sv, "available_memory_bytes", lambda: need)
     with pytest.raises(Built):
@@ -417,7 +418,8 @@ def test_kwise_preflight_sizes_the_subset_register(capsys, monkeypatch):
     code, out, err = run(capsys, "test-kwise", "--gen", "uniform", "--n", "9", "--k", "2",
                          "--trials", "1")
     assert code == 2 and out == ""
-    assert err.startswith(f"error: a state of dimension {46 * 2 ** 18} needs about 0.72 GiB")
+    assert err.startswith(f"error: a state of dimension {46 * 2 ** 18} "
+                          f"needs about {need / 2 ** 30:.2f} GiB")
 
 
 @pytest.mark.parametrize("name,text,command", [
@@ -580,8 +582,9 @@ def test_memory_error_past_the_preflight_exits_2():
 
 def test_preflight_sees_the_address_space_limit():
     """The pre-flight counts the room left under RLIMIT_AS, so a k-wise run
-    whose state needs more than the 400 MiB the child has left is refused
-    up front, before an allocation inside OpenBLAS fails and exits 1."""
+    whose state needs more than the 400 MiB the child has left (n = 10:
+    1.75 GiB at 32 B per amplitude) is refused up front, before an
+    allocation inside OpenBLAS fails and exits 1."""
     limit = _vm_size_after_import() + 400 * 2 ** 20
 
     def cap_address_space():
@@ -589,7 +592,7 @@ def test_preflight_sees_the_address_space_limit():
 
     proc = subprocess.run(
         [sys.executable, "-m", "qdtest.cli", "test-kwise", "--gen", "spike:1,2:0.6",
-         "--n", "9", "--trials", "1"],
+         "--n", "10", "--trials", "1"],
         capture_output=True, text=True, env=_child_env(), preexec_fn=cap_address_space,
         timeout=120)
     assert proc.returncode == 2, proc.stderr

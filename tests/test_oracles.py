@@ -1,19 +1,23 @@
 """Oracle construction tests: the purified-access definition, the copy
 unitary, the encoding unitaries, garbage independence, query counting, the
 layouts (one register per role) and the near side's rounding residue."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from qdtest import cli
 from qdtest import oracles as orc
 from qdtest import reference as ref
 from qdtest import statevec as sv
 from qdtest.distributions import (BITSTRING, Distribution, point_mass,
                                   random_distribution, uniform)
+from qdtest.seeding import trial_uniforms
 
 from helpers import (NEAR_SIDE_RESIDUE, basis_state, parity_set_distribution,
                      random_bitstring_distribution)
+from test_golden import GOLDEN
 
 STYLES = (("basis", None), ("haar", 99))
 
@@ -399,6 +403,34 @@ def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(12)
     u = orc.haar_unitary(16, int(rng.integers(2 ** 63)))
     assert np.abs(u.conj().T @ u - np.eye(16)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 64])
+def test_haar_unitary_is_lapacks_phase_fixed_q(d):
+    """The Householder construction gives the Q that LAPACK's QR of the same
+    Gaussian gives, with R's diagonal made positive, up to rounding."""
+    seed = 1000 + d
+    u = trial_uniforms(seed, 2 * d * d)
+    z = (np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])).reshape(d, d)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    mat = orc.haar_unitary(d, seed)
+    assert np.abs(mat - q * phases).max() < 1e-13
+    assert np.abs(mat.conj().T @ mat - np.eye(d)).max() < 1e-13
+
+
+def test_haar_run_needs_no_lapack(capsys, monkeypatch):
+    """The benchmark's Haar closeness command (far side) runs, with its
+    pinned report, when LAPACK's QR is unavailable."""
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr was called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    command = ("test-closeness --tester l2 --n 16 --eps 0.2 --trials 100 --garbage haar "
+               "--gen l2-pair --seed 1")
+    assert cli.main(command.split()) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[command]
 
 
 def test_haar_unitary_is_seeded():

@@ -6,8 +6,9 @@ code outside its own definition, every public method and property is read
 as an attribute in program code, every module-level assignment is read,
 every parameter of every ``def`` is read in its body (an operator's
 ``apply_to`` may leave its ``inverse`` and ``ledger`` unread), no class is
-generated (``dataclasses``, ``namedtuple``); and, on the imported modules,
-every docstring cross-reference names something that exists.
+generated (``dataclasses``, ``namedtuple``); nothing from ``np.linalg`` is
+called but ``norm``; and, on the imported modules, every docstring
+cross-reference names something that exists.
 
 Program code is the package and the benchmark, the paths a run takes; a
 name in a docstring, a comment or any other string is not a use."""
@@ -249,3 +250,13 @@ def test_no_generated_classes(path):
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
     assert not names & {"namedtuple", "NamedTuple"}, f"{path.name} builds a named tuple"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_lapack(path):
+    """Nothing reads ``linalg`` but ``linalg.norm``: the Haar unitary is built
+    without LAPACK, so a run maps none of it."""
+    calls = {node.attr for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "linalg"}
+    assert calls <= {"norm"}, f"{path.name} calls np.linalg.{sorted(calls - {'norm'})}"

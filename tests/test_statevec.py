@@ -1,5 +1,5 @@
 """Engine tests: layouts, gates, operator algebra, projection, measurement,
-and the dense cross-check path."""
+the dense cross-check path and the memory pre-flight's cgroup reader."""
 import math
 
 import numpy as np
@@ -371,3 +371,61 @@ def test_memory_preflight():
     if free is not None:
         with pytest.raises(sv.MemoryLimitError):
             sv.require_memory(sv.RegisterLayout([("A", 2 ** 40)]))
+
+
+# --- the cgroup reader ------------------------------------------------------------
+
+GIB = 2 ** 30
+
+
+def _cgroup_tree(tmp_path, membership: str, files: dict[str, str]):
+    """A fake cgroup root under ``tmp_path`` holding ``files`` (path under the
+    root: content) and a membership file with the given lines."""
+    root = tmp_path / "fs"
+    for path, content in files.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(content, encoding="ascii")
+    (tmp_path / "cgroup").write_text(membership, encoding="ascii")
+    return str(root), str(tmp_path / "cgroup")
+
+
+@pytest.mark.parametrize("membership,files,room", [
+    ("0::/box/run\n", {"box/run/memory.max": "3221225472\n",
+                       "box/run/memory.current": "1073741824\n"}, 2 * GIB),
+    # the parent's limit is the tighter one
+    ("0::/box/run\n", {"box/run/memory.max": "max\n", "box/run/memory.current": "7\n",
+                       "box/memory.max": "2147483648\n", "box/memory.current": "536870912\n"},
+     GIB + GIB // 2),
+    ("0::/box\n", {"box/memory.max": "max\n", "box/memory.current": "123\n"}, None),
+    ("4:memory:/box\n2:cpu:/box\n",
+     {"memory/box/memory.limit_in_bytes": "1073741824\n",
+      "memory/box/memory.usage_in_bytes": "268435456\n"}, 3 * GIB // 4),
+    ("4:cpuacct,memory:/box\n",
+     {"memory/box/memory.limit_in_bytes": "9223372036854771712\n",
+      "memory/box/memory.usage_in_bytes": "268435456\n"}, None),
+    # a usage above the limit leaves no room, not a negative one
+    ("0::/\n", {"memory.max": "100\n", "memory.current": "200\n"}, 0),
+], ids=["v2-limited", "v2-parent", "v2-max", "v1-limited", "v1-unlimited", "v2-over"])
+def test_cgroup_room(tmp_path, membership, files, room):
+    """limit - usage over the group and its ancestors, v2 and v1; ``max``
+    and a limit at or above MemTotal (8 GiB here) are no limit."""
+    args = _cgroup_tree(tmp_path, membership, files)
+    assert sv.cgroup_room_bytes(8 * GIB, *args) == room
+
+
+def test_cgroup_room_ignores_unreadable_files(tmp_path):
+    """A limit that is a directory, usage text that is no integer, a missing
+    usage file and a missing membership file are ignored, not errors."""
+    root, membership = _cgroup_tree(tmp_path, "0::/a/b/c\n", {
+        "a/b/c/memory.current": "5\n", "a/b/c/memory.max/x": "",
+        "a/b/memory.max": "1000\n", "a/b/memory.current": "lots\n",
+        "a/memory.max": "800\n",
+        "memory.max": "600\n", "memory.current": "100\n"})
+    assert sv.cgroup_room_bytes(8 * GIB, root, membership) == 500
+    assert sv.cgroup_room_bytes(8 * GIB, root, str(tmp_path / "missing")) is None
+
+
+def test_available_memory_sees_the_cgroup_room(monkeypatch):
+    """The pre-flight's free figure is at most the cgroup's room."""
+    monkeypatch.setattr(sv, "cgroup_room_bytes", lambda total: 12345)
+    assert sv.available_memory_bytes() == 12345
