@@ -21,8 +21,11 @@ both:
   ``l1-pair[:d]`` (alternating pair at l1 distance d, default eps),
   ``identical`` (uniform twice), ``disjoint`` (point masses on 0 and 1);
 * k-wise instances: ``uniform``, ``spike:COORDS:delta`` (density
-  1 + delta*chi_T, COORDS like ``1,2``), ``multiset:Q`` (uniform over Q
-  random strings, drawn from the run seed).
+  1 + delta*chi_T, COORDS like ``1,2``), ``multiset[:Q]`` (uniform over Q
+  random strings, default 2^(n-1), drawn from the run seed).
+
+A spec with more or fewer fields than its generator reads, or with a field
+that is not a number, is refused with a message that names the spec.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or input error, a
 report that cannot be written (a closed or broken standard output
@@ -129,34 +132,56 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- instance construction -----------------------------------------------------
 
-def _gen_args(spec: str) -> tuple[str, list[str]]:
-    name, _, rest = spec.partition(":")
-    return name, rest.split(":") if rest else []
+# each generator's ``--gen`` form: a field per ":", the ones in brackets optional
+_CLOSENESS_GENS = {"l2-pair": "l2-pair[:d]", "l1-pair": "l1-pair[:d]",
+                   "identical": "identical", "disjoint": "disjoint"}
+_KWISE_GENS = {"uniform": "uniform", "spike": "spike:COORDS:delta", "multiset": "multiset[:Q]"}
+
+
+def _gen_args(spec: str, forms: dict[str, str], kind: str) -> tuple[str, list[str]]:
+    """Name and fields of a ``--gen`` spec, refused unless ``forms`` has the
+    name and its form reads exactly that many fields."""
+    name, colon, rest = spec.partition(":")
+    if name not in forms:
+        raise DistributionError(f"unknown {kind} generator {spec!r}")
+    fields = rest.split(":") if colon else []
+    form = forms[name]
+    if not form.partition("[")[0].count(":") <= len(fields) <= form.count(":"):
+        raise DistributionError(f"--gen {spec!r}: expected {form}")
+    return name, fields
+
+
+def _gen_number(spec: str, field: str, kind: type):
+    """One numeric field of a ``--gen`` spec, or an error that names the spec."""
+    try:
+        return kind(field)
+    except ValueError as exc:
+        raise DistributionError(f"--gen {spec!r}: {exc}") from None
 
 
 def _closeness_pair(args) -> tuple[Distribution, Distribution]:
     if args.gen and (args.dist or args.dist2):
         raise DistributionError("--gen and --dist/--dist2 exclude each other")
     if args.gen:
-        name, extra = _gen_args(args.gen)
+        name, extra = _gen_args(args.gen, _CLOSENESS_GENS, "closeness")
         n = args.n
         if n < 1:
             raise DistributionError(f"--n must be positive, got {n}")
         require_memory(orc.closeness_layout(n))  # before a generator allocates n weights
         if name == "l2-pair":
-            d = float(extra[0]) if extra else min(1.0, math.sqrt(2.0) * args.eps)
+            d = (_gen_number(args.gen, extra[0], float) if extra
+                 else min(1.0, math.sqrt(2.0) * args.eps))
             return ref.gen_l2_pair(n, d)
         if name == "l1-pair":
-            d = float(extra[0]) if extra else args.eps
+            d = _gen_number(args.gen, extra[0], float) if extra else args.eps
             return ref.gen_l1_pair(n, d)
         if name == "identical":
             u = dists.uniform(n)
             return u, u
-        if name == "disjoint":
-            if n < 2:
-                raise DistributionError(f"disjoint generator needs --n >= 2, got {n}")
-            return dists.point_mass(n, 0), dists.point_mass(n, 1)
-        raise DistributionError(f"unknown closeness generator {args.gen!r}")
+        # disjoint: _gen_args admits no other name
+        if n < 2:
+            raise DistributionError(f"disjoint generator needs --n >= 2, got {n}")
+        return dists.point_mass(n, 0), dists.point_mass(n, 1)
     if not args.dist or not args.dist2:
         raise DistributionError("need --dist and --dist2, or --gen")
     p, q = dists.load(args.dist), dists.load(args.dist2)
@@ -171,28 +196,26 @@ def _kwise_dist(args) -> Distribution:
     if args.gen and args.dist:
         raise DistributionError("--gen and --dist exclude each other")
     if args.gen:
-        name, extra = _gen_args(args.gen)
+        name, extra = _gen_args(args.gen, _KWISE_GENS, "k-wise")
         n = args.n
         if not 1 <= n <= dists.MAX_BITS:  # before a generator allocates 2^n weights
             raise DistributionError(f"--n must be 1..{dists.MAX_BITS} bits, got {n}")
         if name == "uniform":
             return dists.uniform(2 ** n, dists.BITSTRING)
         if name == "spike":
-            if len(extra) != 2:
-                raise DistributionError("spike generator needs spike:COORDS:delta")
-            coords = [int(c) for c in extra[0].split(",")]
-            return ref.gen_fourier_spike(n, ref.mask_from_coords(n, coords), float(extra[1]))
-        if name == "multiset":
-            count = int(extra[0]) if extra else 2 ** (n - 1)
-            require_bytes(count * 8, f"a multiset of {count} strings")  # int64 draws
-            return ref.gen_random_multiset_uniform(
-                n, count, np.random.default_rng([args.seed, 0xA11CE]))
-        raise DistributionError(f"unknown k-wise generator {args.gen!r}")
+            coords = [_gen_number(args.gen, c, int) for c in extra[0].split(",")]
+            delta = _gen_number(args.gen, extra[1], float)
+            return ref.gen_fourier_spike(n, ref.mask_from_coords(n, coords), delta)
+        # multiset: _gen_args admits no other name
+        count = _gen_number(args.gen, extra[0], int) if extra else 2 ** (n - 1)
+        require_bytes(count * 8, f"a multiset of {count} strings")  # int64 draws
+        return ref.gen_random_multiset_uniform(
+            n, count, np.random.default_rng([args.seed, 0xA11CE]))
     if not args.dist:
         raise DistributionError("need --dist or --gen")
     dist = dists.load(args.dist)
     if dist.kind != dists.BITSTRING:
-        raise DistributionError("k-wise testing needs a bitstring distribution")
+        raise DistributionError(f"{args.dist}: k-wise testing needs a bitstring distribution")
     return dist
 
 

@@ -16,6 +16,9 @@ File formats (shared by the CLI and library loaders):
   (loaded as a ``range`` distribution): the least index must be 0 and the
   greatest the row count minus one, so no range up to a huge index is built.
 
+Files are read as UTF-8; a leading byte-order mark, as in a spreadsheet's
+CSV export, is skipped.
+
 The generators :func:`uniform` and :func:`point_mass` need a size of at
 least 1, and a point mass an element in 0..size-1.
 
@@ -187,7 +190,7 @@ def from_csv(text: str, source: str = "<csv>") -> Distribution:
 def load(path: str | Path) -> Distribution:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not data
     except UnicodeDecodeError as exc:
         raise DistributionError(f"{path}: not UTF-8 text ({exc})") from exc
     if path.suffix.lower() == ".csv":

@@ -7,8 +7,9 @@ A purified oracle for a distribution p is a unitary U_p with
 where the garbage states {|phi_i>} are orthonormal but otherwise arbitrary;
 algorithms built on the oracle must not depend on their choice.  Purified
 access is built only by :func:`make_purified_oracle`, with one of two garbage
-styles ("basis": |phi_i> = |i>; "haar": columns of a random unitary drawn
-from the seeded uniforms of :mod:`qdtest.seeding`, :func:`haar_unitary`).
+styles ("basis": |phi_i> = |i>; "haar": columns of a Haar-random unitary,
+:func:`haar_unitary`, a product of Householder reflections of Gaussian
+vectors drawn from the seeded uniforms of :mod:`qdtest.seeding`).
 Every oracle application — forward, inverse, controlled — is counted in a
 :class:`~qdtest.statevec.QueryLedger` under the oracle's label; those counts
 are the measured query complexity of every experiment.  The encoding
@@ -57,41 +58,36 @@ GARBAGE_STYLES = ("basis", "haar")
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-random unitary: the Q of a complex Gaussian matrix's QR with a
-    positive diagonal in R.  With u = ``trial_uniforms(seed, 2 dim^2)``,
-    Gaussian entry k is sqrt(-log(1 - u[2k])) exp(2 pi i u[2k+1]):
-    exponential |z|^2, uniform phase.
+    """Haar-random unitary: a product of ``dim`` Householder reflections of
+    fresh complex Gaussian vectors.  With u = ``trial_uniforms(seed,
+    dim (dim + 1))``, Gaussian k is sqrt(-log(1 - u[2k])) exp(2 pi i u[2k+1]).
 
-    Column j is reduced by the Householder reflection I - t v v^H on rows j
-    and below, for x the column there: v = x + e^{i arg x_0} ||x|| e_0,
-    scaled to v_0 = 1, and t = 2 / ||v||^2.  Q is the product of the
-    reflections, accumulated from the last, times the phases of R's diagonal.
-    A QR with a positive diagonal is unique (Mezzadri, math-ph/0609050), so
-    this is LAPACK's phase-fixed Q up to rounding.  It takes only ufuncs,
-    reductions and ``einsum``, no BLAS or LAPACK call, so a Haar oracle maps
-    no LAPACK code.
+    For j from dim - 1 down to 0, x is the next dim - j Gaussians,
+    phi_j = e^{i arg x_0}, and v = x + phi_j ||x|| e_0 scaled to v_0 = 1;
+    H_j = I - (2 / ||v||^2) v v^H acts on rows and columns j and below.
+    Q = H_0 ... H_{dim-1} diag(-phi) has the law of the Q of a Gaussian
+    matrix's QR with a positive diagonal in R (Stewart 1980, SIAM J. Numer.
+    Anal. 17): after j Householder steps the rows j and below of column j
+    are again i.i.d. Gaussian, by unitary invariance, and R's diagonal is
+    -phi_j ||x||.  That QR is unique, so its Q is Haar (Mezzadri,
+    math-ph/0609050).  Only ufuncs, reductions and ``einsum`` run, no BLAS
+    or LAPACK call, so a Haar oracle maps no LAPACK code.
     """
-    u = trial_uniforms(seed, 2 * dim * dim)
-    # row j of zt is column j of the Gaussian, so every reduction runs along rows
-    zt = (np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])).reshape(dim, dim).T.copy()
-    parts = []
-    for j in range(dim):
-        x = zt[j, j:]
-        v = x / (x[0] + np.exp(1j * np.angle(x[0])) * np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
-        v[0] = 1.0
-        parts.append((v.conj(), 2.0 / np.sum(v.real ** 2 + v.imag ** 2) * v))
-        _reflect_transposed(zt[j:, j:], *parts[-1])
-    qt = np.eye(dim, dtype=np.complex128)
+    u = trial_uniforms(seed, dim * (dim + 1))
+    z = np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])
+    qt = np.eye(dim, dtype=np.complex128)  # Q^T, so every reflection runs along rows
+    phases = np.empty(dim, dtype=np.complex128)
+    start = 0
     for j in reversed(range(dim)):
-        _reflect_transposed(qt[j:, j:], *parts[j])
-    d = np.diagonal(zt)
-    return np.ascontiguousarray((qt * (d / np.abs(d))[:, None]).T)
-
-
-def _reflect_transposed(mt: np.ndarray, vc: np.ndarray, tv: np.ndarray) -> None:
-    """m <- (I - t v v^H) m, in place on mt = m^T, given vc = conj(v) and
-    tv = t v."""
-    mt -= np.multiply.outer(np.einsum("ki,i->k", mt, vc), tv)
+        x = z[start:start + dim - j]
+        start += dim - j
+        phases[j] = np.exp(1j * np.angle(x[0]))
+        v = x / (x[0] + phases[j] * np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
+        v[0] = 1.0
+        block = qt[j:, j:]  # the only part of Q^T that H_j changes
+        block -= np.multiply.outer(np.einsum("ki,i->k", block, v.conj()),
+                                   2.0 / np.sum(v.real ** 2 + v.imag ** 2) * v)
+    return np.ascontiguousarray((qt * -phases[:, None]).T)
 
 
 def reflection_parts(column: np.ndarray) -> tuple[np.ndarray, float] | None:

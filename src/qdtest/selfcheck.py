@@ -100,14 +100,16 @@ def check_closeness_mass() -> None:
     pairs = [(random_distribution(8, rng), random_distribution(8, rng)),
              ref.gen_l2_pair(8, 0.3), ref.gen_l1_pair(8, 0.3)]
     for p, q in pairs:
-        op = orc.make_purified_oracle(p, label="p")
-        oq = orc.make_purified_oracle(q, label="q")
-        layout, unitary, proj = orc.closeness_instance(op, oq)
-        state = sv.new_basis_state(layout)
-        unitary.apply_to(state)
-        mass = sv.projector_norm_sq(state, proj)
         expected = ref.lp_distance(p, q, 2) ** 2 / 4.0
-        assert abs(mass - expected) < _TOL, "projected mass is not the squared distance / 4"
+        for style, seeds in (("basis", (None, None)), ("haar", (17, 19))):
+            op = orc.make_purified_oracle(p, style, seed=seeds[0], label="p")
+            oq = orc.make_purified_oracle(q, style, seed=seeds[1], label="q")
+            layout, unitary, proj = orc.closeness_instance(op, oq)
+            state = sv.new_basis_state(layout)
+            unitary.apply_to(state)
+            mass = sv.projector_norm_sq(state, proj)
+            assert abs(mass - expected) < _TOL, \
+                f"{style} garbage: projected mass is not the squared distance / 4"
 
 
 def check_subset_phases() -> None:

@@ -901,6 +901,34 @@ def test_sweep_warns_as_its_subcommand_does(capsys, argv, warning):
     assert out.startswith("# schema_version=1 command=sweep\n")
 
 
+@pytest.mark.parametrize("command,source", [
+    ("test-closeness", "l2-pair:0.5:7"),
+    ("test-closeness", "l1-pair:0.2:1"),
+    ("test-closeness", "identical:3"),
+    ("test-closeness", "disjoint:9"),
+    ("test-closeness", "l2-pair:"),
+    ("test-kwise", "uniform:3"),
+    ("test-kwise", "multiset:3:4"),
+    ("test-kwise", "multiset:abc"),
+    ("test-kwise", "spike::0.5"),
+    ("test-kwise", None),
+], ids=["l2-pair", "l1-pair", "identical", "disjoint", "empty-field", "uniform",
+        "multiset-fields", "multiset-count", "spike-coords", "range-file"])
+def test_instance_errors_name_their_source(tmp_path, capsys, command, source):
+    """A --gen spec with a field its generator does not read, or a field
+    that is not a number (an empty one included), and a range file given to
+    test-kwise, are refused with one message that names the spec or the file."""
+    if source is None:
+        source = str(tmp_path / "range.csv")
+        Path(source).write_text("0,0.5\n1,0.5\n", encoding="utf-8")
+        argv = ("--dist", source)
+    else:
+        argv = ("--gen", source)
+    code, out, err = run(capsys, command, *argv, "--n", "4", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and source in err
+
+
 @pytest.mark.parametrize("argv", [
     ("test-closeness", "--gen", "disjoint", "--n", "8", "--dist2", "no-such-file"),
     ("test-closeness", "--gen", "l2-pair", "--dist", "x", "--dist2", "y"),

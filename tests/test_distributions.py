@@ -96,6 +96,19 @@ def test_load_json_file(tmp_path):
     assert dists.load(path) == dists.uniform(4)
 
 
+@pytest.mark.parametrize("name,text", [
+    ("d.csv", "index,weight\n0,0.25\n1,0.75\n"),
+    ("d.json", to_json(dists.uniform(4))),
+], ids=["csv", "json"])
+def test_load_skips_a_byte_order_mark(tmp_path, name, text):
+    """A file that begins with a UTF-8 byte-order mark, as a spreadsheet's
+    export does, loads equal to the same file without it."""
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert dists.load(marked) == dists.load(plain)
+
+
 def test_generator_helpers():
     pm = dists.point_mass(4, 2)
     assert pm.weights[2] == 1.0

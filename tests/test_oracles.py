@@ -406,16 +406,25 @@ def test_haar_unitary_is_unitary():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16, 64])
-def test_haar_unitary_is_lapacks_phase_fixed_q(d):
-    """The Householder construction gives the Q that LAPACK's QR of the same
-    Gaussian gives, with R's diagonal made positive, up to rounding."""
+def test_haar_unitary_is_the_product_of_its_reflections(d):
+    """Q = H_0 H_1 ... H_{d-1} diag(-phi), each H_j a dense d x d reflection
+    of the next d - j Gaussians of the same draw, taken for j = d - 1 first."""
     seed = 1000 + d
-    u = trial_uniforms(seed, 2 * d * d)
-    z = (np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])).reshape(d, d)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    u = trial_uniforms(seed, d * (d + 1))
+    z = np.sqrt(-np.log1p(-u[0::2])) * np.exp(2j * np.pi * u[1::2])
+    q = np.eye(d, dtype=np.complex128)
+    phases = np.empty(d, dtype=np.complex128)
+    start = 0
+    for j in reversed(range(d)):
+        x = z[start:start + d - j]
+        start += d - j
+        phases[j] = np.exp(1j * np.angle(x[0]))
+        v = np.zeros(d, dtype=np.complex128)
+        v[j:] = x
+        v[j] += phases[j] * np.linalg.norm(x)
+        q = (np.eye(d) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real) @ q
     mat = orc.haar_unitary(d, seed)
-    assert np.abs(mat - q * phases).max() < 1e-13
+    assert np.abs(mat - q * -phases).max() < 1e-13
     assert np.abs(mat.conj().T @ mat - np.eye(d)).max() < 1e-13
 
 
@@ -440,16 +449,19 @@ def test_haar_unitary_is_seeded():
 
 
 def test_haar_unitary_entry_moments():
-    """Over 2000 seeds at d = 4, |U00|^2 has the Haar law Beta(1, d - 1):
-    the means of |U00|^2 and |U00|^4 lie within 4 sigma of 1/d and
-    2/(d(d+1)), and the phase of U00 averages to 0."""
+    """Over 2000 seeds at d = 4, |U_ij|^2 of each corner entry (0, 0),
+    (d-1, d-1) and (0, d-1) has the Haar law Beta(1, d - 1): the means of
+    |U_ij|^2 and |U_ij|^4 lie within 4 sigma of 1/d and 2/(d(d+1)), and the
+    phase of U_ij averages to 0."""
     d, seeds = 4, 2000
-    u00 = np.array([orc.haar_unitary(d, seed)[0, 0] for seed in range(seeds)])
-    power = np.abs(u00) ** 2
-    # E|U00|^(2k) = k! (d-1)! / (d-1+k)!, the k-th moment of Beta(1, d - 1)
+    mats = np.array([orc.haar_unitary(d, seed) for seed in range(seeds)])
+    # E|U_ij|^(2k) = k! (d-1)! / (d-1+k)!, the k-th moment of Beta(1, d - 1)
     moment = [math.factorial(k) * math.factorial(d - 1) / math.factorial(d - 1 + k)
               for k in range(5)]
-    for k in (1, 2):
-        sigma = math.sqrt((moment[2 * k] - moment[k] ** 2) / seeds)
-        assert abs(np.mean(power ** k) - moment[k]) < 4 * sigma, k
-    assert abs(np.mean(u00 / np.abs(u00))) < 4 / math.sqrt(seeds)
+    for entry in ((0, 0), (d - 1, d - 1), (0, d - 1)):
+        uij = mats[:, entry[0], entry[1]]
+        power = np.abs(uij) ** 2
+        for k in (1, 2):
+            sigma = math.sqrt((moment[2 * k] - moment[k] ** 2) / seeds)
+            assert abs(np.mean(power ** k) - moment[k]) < 4 * sigma, (entry, k)
+        assert abs(np.mean(uij / np.abs(uij))) < 4 / math.sqrt(seeds), entry
